@@ -1,7 +1,12 @@
 """Command-line front end: model loading, subcommand dispatch, CSV on
 stdout, and a JSON run manifest on stderr for reproducibility.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+Exit codes (``EXIT_CODES`` maps the exceptions): 0 success, 1 the model
+file fails validation, 2 usage error (bad arguments or a missing model
+file), 3 computation refused (threshold outside the tilting range, query
+in the CLT regime, lattice over the memory budget, solver failure,
+supports without a common lattice step, or n < 1).  Errors print one
+``error:`` line on stderr, not a traceback.
 Numbers are rendered with 17 significant digits; infinite rates render
 as the literal ``inf``.
 """
@@ -12,7 +17,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -25,11 +29,24 @@ from .counterexample import (
     schedule_depth_end,
     subsequence_rates,
 )
-from .exact import exact_log_tail, exact_tail
-from .legendre import legendre_transform, rate_upper_bound
-from .mc import DEFAULT_SEED, sample_plain, sample_tilted
-from .model import ModelError, load_model
-from .moderate import MdQuery, md_log_prob_prediction, md_threshold
+from .exact import IncommensurableSupportError, MemoryBudgetError, exact_log_tail
+from .legendre import SolverError, legendre_transform, rate_upper_bound
+from .mc import DEFAULT_SEED, TiltingRangeError, sample_plain, sample_tilted
+from .model import ModelError, PortfolioSizeError, load_model
+from .moderate import CltRegimeError, MdQuery, md_log_prob_prediction, md_threshold
+
+# exit code of each exception a subcommand may end with; 2 is also the
+# code argparse gives a usage error
+EXIT_CODES = {
+    ModelError: 1,
+    FileNotFoundError: 2,
+    TiltingRangeError: 3,
+    CltRegimeError: 3,
+    MemoryBudgetError: 3,
+    SolverError: 3,
+    IncommensurableSupportError: 3,
+    PortfolioSizeError: 3,
+}
 
 
 def _fmt(v) -> str:
@@ -72,15 +89,9 @@ def _manifest(subcommand: str, args: argparse.Namespace, wall: float) -> None:
 
 
 def _cmd_validate(args) -> int:
-    from .model import loads_model, validate_model
+    from .model import validate_model
 
-    with open(args.model, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        model, bounds = loads_model(text)
-    except ModelError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+    model, bounds = load_model(args.model)
     violations = validate_model(model, bounds)
     emit_curve([(v.class_name, v.clause, v.detail) for v in violations],
                ["class", "clause", "detail"], sys.stdout)
@@ -127,10 +138,8 @@ def _cmd_bound(args) -> int:
 
 def _cmd_exact(args) -> int:
     model, _ = load_model(args.model)
-    tail = exact_tail(model, args.n, args.x)
     lt = exact_log_tail(model, args.n, args.x)
-    rate = lt / args.n if lt > -math.inf else -math.inf
-    emit_curve([(args.n, args.x, tail, rate)],
+    emit_curve([(args.n, args.x, math.exp(lt), lt / args.n)],
                ["n", "x", "tail_probability", "log_rate"], sys.stdout)
     return 0
 
@@ -180,8 +189,6 @@ def _cmd_counterexample(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lossdev",
                                  description="deviation estimates for bounded-loss portfolios")
-    ap.add_argument("--threads", type=int, default=os.cpu_count(),
-                    help="worker threads for grid/replicate evaluation")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def add(name, fn, **kwargs):
@@ -253,9 +260,9 @@ def dispatch(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.func(args)
-    except ModelError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(c for kind, c in EXIT_CODES.items() if isinstance(exc, kind))
     _manifest(args.subcommand, args, time.perf_counter() - t0)
     return code
 

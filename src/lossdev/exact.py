@@ -1,12 +1,21 @@
-"""Exact finite-n distribution of the average centered loss by lattice
-convolution in log space: the brute-force oracle for every probabilistic
-claim at desk scale.
+"""Exact finite-n distribution of the average centered loss on its
+lattice: the oracle for every probabilistic claim at desk scale.
 
-The portfolio sum is assembled per class: contracts sharing a law are
-convolved as one group (a closed-form binomial for two-point classes,
-iterated log-space convolution otherwise), and groups are then combined.
-Tail probabilities far below 1e-300 stay representable because every
-array holds log masses.
+``exact_log_tail`` takes one of two paths.  When the portfolio holds at
+most two classes and each has two support points, each class is a
+closed-form binomial and the tail is a single sum over one of them, in
+O(n).  Every other sum is computed by the exponentially tilted FFT of
+Keich (J. Comput. Biol. 12, 2005): every class pmf is tilted by the
+saddlepoint of the threshold, so the tilted law of the sum puts mass of
+order one near it; the class spectra are raised to their counts and
+multiplied, one inverse FFT gives the tilted pmf of the sum, and the
+tilt is undone in log space.  That costs O(L log L) for a lattice of L
+points.  Tail probabilities far below 1e-300 stay representable, because
+only the tilted masses are held in linear space.
+
+The direct path convolves the class groups in log space, in
+O(n^2 * span).  It gives the full law for ``exact_distribution`` and is
+the slow oracle the tests check the FFT against.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from functools import reduce
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from .legendre import transform_from_weights
 from .model import LossClass, PortfolioModel
 
 LATTICE_TOL = 1e-9
@@ -94,16 +104,17 @@ class _GroupPmf:
     stride: int
     logp: np.ndarray
 
-    @property
-    def max_index(self) -> int:
-        return self.offset + self.stride * (len(self.logp) - 1)
-
 
 def _check_budget(n_doubles: int) -> None:
     if 8 * n_doubles > _memory_budget():
         raise MemoryBudgetError(
-            f"lattice of {n_doubles} points exceeds the memory budget "
+            f"lattice arrays of {n_doubles} doubles exceed the memory budget "
             f"({_memory_budget()} bytes; override via ${MEMORY_BUDGET_ENV})")
+
+
+def _live_classes(model: PortfolioModel, n: int) -> list[tuple[LossClass, int]]:
+    """(class, count) for the classes with contracts among 1..n."""
+    return [(cls, int(nu)) for cls, nu in zip(model.classes, model.counts(n)) if nu > 0]
 
 
 def _class_group(cls: LossClass, nu: int, g: float) -> _GroupPmf:
@@ -157,12 +168,6 @@ def _log_convolve(a: _GroupPmf, b: _GroupPmf) -> _GroupPmf:
     return _GroupPmf(a.offset + b.offset, 1, out)
 
 
-def _build_groups(model: PortfolioModel, n: int, g: float) -> list[_GroupPmf]:
-    counts = model.counts(n)
-    return [_class_group(cls, int(nu), g)
-            for cls, nu in zip(model.classes, counts) if nu > 0]
-
-
 def _group_tail(groups: list[_GroupPmf], t_idx: int) -> float:
     """log P[sum >= t_idx * g] from independent group pmfs."""
     big = max(groups, key=lambda gp: len(gp.logp))
@@ -195,26 +200,89 @@ def _threshold_index(level: float, g: float, inclusive: bool) -> int:
     return math.floor(level / g + 1e-9) + 1
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n; numpy's FFT is slow on lengths with
+    large prime factors."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], g: float,
+                         t_idx: int, min_idx: int, max_idx: int) -> float:
+    """log P[S >= t_idx] for min_idx < t_idx < max_idx, S the lattice
+    index of the sum, by the exponentially tilted FFT.
+
+    Lattice indices are shifted so that the sum lives on 0..L-1.  Under
+    the tilt theta the shifted sum has pmf q, and
+    P[S' = j] = q_j exp(sum_c nu_c log M_c(theta) - theta j),
+    with M_c the shifted class MGF.  Above the mean theta > 0 and the
+    tail sum weights q_j, j >= k, by exp(-theta (j - k)) <= 1.  At or
+    below it theta <= 0, so the same holds for the lower sum over
+    j < k, and the tail is log1p(-P[S < t]).  Every weight is at most 1,
+    so FFT round-off in the far tails of q is never amplified.
+    """
+    n = sum(nu for _, nu in live)
+    classes = [cls for cls, _ in live]
+    weights = [nu / n for _, nu in live]
+    theta = g * transform_from_weights(classes, weights, t_idx * g / n).lambda_star
+    size = max_idx - min_idx + 1
+    length = _fft_length(size)
+    # the running product of spectra, one class spectrum and its power
+    # (length // 2 + 1 complex numbers each), and the real inverse
+    _check_budget(6 * (length // 2 + 1) + length)
+    spectrum = np.ones(length // 2 + 1, dtype=complex)
+    log_norm = 0.0
+    for cls, nu in live:
+        shift = np.rint((np.asarray(cls.support) - cls.min_support) / g).astype(np.int64)
+        expo = theta * shift + np.log(cls.probs)
+        top = float(expo.max())
+        w = np.exp(expo - top)
+        total = float(w.sum())
+        log_norm += nu * (top + math.log(total))
+        pmf = np.zeros(int(shift[-1]) + 1)
+        pmf[shift] = w / total
+        spectrum *= np.fft.rfft(pmf, length) ** nu
+    q = np.fft.irfft(spectrum, length)[:size]
+    k = t_idx - min_idx
+    if theta > 0.0:
+        tail = float(q[k:] @ np.exp(-theta * np.arange(size - k)))
+        return min(log_norm - theta * k + math.log(tail), 0.0)
+    below = float(q[:k] @ np.exp(theta * np.arange(k, 0, -1)))
+    return math.log1p(-math.exp(log_norm - theta * k) * below)
+
+
 def exact_log_tail(model: PortfolioModel, n: int, x: float,
                    inclusive: bool = True) -> float:
     """log P[M_n >= x] (or strictly > x with ``inclusive=False``).
 
     Returns -inf for impossible events (threshold above the maximal
-    reachable sum).  Time is O(n^2 * span) in the worst case; two-point
-    classes use a closed-form binomial and cost O(n).
+    reachable sum).  At most two two-point classes use the closed-form
+    binomial path, O(n); every other model uses the tilted FFT,
+    O(L log L) for a sum lattice of L points (about n times the largest
+    class span in lattice steps).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    live = _live_classes(model, n)
     g = latticize(model)
-    groups = _build_groups(model, n, g)
     t_idx = _threshold_index(n * x, g, inclusive)
-    max_idx = sum(gp.max_index for gp in groups)
-    min_idx = sum(gp.offset for gp in groups)
+    min_idx = sum(nu * round(cls.min_support / g) for cls, nu in live)
+    max_idx = sum(nu * round(cls.max_support / g) for cls, nu in live)
     if t_idx > max_idx:
         return -math.inf
     if t_idx <= min_idx:
         return 0.0
-    return min(_group_tail(groups, t_idx), 0.0)
+    if t_idx == max_idx:
+        return float(sum(nu * math.log(cls.probs[-1]) for cls, nu in live))
+    if len(live) <= 2 and all(len(cls.support) == 2 for cls, _ in live):
+        groups = [_class_group(cls, nu, g) for cls, nu in live]
+        return min(_group_tail(groups, t_idx), 0.0)
+    return _tilted_fft_log_tail(live, g, t_idx, min_idx, max_idx)
 
 
 def exact_tail(model: PortfolioModel, n: int, x: float,
@@ -225,15 +293,20 @@ def exact_tail(model: PortfolioModel, n: int, x: float,
 
 def exact_log_tail_rate(model: PortfolioModel, n: int, x: float) -> float:
     """(1/n) log P[M_n >= x]; -inf marks an impossible event."""
-    lt = exact_log_tail(model, n, x)
-    return lt / n if lt > -math.inf else -math.inf
+    return exact_log_tail(model, n, x) / n
+
+
+def _direct_log_pmf(model: PortfolioModel, n: int, g: float) -> _GroupPmf:
+    """Log pmf of the whole sum by direct log-space convolution of the
+    class groups, O(n^2 * span): the slow oracle."""
+    groups = [_class_group(cls, nu, g) for cls, nu in _live_classes(model, n)]
+    return reduce(_log_convolve, [_densify(gp) for gp in groups])
 
 
 def exact_distribution(model: PortfolioModel, n: int) -> LatticeDistribution:
     """Full law of the portfolio sum S_n = n * M_n as a dense lattice."""
     g = latticize(model)
-    groups = _build_groups(model, n, g)
-    total = reduce(_log_convolve, [_densify(gp) for gp in groups])
+    total = _direct_log_pmf(model, n, g)
     return LatticeDistribution(total.offset * g, g, np.exp(total.logp))
 
 

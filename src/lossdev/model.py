@@ -24,6 +24,16 @@ class ModelError(ValueError):
     """Malformed model data (parse- or construction-stage)."""
 
 
+class PortfolioSizeError(ValueError):
+    """A portfolio size n below 1: there are no contracts to compute on."""
+
+
+def check_size(n: int) -> None:
+    """Raise PortfolioSizeError unless n >= 1."""
+    if n < 1:
+        raise PortfolioSizeError(f"n must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class LossClass:
     """A bounded finite-support loss distribution for one contract type.
@@ -138,8 +148,7 @@ class RoundRobin:
         return self._cycle[(k - 1) % len(self._cycle)]
 
     def counts(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise ModelError("n must be >= 1")
+        check_size(n)
         full, rem = divmod(n, len(self._cycle))
         out = np.array([full * w for w in self.weights], dtype=np.int64)
         for idx in self._cycle[:rem]:
@@ -210,8 +219,7 @@ class BlockSchedule:
         raise AssertionError("unreachable")
 
     def counts(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise ModelError("n must be >= 1")
+        check_size(n)
         out = np.zeros(self.n_classes, dtype=np.int64)
         for s, e, c in self.blocks_upto(n):
             out[c] += e - s + 1
@@ -254,6 +262,7 @@ class PortfolioModel:
         apportionment (ties broken by class index), which is consistent with
         any assignment whose densities converge to the weights.
         """
+        check_size(n)
         if self.rule is not None:
             out = self.rule.counts(n)
             if len(out) < len(self.classes):
@@ -353,7 +362,9 @@ def loads_model(text: str) -> tuple[PortfolioModel, AssumptionBounds]:
                                             "accelerating": bool}}}}
 
     Raises ModelError on a malformed document, with the offending field,
-    or on the first assumption violation.
+    including a number that is not finite (JSON ``NaN``, ``Infinity`` or
+    an overflowing literal such as ``1e400``), or on the first
+    assumption violation.
     """
     try:
         doc = json.loads(text)
@@ -365,31 +376,47 @@ def loads_model(text: str) -> tuple[PortfolioModel, AssumptionBounds]:
             raise ModelError(f"missing field {key!r} in {where}")
         return d[key]
 
+    def number(v, where):
+        try:
+            out = float(v)
+        except (TypeError, ValueError):
+            raise ModelError(f"{where} is not a number: {v!r}") from None
+        if not math.isfinite(out):
+            raise ModelError(f"{where} is not finite: {v!r}")
+        return out
+
+    def numbers(d, key, where):
+        values = need(d, key, where)
+        if not isinstance(values, list):
+            raise ModelError(f"{where}.{key} is not a list: {values!r}")
+        return tuple(number(v, f"{where}.{key}[{i}]") for i, v in enumerate(values))
+
     b = need(doc, "bounds", "document")
-    bounds = AssumptionBounds(float(need(b, "c0", "bounds")), float(need(b, "c1", "bounds")))
+    bounds = AssumptionBounds(number(need(b, "c0", "bounds"), "bounds.c0"),
+                              number(need(b, "c1", "bounds"), "bounds.c1"))
     classes = []
     for i, c in enumerate(need(doc, "classes", "document")):
         classes.append(LossClass(
             name=str(need(c, "name", f"classes[{i}]")),
-            support=tuple(float(v) for v in need(c, "support", f"classes[{i}]")),
-            probs=tuple(float(v) for v in need(c, "probs", f"classes[{i}]")),
+            support=numbers(c, "support", f"classes[{i}]"),
+            probs=numbers(c, "probs", f"classes[{i}]"),
             center=bool(c.get("center", False)),
         ))
     regime = need(doc, "regime", "document")
     if "weighted" in regime:
-        w = tuple(float(v) for v in need(regime["weighted"], "weights", "regime.weighted"))
+        w = numbers(regime["weighted"], "weights", "regime.weighted")
         model = PortfolioModel(tuple(classes), weights=w)
     elif "assigned" in regime:
         a = regime["assigned"]
         if "round_robin" in a:
-            rr = tuple(int(v) for v in need(a["round_robin"], "weights", "round_robin"))
+            rr = tuple(map(int, numbers(a["round_robin"], "weights", "round_robin")))
             model = PortfolioModel(tuple(classes), rule=RoundRobin(rr))
         elif "blocks" in a:
             blk = a["blocks"]
             model = PortfolioModel(tuple(classes), rule=BlockSchedule(
-                a0=int(need(blk, "a0", "blocks")),
-                growth=int(need(blk, "growth", "blocks")),
-                order=tuple(int(v) for v in need(blk, "order", "blocks")),
+                a0=int(number(need(blk, "a0", "blocks"), "blocks.a0")),
+                growth=int(number(need(blk, "growth", "blocks"), "blocks.growth")),
+                order=tuple(map(int, numbers(blk, "order", "blocks"))),
                 accelerating=bool(blk.get("accelerating", False)),
             ))
         else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from scipy.special import erfc, log_ndtr
 
-from .model import AssumptionBounds, PortfolioModel
+from .model import AssumptionBounds, PortfolioModel, check_size
 
 
 class CltRegimeError(ValueError):
@@ -36,8 +36,7 @@ class MdQuery:
             raise ValueError("c must be positive")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 1/2)")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        check_size(self.n)
 
     @property
     def y(self) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -114,3 +115,86 @@ class TestDispatch:
                          "--checkpoints", "11,1011"]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert 0.0 < float(row[1]) < 0.14
+
+
+class TestExitCodes:
+    """One test per entry of cli.EXIT_CODES: a single ``error:`` line on
+    stderr and the documented code, never a traceback."""
+
+    @staticmethod
+    def _fails(argv, code, capsys):
+        assert dispatch(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_model_error(self, bad_model_file, capsys):
+        self._fails(["exact", "--model", bad_model_file, "--n", "10", "--x", "0.5"], 1, capsys)
+
+    def test_validate_non_finite_weight(self, tmp_path, capsys):
+        text = json.dumps({"bounds": {"c0": 1, "c1": 1},
+                           "classes": [{"name": "unit", "support": [-1, 1],
+                                        "probs": [0.5, 0.5]}],
+                           "regime": {"weighted": {"weights": [float("nan")]}}})
+        path = tmp_path / "nan.json"
+        path.write_text(text)
+        assert "NaN" in text
+        self._fails(["validate", str(path)], 1, capsys)
+
+    def test_missing_model_file(self, tmp_path, capsys):
+        self._fails(["rate", "--model", str(tmp_path / "absent.json"), "--x", "0.5"], 2, capsys)
+
+    def test_tilting_range(self, unit_model_file, capsys):
+        self._fails(["mc", "--model", unit_model_file, "--n", "100", "--x", "1.0",
+                     "--tilted", "--samples", "10"], 3, capsys)
+
+    def test_clt_regime(self, unit_model_file, capsys):
+        # y = c n^alpha = 0.5 * 1 <= 1
+        self._fails(["mdp", "--model", unit_model_file, "--n", "1", "--c", "0.5"], 3, capsys)
+
+    def test_memory_budget(self, unit_model_file, monkeypatch, capsys):
+        monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "128")
+        self._fails(["exact", "--model", unit_model_file, "--n", "1000", "--x", "0.5"], 3, capsys)
+
+    def test_solver_error(self, unit_model_file, monkeypatch, capsys):
+        monkeypatch.setattr("lossdev.legendre.MAX_ITER", 0)
+        self._fails(["rate", "--model", unit_model_file, "--x", "0.5"], 3, capsys)
+
+    def test_incommensurable_supports(self, tmp_path, capsys):
+        root2 = 2 ** 0.5
+        path = tmp_path / "root2.json"
+        path.write_text(json.dumps({
+            "bounds": {"c0": 2, "c1": 1},
+            "classes": [{"name": "unit", "support": [-1, 1], "probs": [0.5, 0.5]},
+                        {"name": "root2", "support": [-root2, root2], "probs": [0.5, 0.5]}],
+            "regime": {"weighted": {"weights": [0.5, 0.5]}}}))
+        self._fails(["exact", "--model", str(path), "--n", "10", "--x", "0.5"], 3, capsys)
+
+    @pytest.mark.parametrize("sub", ["exact", "mc", "mdp"])
+    def test_portfolio_size(self, unit_model_file, sub, capsys):
+        argv = [sub, "--model", unit_model_file, "--n", "0"]
+        if sub != "mdp":
+            argv += ["--x", "0.5"]
+        self._fails(argv, 3, capsys)
+
+
+def test_exact_runs_the_oracle_once(unit_model_file, monkeypatch, capsys):
+    import lossdev.cli
+    calls = []
+    real = lossdev.cli.exact_log_tail
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lossdev.cli, "exact_log_tail", counted)
+    assert dispatch(["exact", "--model", unit_model_file, "--n", "100", "--x", "0.5"]) == 0
+    assert len(calls) == 1
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "n,x,tail_probability,log_rate"
+    n, x, tail, rate = row.split(",")
+    assert float(tail) == pytest.approx(2.818141646666e-07, rel=1e-9)
+    assert float(rate) == pytest.approx(math.log(float(tail)) / 100, rel=1e-12)
+
+
+def test_no_threads_option(unit_model_file, capsys):
+    assert dispatch(["--threads", "2", "validate", unit_model_file]) == 2

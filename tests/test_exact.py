@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from lossdev import (
     IncommensurableSupportError,
@@ -12,14 +13,16 @@ from lossdev import (
     empirical_cgf,
     enumerate_tail,
     exact_distribution,
+    exact_log_tail,
     exact_log_tail_rate,
     exact_tail,
     latticize,
     rate_I1,
 )
+from lossdev.exact import _direct_log_pmf, _threshold_index
 from lossdev.legendre import transform_from_weights
 
-from conftest import random_lattice_model
+from conftest import DOUBLE, UNIT, random_lattice_model
 
 
 class TestLatticize:
@@ -122,7 +125,64 @@ class TestChernoffDomination:
                 assert exact_tail(model, n, float(x)) <= math.exp(-n * bound) * (1 + 1e-9)
 
 
+SKEW = LossClass("skew", (-1.0, 3.0), (0.75, 0.25))
+FOUR = LossClass("four", (-2.0, -1.0, 1.0, 3.0), (0.25, 0.275, 0.325, 0.15))
+
+
+class TestFftAgainstDirect:
+    """The tilted FFT against the direct log-space convolution, to 1e-9
+    relative in the log of the smaller of the two tails, at thresholds
+    that are fractions of the top of the reachable range; 1 is the top
+    edge, which has a closed form."""
+
+    @staticmethod
+    def _check(model, n, fractions):
+        g = latticize(model)
+        direct = _direct_log_pmf(model, n, g)
+        top = float(model.counts(n) @ [c.max_support for c in model.classes]) / n
+        for x in np.asarray(fractions) * top:
+            got = exact_log_tail(model, n, x)
+            k = _threshold_index(n * x, g, True) - direct.offset
+            upper = float(logsumexp(direct.logp[k:]))
+            lower = float(logsumexp(direct.logp[:k]))
+            if upper <= lower:
+                assert got == pytest.approx(upper, rel=1e-9)
+            else:  # the complement is the informative number
+                assert math.log(-math.expm1(got)) == pytest.approx(lower, rel=1e-9)
+
+    def test_random_lattice_models(self):
+        rng = np.random.default_rng(23)
+        for n in (5, 60, 400, 2000):
+            model, _ = random_lattice_model(rng)
+            self._check(model, n, (-0.3, -0.02, 0.0, 0.01, 0.2, 0.6, 0.97, 1.0))
+
+    def test_two_point_and_multi_point_classes(self):
+        model = PortfolioModel((UNIT, SKEW, FOUR), rule=RoundRobin((2, 1, 1)))
+        for n in (7, 300, 1200):
+            self._check(model, n, (-0.5, -0.05, 0.0, 0.1, 0.5, 0.9, 1.0))
+
+    def test_three_two_point_classes(self):
+        model = PortfolioModel((UNIT, DOUBLE, SKEW), weights=(0.5, 0.25, 0.25))
+        for n in (9, 500, 2000):
+            self._check(model, n, (-0.3, 0.0, 0.05, 0.4, 0.8, 1.0))
+
+    def test_far_below_the_mean(self):
+        # P[S < t] ~ 3.5e-11: summing the upper tail directly, log P[S >= t]
+        # would round to 0
+        model = PortfolioModel((UNIT, SKEW, FOUR), weights=(0.5, 0.25, 0.25))
+        assert -1e-10 < exact_log_tail(model, 300, -0.5) < -1e-11
+        self._check(model, 300, (-0.25,))  # x = -0.25 * top = -0.5
+
+
 def test_memory_budget_override(monkeypatch, pure_unit):
     monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "128")
     with pytest.raises(MemoryBudgetError):
         exact_tail(pure_unit, 1000, 0.5)
+
+
+def test_memory_budget_covers_fft(monkeypatch):
+    model = PortfolioModel((FOUR,), weights=(1.0,))
+    exact_tail(model, 1000, 0.5)  # the FFT arrays fit the default budget
+    monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "4096")
+    with pytest.raises(MemoryBudgetError):
+        exact_tail(model, 1000, 0.5)

@@ -196,3 +196,38 @@ class TestLoadModel:
     def test_missing_field(self):
         with pytest.raises(ModelError, match="c1"):
             loads_model(json.dumps({"bounds": {"c0": 1}, "classes": [], "regime": {}}))
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+NUMBER_FIELDS = {
+    "support": lambda doc, v: doc["classes"][0].update(support=[-1, v]),
+    "probs": lambda doc, v: doc["classes"][1].update(probs=[0.5, v]),
+    "weights": lambda doc, v: doc["regime"]["weighted"].update(weights=[v, 0.5]),
+    "round-robin weights": lambda doc, v: doc.update(
+        regime={"assigned": {"round_robin": {"weights": [1, v]}}}),
+    "bound c0": lambda doc, v: doc["bounds"].update(c0=v),
+    "bound c1": lambda doc, v: doc["bounds"].update(c1=v),
+}
+
+
+class TestNonFiniteRejected:
+    """JSON NaN and Infinity parse to floats; every number must be finite."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+    def test_rejected(self, field, value):
+        doc = json.loads(json.dumps(VALID_DOC))
+        NUMBER_FIELDS[field](doc, value)
+        with pytest.raises(ModelError, match="not finite"):
+            loads_model(json.dumps(doc))
+
+    def test_overflowing_literal(self):
+        text = json.dumps(VALID_DOC).replace('"c0": 2.0', '"c0": 1e400')
+        with pytest.raises(ModelError, match=r"bounds\.c0 is not finite"):
+            loads_model(text)
+
+    def test_non_numeric(self):
+        doc = json.loads(json.dumps(VALID_DOC))
+        doc["classes"][0]["support"] = [-1, "one"]
+        with pytest.raises(ModelError, match=r"classes\[0\]\.support\[1\] is not a number"):
+            loads_model(json.dumps(doc))
