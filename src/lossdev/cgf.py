@@ -1,15 +1,16 @@
 """Per-class moment generating functions and mixture cumulant generating
-functions, with analytic first and second derivatives.
-
-All MGF sums are evaluated with the max exponent shifted out, so tilts
-up to |lambda| ~ 700 / c0 are safe; derivatives come from the same
-shifted weights, never from differencing.
+functions with analytic first and second derivatives, all from one array
+kernel over a lambda array and a padded (classes x support) matrix.
+MGF sums are evaluated with the max exponent shifted out, so tilts up to
+|lambda| ~ 700 / c0 are safe; derivatives come from the same shifted
+weights, never from differencing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from .model import LossClass, PortfolioModel
 
 @dataclass(frozen=True)
 class CgfPoint:
-    """One evaluation of a cumulant generating function: value and its
-    first two derivatives at ``lam``."""
+    """A CGF and its first two derivatives at ``lam``: arrays of the shape
+    of ``lam``, or Python floats for a scalar ``lam``."""
 
     lam: float
     value: float
@@ -27,52 +28,58 @@ class CgfPoint:
     d2: float
 
 
-def _log_mgf_terms(cls: LossClass, lam: float) -> tuple[float, float, float]:
-    """(log phi(lam), phi'/phi, phi''/phi - (phi'/phi)^2) via shifted exponentials."""
-    v = np.asarray(cls.support)
-    logp = np.log(cls.probs)
-    expo = lam * v + logp
-    m = float(expo.max())
-    w = np.exp(expo - m)
-    s = float(w.sum())
-    logphi = m + math.log(s)
-    mean = float((w @ v) / s)          # tilted mean = phi'/phi
-    var = float((w @ (v - mean) ** 2) / s)  # tilted variance = (log phi)''
-    return logphi, mean, var
+def shaped(shape, *arrays) -> list:
+    """The arrays reshaped to ``shape``; Python scalars when it is ()."""
+    return [a.reshape(shape) if shape else a.item() for a in arrays]
 
 
-def class_mgf(cls: LossClass, lam: float) -> float:
+@lru_cache(maxsize=64)
+def _class_matrix(classes: tuple[LossClass, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Support values and log-probabilities as (classes x support)
+    matrices, rows padded with value 0 and log-probability -inf."""
+    width = max(len(cls.support) for cls in classes)
+    pad = [(0.0,) * (width - len(cls.support)) for cls in classes]
+    support = np.array([cls.support + p for cls, p in zip(classes, pad)])
+    probs = np.array([cls.probs + p for cls, p in zip(classes, pad)])
+    logp = np.log(probs, out=np.full(probs.shape, -np.inf), where=probs > 0.0)
+    support.flags.writeable = logp.flags.writeable = False
+    return support, logp
+
+
+def mixture_cgf(classes, weights, lam) -> CgfPoint:
+    """Weighted mixture CGF sum_i w_i log phi_i(lam) and its derivatives
+    at every lambda of ``lam``: per class the shifted log-sum of
+    exp(lam v_j + log p_j), its tilted mean and its tilted variance."""
+    support, logp = _class_matrix(tuple(classes))
+    lam = np.asarray(lam, dtype=float)
+    expo = lam[..., None, None] * support + logp
+    top = expo.max(axis=-1)
+    w = np.exp(expo - top[..., None])
+    s = w.sum(axis=-1)
+    mean = (w * support).sum(axis=-1) / s
+    var = (w * (support - mean[..., None]) ** 2).sum(axis=-1) / s
+    mixed = ((c * weights).sum(axis=-1) for c in (top + np.log(s), mean, var))
+    return CgfPoint(*shaped(lam.shape, lam, *mixed))
+
+
+def class_mgf(cls: LossClass, lam):
     """Moment generating function phi(lam) = sum_j p_j exp(lam v_j)."""
-    logphi, _, _ = _log_mgf_terms(cls, lam)
-    return math.exp(logphi)
+    return np.exp(class_log_mgf(cls, lam))
 
 
-def class_log_mgf(cls: LossClass, lam: float) -> float:
+def class_log_mgf(cls: LossClass, lam):
     """log phi(lam), overflow-safe."""
-    return _log_mgf_terms(cls, lam)[0]
+    return mixture_cgf((cls,), (1.0,), lam).value
 
 
-def mixture_cgf(classes, weights, lam: float) -> CgfPoint:
-    """Weighted mixture CGF sum_i w_i log phi_i(lam) with derivatives."""
-    value = d1 = d2 = 0.0
-    for cls, w in zip(classes, weights):
-        if w == 0.0:
-            continue
-        logphi, mean, var = _log_mgf_terms(cls, lam)
-        value += w * logphi
-        d1 += w * mean
-        d2 += w * var
-    return CgfPoint(lam, value, d1, d2)
-
-
-def limit_cgf(model: PortfolioModel, lam: float) -> CgfPoint:
+def limit_cgf(model: PortfolioModel, lam) -> CgfPoint:
     """Limit CGF of a weighted model: sum_i d_i log phi_i(lam)."""
     if not model.is_weighted:
         raise ValueError("limit_cgf needs a weighted model; use empirical_cgf for assigned ones")
     return mixture_cgf(model.classes, model.densities(), lam)
 
 
-def empirical_cgf(model: PortfolioModel, n: int, lam: float) -> CgfPoint:
+def empirical_cgf(model: PortfolioModel, n: int, lam) -> CgfPoint:
     """Finite-n average CGF (1/n) sum_{k<=n} log phi_{class(k)}(lam),
     i.e. the mixture CGF with weights nu_i(n)/n.
 

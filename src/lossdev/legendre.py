@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cgf import mixture_cgf
+from .cgf import empirical_cgf, mixture_cgf, shaped
 from .model import PortfolioModel
 
 SOLVE_TOL = 1e-10
@@ -20,13 +20,12 @@ MAX_ITER = 200
 
 @dataclass(frozen=True)
 class RatePoint:
-    """Legendre-transform solution at threshold x.
-
-    status is 'interior' (lambda_star solves Lambda'(lam) = x),
-    'boundary' (x at the essential supremum of the mean; the supremum is
-    attained only as lambda -> inf and the rate is the closed-form limit
-    value), or 'infinite' (x outside the reachable range; rate = inf).
-    """
+    """Legendre-transform solution at threshold x, each field in the
+    shape of x (Python scalars for a scalar x).  status is 'interior'
+    (lambda_star solves Lambda'(lam) = x), 'boundary' (x at the essential
+    supremum of the mean; the supremum is attained only as lambda -> inf
+    and the rate is the closed-form limit value), or 'infinite' (x
+    outside the reachable range; rate = inf)."""
 
     x: float
     lambda_star: float
@@ -35,63 +34,66 @@ class RatePoint:
 
 
 class SolverError(RuntimeError):
-    """Root-finder failed to converge (should not happen: the CGF
-    derivative is smooth and strictly increasing)."""
+    """Root-finder failed to converge; not expected, as Lambda' is smooth and increasing."""
 
 
-def _solve_mean_equation(classes, weights, x: float) -> tuple[float, float]:
-    """Solve d/dlam of the mixture CGF = x.  Newton with a bisection
-    safeguard inside a bracket found by doubling lambda."""
-    tol = SOLVE_TOL * max(1.0, abs(x))
-    lam = 0.0
-    d1 = mixture_cgf(classes, weights, lam).d1
-    if abs(d1 - x) <= tol:
-        return lam, lam * x - mixture_cgf(classes, weights, lam).value
+def _solve_mean_equation(classes, weights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve d/dlam of the mixture CGF = x for each x of a 1-d array:
+    (lambda, lambda x - Lambda(lambda)).  Newton with a bisection
+    safeguard inside a bracket found by doubling lambda; each CGF
+    evaluation covers only the points still open."""
+    tol = SOLVE_TOL * np.maximum(1.0, np.abs(x))
+    at0 = mixture_cgf(classes, weights, np.zeros(1))
+    lam, rate = np.zeros_like(x), 0.0 * x - at0.value
+    idx = np.flatnonzero(np.abs(at0.d1 - x) > tol)
+    x, tol, step = x[idx], tol[idx], np.where(x[idx] > at0.d1, 1.0, -1.0)
     # bracket by doubling
-    step = 1.0 if x > d1 else -1.0
-    lo, hi = 0.0, step
-    while True:
-        p = mixture_cgf(classes, weights, hi)
-        if (p.d1 - x) * step >= 0:
-            break
-        lo, hi = hi, hi * 2
-        if abs(hi) > 1e9:
-            raise SolverError(f"could not bracket lambda for x={x}")
-    if step < 0:
-        lo, hi = hi, lo
-    lam = 0.5 * (lo + hi)
+    lo, hi, short = np.zeros_like(x), step.copy(), np.arange(x.size)
+    while short.size:
+        p = mixture_cgf(classes, weights, hi[short])
+        short = short[(p.d1 - x[short]) * step[short] < 0]
+        lo[short], hi[short] = hi[short], 2 * hi[short]
+        if np.any(np.abs(hi[short]) > 1e9):
+            raise SolverError(f"could not bracket lambda for x={x[short[0]]}")
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    at = 0.5 * (lo + hi)
     for _ in range(MAX_ITER):
-        p = mixture_cgf(classes, weights, lam)
-        f = p.d1 - x
-        if abs(f) <= tol:
-            return lam, lam * x - p.value
-        if f > 0:
-            hi = lam
-        else:
-            lo = lam
-        lam_new = lam - f / p.d2 if p.d2 > 0 else lam
-        if not (lo < lam_new < hi):
-            lam_new = 0.5 * (lo + hi)  # bisection safeguard
-        lam = lam_new
-    raise SolverError(f"no convergence after {MAX_ITER} iterations at x={x}")
+        if not idx.size:
+            break
+        p = mixture_cgf(classes, weights, at)
+        f, d2 = p.d1 - x, p.d2
+        done = np.abs(f) <= tol
+        if done.any():
+            lam[idx[done]], rate[idx[done]] = at[done], at[done] * x[done] - p.value[done]
+            idx, x, tol, at, lo, hi, f, d2 = (v[~done] for v in (idx, x, tol, at, lo, hi, f, d2))
+        hi, lo = np.where(f > 0, at, hi), np.where(f > 0, lo, at)
+        newton = at - f / np.where(d2 > 0, d2, np.inf)
+        at = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+    if idx.size:
+        raise SolverError(f"no convergence after {MAX_ITER} iterations at x={x[0]}")
+    return lam, rate
 
 
-def transform_from_weights(classes, weights, x: float) -> RatePoint:
-    """Legendre transform of the mixture CGF with the given class weights."""
-    weights = np.asarray(weights, dtype=float)
+def transform_from_weights(classes, weights, x) -> RatePoint:
+    """Legendre transform of the mixture CGF with the given class weights,
+    at x or elementwise over an array of x."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     x_max = float(sum(w * c.max_support for c, w in zip(classes, weights)))
     x_min = float(sum(w * c.min_support for c, w in zip(classes, weights)))
     edge_tol = 1e-12 * max(1.0, abs(x_max), abs(x_min))
-    if x > x_max + edge_tol or x < x_min - edge_tol:
-        return RatePoint(x, math.inf if x > x_max else -math.inf, math.inf, "infinite")
-    if abs(x - x_max) <= edge_tol or abs(x - x_min) <= edge_tol:
-        # sup attained only as lambda -> +-inf; limit value in closed form
-        upper = abs(x - x_max) <= edge_tol
-        rate = -sum(w * math.log(cls.probs[-1] if upper else cls.probs[0])
-                    for cls, w in zip(classes, weights) if w > 0.0)
-        return RatePoint(x, math.inf if upper else -math.inf, rate, "boundary")
-    lam, rate = _solve_mean_equation(classes, weights, x)
-    return RatePoint(x, lam, max(rate, 0.0), "interior")
+    infinite = ~((x_min - edge_tol <= xs) & (xs <= x_max + edge_tol))  # NaN too
+    upper = np.abs(xs - x_max) <= edge_tol
+    interior = ~(infinite | upper | (np.abs(xs - x_min) <= edge_tol))
+    # at an edge the sup is attained only as lambda -> +-inf; limit value in closed form
+    edge_rates = [-sum(w * math.log(cls.probs[end]) for cls, w in zip(classes, weights) if w > 0.0)
+                  for end in (0, -1)]
+    lam = np.where(upper | (xs > x_max), np.inf, -np.inf)
+    rate = np.where(infinite, np.inf, np.where(upper, edge_rates[1], edge_rates[0]))
+    status = np.where(infinite, "infinite", np.where(interior, "interior", "boundary"))
+    if interior.any():
+        lam[interior], solved = _solve_mean_equation(classes, weights, xs[interior])
+        rate[interior] = np.maximum(solved, 0.0)
+    return RatePoint(*shaped(np.shape(x), xs, lam, rate, status))
 
 
 def legendre_transform(model: PortfolioModel, x: float) -> RatePoint:
@@ -125,11 +127,10 @@ def rate_I2(x: float) -> float:
     return _two_point_rate(x, 2.0)
 
 
-def rate_upper_bound(model: PortfolioModel, x: float,
-                     lam_grid: Sequence[float],
-                     checkpoints: Iterable[int]) -> float:
+def rate_upper_bound(model: PortfolioModel, x, lam_grid: Sequence[float],
+                     checkpoints: Iterable[int]):
     """Grid estimate of the exponential tail-decay lower bound for an
-    assigned model.
+    assigned model, at x or elementwise over an array of x.
 
     The running-sup CGF is approximated by the max over ``checkpoints``
     of the finite-n empirical CGF; the returned sup over the lambda grid
@@ -138,19 +139,11 @@ def rate_upper_bound(model: PortfolioModel, x: float,
     an upper probability bound).  Strictly positive for x > 0 whenever
     the boundedness/variance-floor assumptions hold.
     """
-    from .cgf import empirical_cgf
-
-    lam_grid = np.asarray(list(lam_grid), dtype=float)
-    if lam_grid.size == 0:
-        raise ValueError("empty lambda grid")
-    ns = list(checkpoints)
-    if not ns:
-        raise ValueError("empty checkpoint list")
-    best = -math.inf
-    for lam in lam_grid:
-        bar = max(empirical_cgf(model, n, float(lam)).value for n in ns)
-        best = max(best, float(lam) * x - bar)
-    return best
+    lam_grid, ns = np.asarray(lam_grid, dtype=float), list(checkpoints)
+    if lam_grid.size == 0 or not ns:
+        raise ValueError("empty lambda grid or checkpoint list")
+    bar = np.max([empirical_cgf(model, n, lam_grid).value for n in ns], axis=0)
+    return shaped(np.shape(x), (np.multiply.outer(x, lam_grid) - bar).max(axis=-1))[0]
 
 
 # Taylor polynomials of the two closed-form rate functions at 0

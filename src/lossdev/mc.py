@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import class_log_mgf, empirical_cgf, mixture_cgf
+from .cgf import class_log_mgf, mixture_cgf
 from .legendre import transform_from_weights
 from .model import LossClass, PortfolioModel
 
@@ -104,8 +104,7 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
         raise TiltingRangeError(
             f"x={x} has status {rp.status!r}; use sample_plain or the exact oracle")
     lam = rp.lambda_star
-    log_norm = float(sum(nu * class_log_mgf(cls, lam)
-                         for cls, nu in zip(model.classes, counts)))
+    log_norm = mixture_cgf(model.classes, counts, lam).value
     tilted_probs = [np.asarray(tilted_class(cls, lam).probs) for cls in model.classes]
     sums = _sample_sums(model, n, n_samples, _rng(seed), tilted_probs)
     hit = sums >= n * x - 1e-12 * max(1.0, abs(n * x))

@@ -59,6 +59,8 @@ class LossClass:
             raise ModelError(f"class {self.name!r}: support/probs length mismatch or empty")
         sup = np.asarray(self.support, dtype=float)
         pr = np.asarray(self.probs, dtype=float)
+        if not (np.isfinite(sup).all() and np.isfinite(pr).all()):
+            raise ModelError(f"class {self.name!r}: support and probs must be finite")
         if np.any(pr < 0):
             raise ModelError(f"class {self.name!r}: negative probability")
         keep = pr > 0
@@ -114,8 +116,8 @@ class AssumptionBounds:
     c1: float
 
     def __post_init__(self):
-        if not (self.c0 > 0 and self.c1 > 0):
-            raise ModelError("bounds c0 and c1 must be strictly positive")
+        if not (0 < self.c0 < math.inf and 0 < self.c1 < math.inf):
+            raise ModelError("bounds c0 and c1 must be finite and strictly positive")
         if self.c1 > self.c0**2:
             raise ModelError("c1 > c0^2 is impossible for variables bounded by c0")
 
@@ -128,8 +130,9 @@ class RoundRobin:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.weights or any(w < 0 for w in self.weights) or sum(self.weights) == 0:
-            raise ModelError("round-robin weights must be nonnegative with positive sum")
+        if (not self.weights or not all(0 <= w < math.inf for w in self.weights)
+                or sum(self.weights) == 0):
+            raise ModelError("round-robin weights must be finite, nonnegative, with positive sum")
         cycle = []
         for i, w in enumerate(self.weights):
             cycle.extend([i] * int(w))
@@ -244,8 +247,8 @@ class PortfolioModel:
             if len(self.weights) != len(self.classes):
                 raise ModelError("one weight per class required")
             w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0) or abs(w.sum() - 1.0) > PROB_SUM_TOL:
-                raise ModelError("weights must be nonnegative and sum to 1")
+            if not np.isfinite(w).all() or np.any(w < 0) or abs(w.sum() - 1.0) > PROB_SUM_TOL:
+                raise ModelError("weights must be finite, nonnegative and sum to 1")
             object.__setattr__(self, "weights", tuple((w / w.sum()).tolist()))
         else:
             if self.rule.n_classes > len(self.classes):

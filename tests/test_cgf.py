@@ -126,3 +126,73 @@ class TestCumulants:
     def test_order_cap(self, unit_class):
         with pytest.raises(ValueError):
             cumulants(unit_class, 7)
+
+
+def _fsum_cgf(classes, weights, lam):
+    """Slow oracle: the mixture CGF and its derivatives at one lambda,
+    class by class, with math.fsum and the max exponent shifted out."""
+    value = d1 = d2 = 0.0
+    for cls, w in zip(classes, weights):
+        if w == 0.0:
+            continue
+        expo = [lam * v + math.log(p) for v, p in zip(cls.support, cls.probs)]
+        top = max(expo)
+        e = [math.exp(a - top) for a in expo]
+        s = math.fsum(e)
+        mean = math.fsum(ei * v for ei, v in zip(e, cls.support)) / s
+        var = math.fsum(ei * (v - mean) ** 2 for ei, v in zip(e, cls.support)) / s
+        value += w * (top + math.log(s))
+        d1 += w * mean
+        d2 += w * var
+    return value, d1, d2
+
+
+def _random_classes(rng, sizes):
+    out = []
+    for i, size in enumerate(sizes):
+        sup = np.sort(rng.choice(np.arange(-12, 13), size, replace=False) / 4.0)
+        pr = rng.dirichlet(np.ones(size) * 2)
+        out.append(LossClass(f"r{i}", tuple(sup.tolist()), tuple((pr / pr.sum()).tolist()),
+                             center=True))
+    return tuple(out)
+
+
+class TestKernelAgainstFsum:
+    """The array kernel against a per-class, per-lambda math.fsum oracle."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mixed_support_sizes(self, seed):
+        rng = np.random.default_rng(seed)
+        classes = _random_classes(rng, [2, 3, 4, 5, 6, 7])  # every row padded but the last
+        weights = rng.dirichlet(np.ones(len(classes)))
+        c0 = max(max(abs(c.min_support), abs(c.max_support)) for c in classes)
+        lams = np.concatenate([np.linspace(-6.0, 6.0, 49), [-700.0 / c0, 700.0 / c0]])
+        got = mixture_cgf(classes, weights, lams)
+        assert got.value.shape == got.d1.shape == got.d2.shape == lams.shape
+        assert np.all(np.isfinite(got.value)) and np.all(np.isfinite(got.d2))
+        for i, lam in enumerate(lams):
+            value, d1, d2 = _fsum_cgf(classes, weights, float(lam))
+            assert got.value[i] == pytest.approx(value, rel=1e-12, abs=1e-14)
+            assert got.d1[i] == pytest.approx(d1, rel=1e-12, abs=1e-14)
+            assert got.d2[i] == pytest.approx(d2, rel=1e-10, abs=1e-14)
+
+    def test_zero_weight_class_contributes_nothing(self, unit_class, double_class):
+        wide = LossClass("wide", (-50.0, 0.0, 50.0), (0.25, 0.5, 0.25))
+        lams = np.array([-700.0, -3.0, 0.0, 0.5, 700.0])
+        with_zero = mixture_cgf((unit_class, wide, double_class), (0.5, 0.0, 0.5), lams)
+        without = mixture_cgf((unit_class, double_class), (0.5, 0.5), lams)
+        for field in ("value", "d1", "d2"):
+            np.testing.assert_allclose(getattr(with_zero, field), getattr(without, field),
+                                       rtol=1e-15, atol=0.0)
+        assert np.all(np.isfinite(with_zero.value))
+
+    def test_scalar_lambda_gives_scalars(self, eq_mix):
+        p = limit_cgf(eq_mix, 1.0)
+        assert all(np.ndim(v) == 0 for v in (p.lam, p.value, p.d1, p.d2))
+        grid = limit_cgf(eq_mix, np.array([1.0]))
+        assert grid.value[0] == p.value and grid.d1[0] == p.d1 and grid.d2[0] == p.d2
+
+    def test_class_log_mgf_over_array(self, unit_class):
+        lams = np.array([-2.0, 0.0, 2.0])
+        np.testing.assert_allclose(class_log_mgf(unit_class, lams),
+                                   np.log(np.cosh(lams)), rtol=1e-15, atol=0.0)

@@ -48,6 +48,10 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "class,clause,detail"
 
+    def test_validate_ok_prints_the_header_alone(self, unit_model_file, capsys):
+        assert dispatch(["validate", unit_model_file]) == 0
+        assert capsys.readouterr().out == "class,clause,detail\n"
+
     def test_validate_bad_file(self, bad_model_file, capsys):
         assert dispatch(["validate", bad_model_file]) == 1
 
@@ -176,6 +180,38 @@ class TestExitCodes:
             argv += ["--x", "0.5"]
         self._fails(argv, 3, capsys)
 
+    def test_mdp_alpha_out_of_range(self, unit_model_file, capsys):
+        self._fails(["mdp", "--model", unit_model_file, "--n", "100", "--alpha", "0.7"],
+                    2, capsys)
+
+    def test_empty_checkpoints(self, unit_model_file, capsys):
+        self._fails(["bound", "--model", unit_model_file, "--x", "0.5", "--checkpoints", ""],
+                    2, capsys)
+
+    @pytest.mark.parametrize("sub", ["rate", "bound", "cgf"])
+    def test_no_grid_points(self, unit_model_file, sub, capsys):
+        self._fails([sub, "--model", unit_model_file, "--points", "0"], 2, capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_threshold(self, unit_model_file, value, capsys):
+        self._fails(["rate", "--model", unit_model_file, "--x", value], 2, capsys)
+
+    def test_no_lambda_points(self, unit_model_file, capsys):
+        self._fails(["bound", "--model", unit_model_file, "--x", "0.5", "--lambda-points", "0"],
+                    2, capsys)
+
+    def test_validate_violation(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "bounds": {"c0": 1, "c1": 1},
+            "classes": [{"name": "d", "support": [-2, 2], "probs": [0.5, 0.5]}],
+            "regime": {"weighted": {"weights": [1.0]}}}))
+        assert dispatch(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "bound" in err[0]
+
 
 def test_exact_runs_the_oracle_once(unit_model_file, monkeypatch, capsys):
     import lossdev.cli
@@ -198,3 +234,35 @@ def test_exact_runs_the_oracle_once(unit_model_file, monkeypatch, capsys):
 
 def test_no_threads_option(unit_model_file, capsys):
     assert dispatch(["--threads", "2", "validate", unit_model_file]) == 2
+
+
+def test_parser_built_once_and_calls_share_no_state(unit_model_file, monkeypatch, capsys):
+    import lossdev.cli
+    built = []
+    real = lossdev.cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(lossdev.cli, "build_parser", counted)
+    lossdev.cli._parser.cache_clear()
+    try:
+        def run(argv):
+            assert dispatch(argv) == 0
+            captured = capsys.readouterr()
+            return captured.out.splitlines(), json.loads(captured.err.splitlines()[-1])["params"]
+
+        lines, params = run(["cgf", "--model", unit_model_file, "--points", "3",
+                             "--lambda-min", "-1"])
+        assert len(lines) == 4 and params["lambda_min"] == -1.0
+        lines, params = run(["rate", "--model", unit_model_file, "--x-min", "-0.5",
+                             "--x-max", "0.5", "--points", "5"])
+        assert len(lines) == 6 and "lambda_min" not in params and "n" not in params
+        lines, params = run(["cgf", "--model", unit_model_file])
+        assert len(lines) == 102 and params["lambda_min"] == -5.0 and params["points"] == 101
+        lines, params = run(["rate", "--model", unit_model_file])
+        assert len(lines) == 52 and params["x_min"] == -0.9 and params["x"] is None
+        assert len(built) == 1
+    finally:
+        lossdev.cli._parser.cache_clear()

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_general_model
 from lossdev import (
     BlockSchedule,
+    LossClass,
     PortfolioModel,
     legendre_transform,
     limit_cgf,
@@ -13,7 +17,8 @@ from lossdev import (
     rate_expansion_check,
     rate_upper_bound,
 )
-from lossdev.legendre import transform_from_weights
+from lossdev.cgf import mixture_cgf
+from lossdev.legendre import SOLVE_TOL, transform_from_weights
 
 
 class TestLegendreTransform:
@@ -158,3 +163,83 @@ class TestExpansion:
 def test_transform_from_weights_respects_zero_weight(unit_class, double_class):
     rp = transform_from_weights((unit_class, double_class), (1.0, 0.0), 0.5)
     assert rp.rate == pytest.approx(rate_I1(0.5), abs=1e-10)
+
+
+def _random_weighted(seed, max_classes=4):
+    model, _ = random_general_model(np.random.default_rng(seed), max_classes)
+    return model.classes, model.densities()
+
+
+def _range(classes, weights):
+    lo = sum(w * c.min_support for c, w in zip(classes, weights))
+    hi = sum(w * c.max_support for c, w in zip(classes, weights))
+    return lo, hi
+
+
+class TestBatchedTransform:
+    """The whole-grid transform against slow references: one-point calls,
+    a dense lambda grid, and the closed-form edges."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grid_equals_one_point_calls(self, seed):
+        classes, weights = _random_weighted(seed)
+        lo, hi = _range(classes, weights)
+        xs = np.concatenate([np.linspace(lo - 0.3, hi + 0.3, 61), [0.0, lo, hi]])
+        grid = transform_from_weights(classes, weights, xs)
+        for i, x in enumerate(xs):
+            one = transform_from_weights(classes, weights, np.array([x]))
+            scalar = transform_from_weights(classes, weights, float(x))
+            for p in (one, scalar):
+                assert np.ndim(p.rate) == np.ndim(x) + (p is one)
+                assert str(grid.status[i]) == str(np.ravel(p.status)[0])
+                for field in ("lambda_star", "rate"):
+                    want = float(np.ravel(getattr(p, field))[0])
+                    got = float(getattr(grid, field)[i])
+                    assert got == want or abs(got - want) <= 1e-13 * abs(want), (x, field)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rate_is_the_sup_over_a_dense_grid(self, seed):
+        classes, weights = _random_weighted(seed, 3)
+        lams = np.linspace(-4.0, 4.0, 80_001)
+        cgf = mixture_cgf(classes, weights, lams)
+        # thresholds whose maximiser lies well inside the lambda grid
+        xs = mixture_cgf(classes, weights, np.linspace(-3.5, 3.5, 15)).d1
+        rp = transform_from_weights(classes, weights, xs)
+        assert np.all(rp.status == "interior")
+        grid_sup = (np.multiply.outer(xs, lams) - cgf.value).max(axis=1)
+        assert np.all(rp.rate >= grid_sup - 1e-12)
+        np.testing.assert_allclose(rp.rate, grid_sup, rtol=0.0, atol=1e-6)
+
+    def test_edges_and_outside(self):
+        a = LossClass("a", (-1.0, 0.5), (1.0 / 3.0, 2.0 / 3.0))
+        b = LossClass("b", (-2.0, 0.0, 2.0), (0.25, 0.5, 0.25))
+        weights = (0.25, 0.75)
+        lo, hi = _range((a, b), weights)
+        assert (lo, hi) == (-1.75, 1.625)  # exact in binary
+        xs = np.arange(-2.5, 2.5 + 1e-9, 0.125)  # holds lo and hi exactly
+        rp = transform_from_weights((a, b), weights, xs)
+        top = -(0.25 * math.log(2.0 / 3.0) + 0.75 * math.log(0.25))
+        bottom = -(0.25 * math.log(1.0 / 3.0) + 0.75 * math.log(0.25))
+        for x, lam, rate, status in zip(xs, rp.lambda_star, rp.rate, rp.status):
+            if x == hi or x == lo:
+                assert status == "boundary"
+                assert rate == pytest.approx(top if x == hi else bottom, rel=1e-15)
+                assert lam == (math.inf if x == hi else -math.inf)
+            elif lo < x < hi:
+                assert status == "interior" and math.isfinite(rate) and math.isfinite(lam)
+            else:
+                assert status == "infinite" and rate == math.inf
+                assert lam == (math.inf if x > hi else -math.inf)
+        assert transform_from_weights((a, b), weights, math.nan).status == "infinite"
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           fractions=st.lists(st.floats(1e-6, 1 - 1e-6), min_size=1, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_stationarity(self, seed, fractions):
+        classes, weights = _random_weighted(seed)
+        lo, hi = _range(classes, weights)
+        xs = lo + (hi - lo) * np.asarray(fractions)
+        rp = transform_from_weights(classes, weights, xs)
+        inside = rp.status == "interior"
+        resid = np.abs(mixture_cgf(classes, weights, rp.lambda_star[inside]).d1 - xs[inside])
+        assert np.all(resid <= SOLVE_TOL * np.maximum(1.0, np.abs(xs[inside])))

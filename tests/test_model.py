@@ -231,3 +231,31 @@ class TestNonFiniteRejected:
         doc["classes"][0]["support"] = [-1, "one"]
         with pytest.raises(ModelError, match=r"classes\[0\]\.support\[1\] is not a number"):
             loads_model(json.dumps(doc))
+
+
+class TestNonFiniteConstructors:
+    """The Python constructors refuse what loads_model refuses: NaN fails
+    every ``x > tol`` style check, so it needs its own."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_loss_class(self, value):
+        with pytest.raises(ModelError, match="finite"):
+            LossClass("a", (-1.0, value), (0.5, 0.5))
+        with pytest.raises(ModelError, match="finite"):
+            LossClass("a", (-1.0, 1.0), (0.5, value))
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_portfolio_weights(self, unit_class, value):
+        with pytest.raises(ModelError, match="finite"):
+            PortfolioModel((unit_class,), weights=(value,))
+        with pytest.raises(ModelError, match="finite"):
+            PortfolioModel((unit_class, unit_class), weights=(value, 0.5))
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_bounds_and_round_robin(self, value):
+        with pytest.raises(ModelError, match="finite"):
+            AssumptionBounds(c0=value, c1=1.0)
+        with pytest.raises(ModelError, match="finite"):
+            AssumptionBounds(c0=1.0, c1=value)
+        with pytest.raises(ModelError, match="finite"):
+            RoundRobin((1, value))
