@@ -17,6 +17,11 @@ import numpy as np
 from .model import LossClass, PortfolioModel
 
 
+class AssignedModelError(ValueError):
+    """The query needs a weighted model (asymptotic class weights), and
+    the model assigns classes by a rule; use the finite-n forms."""
+
+
 @dataclass(frozen=True)
 class CgfPoint:
     """A CGF and its first two derivatives at ``lam``: arrays of the shape
@@ -75,7 +80,8 @@ def class_log_mgf(cls: LossClass, lam):
 def limit_cgf(model: PortfolioModel, lam) -> CgfPoint:
     """Limit CGF of a weighted model: sum_i d_i log phi_i(lam)."""
     if not model.is_weighted:
-        raise ValueError("limit_cgf needs a weighted model; use empirical_cgf for assigned ones")
+        raise AssignedModelError(
+            "limit_cgf needs a weighted model; use empirical_cgf for assigned ones")
     return mixture_cgf(model.classes, model.densities(), lam)
 
 

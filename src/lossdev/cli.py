@@ -5,7 +5,8 @@ Exit codes (``EXIT_CODES`` maps the exceptions): 0 success, 1 the model
 file fails validation, 2 usage error (bad arguments or a missing model
 file), 3 computation refused (threshold outside the tilting range, query
 in the CLT regime, lattice over the memory budget, solver failure,
-supports without a common lattice step, or n < 1).  Errors print one
+supports without a common lattice step, n < 1, or a weighted-model
+query such as ``rate`` on an assigned model).  Errors print one
 ``error:`` line on stderr, not a traceback.
 Numbers are rendered with 17 significant digits; infinite rates render
 as the literal ``inf``.
@@ -24,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .cgf import limit_cgf, empirical_cgf
+from .cgf import AssignedModelError, empirical_cgf, limit_cgf
 from .counterexample import (
     build_counterexample,
     schedule_depth_end,
@@ -47,6 +48,7 @@ EXIT_CODES = {
     SolverError: 3,
     IncommensurableSupportError: 3,
     PortfolioSizeError: 3,
+    AssignedModelError: 3,
 }
 
 

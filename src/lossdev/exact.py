@@ -1,17 +1,17 @@
 """Exact finite-n distribution of the average centered loss on its
 lattice: the oracle for every probabilistic claim at desk scale.
 
-``exact_log_tail`` takes one of two paths.  When the portfolio holds at
-most two classes and each has two support points, each class is a
-closed-form binomial and the tail is a single sum over one of them, in
-O(n).  Every other sum is computed by the exponentially tilted FFT of
-Keich (J. Comput. Biol. 12, 2005): every class pmf is tilted by the
-saddlepoint of the threshold, so the tilted law of the sum puts mass of
-order one near it; the class spectra are raised to their counts and
-multiplied, one inverse FFT gives the tilted pmf of the sum, and the
-tilt is undone in log space.  That costs O(L log L) for a lattice of L
-points.  Tail probabilities far below 1e-300 stay representable, because
-only the tilted masses are held in linear space.
+``exact_log_tail`` has one path, the exponentially tilted FFT of Keich
+(J. Comput. Biol. 12, 2005): the class laws are tilted by the
+saddlepoint of the threshold, so the tilted sum has its mean there; the
+product of the class spectra, raised to their counts, goes through one
+inverse FFT, and the tilt is undone in log space, so tails far below
+1e-300 stay representable.  The tilted classes are bounded, so by
+Hoeffding's inequality (JASA 58, 1963) all but WINDOW_EPS of the tilted
+mass lies within r = sqrt(sum_c nu_c span_c^2 log(2 / WINDOW_EPS) / 2)
+lattice steps of the threshold: the FFT runs on a window of
+w = min(L, 2r + 1) = O(sqrt(n) * span) of the L sum lattice points, in
+O(w log w).
 
 The direct path convolves the class groups in log space, in
 O(n^2 * span).  It gives the full law for ``exact_distribution`` and is
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .legendre import transform_from_weights
 from .model import LossClass, PortfolioModel
@@ -35,6 +34,9 @@ from .model import LossClass, PortfolioModel
 LATTICE_TOL = 1e-9
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
 MEMORY_BUDGET_ENV = "LOSSDEV_MEMORY_BUDGET"
+# tilted mass a tail window may leave out or alias onto itself
+WINDOW_EPS = 1e-30
+_LOG_UNDERFLOW = -746.0  # exp of anything lower is 0 in double precision
 
 
 class IncommensurableSupportError(ValueError):
@@ -123,10 +125,10 @@ def _class_group(cls: LossClass, nu: int, g: float) -> _GroupPmf:
     logp = np.log(cls.probs)
     if len(idx) == 2:
         # binomial in closed form: k copies at the upper point
-        k = np.arange(nu + 1)
-        lp = (gammaln(nu + 1) - gammaln(k + 1) - gammaln(nu - k + 1)
-              + k * logp[1] + (nu - k) * logp[0])
         _check_budget(nu + 1)
+        k = np.arange(nu + 1)
+        log_fact = np.fromiter(map(math.lgamma, range(1, nu + 2)), float, nu + 1)
+        lp = log_fact[nu] - log_fact - log_fact[::-1] + k * logp[1] + (nu - k) * logp[0]
         return _GroupPmf(nu * idx[0], idx[1] - idx[0], lp)
     lo, hi = min(idx), max(idx)
     span = hi - lo
@@ -168,30 +170,6 @@ def _log_convolve(a: _GroupPmf, b: _GroupPmf) -> _GroupPmf:
     return _GroupPmf(a.offset + b.offset, 1, out)
 
 
-def _group_tail(groups: list[_GroupPmf], t_idx: int) -> float:
-    """log P[sum >= t_idx * g] from independent group pmfs."""
-    big = max(groups, key=lambda gp: len(gp.logp))
-    rest = [gp for gp in groups if gp is not big]
-    small = reduce(_log_convolve, rest) if rest else None
-    # survivor function of the big group by count index, accumulated from the top
-    logsf = np.logaddexp.accumulate(big.logp[::-1])[::-1]
-    if small is None:
-        need = t_idx - big.offset
-        kmin = math.ceil(need / big.stride - 1e-9)
-        if kmin >= len(big.logp):
-            return -math.inf
-        return float(logsf[max(kmin, 0)])
-    pos = small.offset + small.stride * np.arange(len(small.logp))
-    need = t_idx - pos - big.offset
-    kmin = np.ceil(need / big.stride - 1e-9).astype(np.int64)
-    terms = np.full(len(small.logp), -np.inf)
-    ok = (kmin < len(big.logp)) & (small.logp > -np.inf)
-    terms[ok] = small.logp[ok] + logsf[np.clip(kmin[ok], 0, None)]
-    if not np.any(ok):
-        return -math.inf
-    return float(logsumexp(terms))
-
-
 def _threshold_index(level: float, g: float, inclusive: bool) -> int:
     """Smallest lattice index whose point passes the threshold, with a
     half-ulp-safe comparison so on-grid points are not lost to rounding."""
@@ -217,44 +195,68 @@ def _fft_length(n: int) -> int:
 def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], g: float,
                          t_idx: int, min_idx: int, max_idx: int) -> float:
     """log P[S >= t_idx] for min_idx < t_idx < max_idx, S the lattice
-    index of the sum, by the exponentially tilted FFT.
+    index of the sum, by the exponentially tilted FFT on a window.
 
-    Lattice indices are shifted so that the sum lives on 0..L-1.  Under
-    the tilt theta the shifted sum has pmf q, and
-    P[S' = j] = q_j exp(sum_c nu_c log M_c(theta) - theta j),
-    with M_c the shifted class MGF.  Above the mean theta > 0 and the
-    tail sum weights q_j, j >= k, by exp(-theta (j - k)) <= 1.  At or
-    below it theta <= 0, so the same holds for the lower sum over
-    j < k, and the tail is log1p(-P[S < t]).  Every weight is at most 1,
-    so FFT round-off in the far tails of q is never amplified.
+    Lattice indices are shifted so that the sum lives on 0..size-1.
+    Under the tilt theta the shifted sum has pmf q with mean k, the
+    shifted threshold, and P[S' = j] = q_j exp(sum_c nu_c log M_c(theta)
+    - theta j), with M_c the shifted class MGF.  Above the mean
+    theta > 0 and the tail sum weights q_j, k <= j <= k + r, by
+    exp(-theta (j - k)) <= 1.  At or below it theta <= 0, so the same
+    holds for the lower sum over k - r <= j < k, and the tail is
+    log1p(-P[S < t]).  Every weight is at most 1, so FFT round-off in
+    the far tails of q is never amplified, and the aliased and the
+    omitted mass (each below WINDOW_EPS) add at most that much to the
+    sum.  The class spectra z_c come in closed form, and their product
+    in log-polar form, sum_c nu_c (log|z_c|, arg z_c), exponentiated
+    only where it does not underflow: cheaper than complex powers.
     """
     n = sum(nu for _, nu in live)
     classes = [cls for cls, _ in live]
     weights = [nu / n for _, nu in live]
     theta = g * transform_from_weights(classes, weights, t_idx * g / n).lambda_star
+    shifts = [np.rint((np.asarray(cls.support) - cls.min_support) / g).astype(np.int64)
+              for cls in classes]
+    spread = sum(nu * float(shift[-1]) ** 2 for (_, nu), shift in zip(live, shifts))
+    r = math.ceil(math.sqrt(0.5 * spread * math.log(2.0 / WINDOW_EPS)))
     size = max_idx - min_idx + 1
-    length = _fft_length(size)
-    # the running product of spectra, one class spectrum and its power
-    # (length // 2 + 1 complex numbers each), and the real inverse
-    _check_budget(6 * (length // 2 + 1) + length)
-    spectrum = np.ones(length // 2 + 1, dtype=complex)
+    length = _fft_length(min(size, 2 * r + 1))
+    omega = (2.0 * math.pi / length) * np.arange(length // 2 + 1)
+    # omega, the log-modulus and phase sums, the complex spectrum, one
+    # class's sines and its real and imaginary parts, and the inverse
+    _check_budget((7 + 2 * max(map(len, shifts))) * omega.size + length)
+    log_mod, phase = np.zeros(omega.size), np.zeros(omega.size)
     log_norm = 0.0
-    for cls, nu in live:
-        shift = np.rint((np.asarray(cls.support) - cls.min_support) / g).astype(np.int64)
-        expo = theta * shift + np.log(cls.probs)
-        top = float(expo.max())
-        w = np.exp(expo - top)
-        total = float(w.sum())
-        log_norm += nu * (top + math.log(total))
-        pmf = np.zeros(int(shift[-1]) + 1)
-        pmf[shift] = w / total
-        spectrum *= np.fft.rfft(pmf, length) ** nu
-    q = np.fft.irfft(spectrum, length)[:size]
+    with np.errstate(divide="ignore"):  # log 0 at exact spectral zeros
+        for (cls, nu), shift in zip(live, shifts):
+            # log M_c(theta) = theta * ref + log1p(excess): the exponents
+            # theta * (shift - ref) are <= 0, and 1 + excess is never
+            # rounded, since log_norm takes nu_c times its error
+            ref = int(shift[-1]) if theta > 0.0 else 0
+            e_m1 = np.expm1(theta * (shift - ref))
+            probs = np.asarray(cls.probs)
+            excess = math.fsum([*cls.probs, -1.0]) + float(probs @ e_m1)
+            log_norm += nu * (theta * ref + math.log1p(excess))
+            p = (probs * (e_m1 + 1.0) / (1.0 + excess))[1:]
+            # z_c - 1 = sum_j p_j (exp(-i omega s_j) - 1), s_0 = 0 adding
+            # nothing, keeps its relative accuracy near z_c = 1, where an
+            # FFT's absolute round-off, times nu_c, would reach 1e-10 of
+            # the tail
+            re = -2.0 * (p @ np.sin(np.outer(0.5 * shift[1:], omega)) ** 2)
+            im = -(p @ np.sin(np.outer(shift[1:], omega)))
+            log_mod += 0.5 * nu * np.log1p(np.maximum(re * (2.0 + re) + im * im, -1.0))
+            phase += nu * np.arctan2(im, 1.0 + re)
+    live_freq = log_mod > _LOG_UNDERFLOW
+    spectrum = np.zeros(omega.size, dtype=complex)
+    spectrum[live_freq] = np.exp(log_mod[live_freq] + 1j * phase[live_freq])
+    q = np.fft.irfft(spectrum, length)
     k = t_idx - min_idx
     if theta > 0.0:
-        tail = float(q[k:] @ np.exp(-theta * np.arange(size - k)))
+        j = np.arange(k, min(k + r + 1, size))
+        tail = float(q[j % length] @ np.exp(-theta * (j - k)))
         return min(log_norm - theta * k + math.log(tail), 0.0)
-    below = float(q[:k] @ np.exp(theta * np.arange(k, 0, -1)))
+    j = np.arange(max(k - r, 0), k)
+    below = float(q[j % length] @ np.exp(theta * (k - j)))
     return math.log1p(-math.exp(log_norm - theta * k) * below)
 
 
@@ -263,10 +265,10 @@ def exact_log_tail(model: PortfolioModel, n: int, x: float,
     """log P[M_n >= x] (or strictly > x with ``inclusive=False``).
 
     Returns -inf for impossible events (threshold above the maximal
-    reachable sum).  At most two two-point classes use the closed-form
-    binomial path, O(n); every other model uses the tilted FFT,
-    O(L log L) for a sum lattice of L points (about n times the largest
-    class span in lattice steps).
+    reachable sum) and 0 for certain ones; the top edge is closed form,
+    every other threshold takes the windowed tilted FFT: O(w log w) for
+    w = O(sqrt(n) * span) lattice points (span the largest class span in
+    lattice steps), where the whole lattice has O(n * span).
     """
     live = _live_classes(model, n)
     g = latticize(model)
@@ -279,9 +281,6 @@ def exact_log_tail(model: PortfolioModel, n: int, x: float,
         return 0.0
     if t_idx == max_idx:
         return float(sum(nu * math.log(cls.probs[-1]) for cls, nu in live))
-    if len(live) <= 2 and all(len(cls.support) == 2 for cls, _ in live):
-        groups = [_class_group(cls, nu, g) for cls, nu in live]
-        return min(_group_tail(groups, t_idx), 0.0)
     return _tilted_fft_log_tail(live, g, t_idx, min_idx, max_idx)
 
 

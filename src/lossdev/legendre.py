@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cgf import empirical_cgf, mixture_cgf, shaped
+from .cgf import AssignedModelError, empirical_cgf, mixture_cgf, shaped
 from .model import PortfolioModel
 
 SOLVE_TOL = 1e-10
@@ -56,7 +56,9 @@ def _solve_mean_equation(classes, weights, x: np.ndarray) -> tuple[np.ndarray, n
         if np.any(np.abs(hi[short]) > 1e9):
             raise SolverError(f"could not bracket lambda for x={x[short[0]]}")
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    at = 0.5 * (lo + hi)
+    # start from the Newton step at lambda = 0 when the bracket holds it
+    first = (x - at0.d1) / at0.d2
+    at = np.where((lo < first) & (first < hi), first, 0.5 * (lo + hi))
     for _ in range(MAX_ITER):
         if not idx.size:
             break
@@ -100,7 +102,8 @@ def legendre_transform(model: PortfolioModel, x: float) -> RatePoint:
     """Rate function Lambda*(x) = sup_lam (lam x - Lambda(lam)) of a
     weighted model's limit CGF."""
     if not model.is_weighted:
-        raise ValueError("legendre_transform needs a weighted model")
+        raise AssignedModelError("legendre_transform needs a weighted model; "
+                                 "use bound for assigned ones")
     return transform_from_weights(model.classes, model.densities(), x)
 
 

@@ -194,7 +194,8 @@ class BlockSchedule:
         return self.a0 * self.growth**j
 
     def blocks_upto(self, n: int) -> list[tuple[int, int, int]]:
-        """Blocks (start, end, class) intersecting 1..n, 1-based inclusive."""
+        """Blocks (start, end, class) intersecting 1..n, 1-based inclusive;
+        entry j is block j."""
         out = []
         start, j = 1, 0
         while start <= n:
@@ -205,15 +206,8 @@ class BlockSchedule:
 
     def block_ends(self, cls: int, n_max: int) -> list[int]:
         """Ends of complete blocks of class ``cls`` not exceeding n_max."""
-        return [e for s, e, c in self.blocks_upto(n_max)
-                if c == cls and e - s + 1 == self.block_length_at(s)]
-
-    def block_length_at(self, start: int) -> int:
-        pos, j = 1, 0
-        while pos < start:
-            pos += self.block_length(j)
-            j += 1
-        return self.block_length(j)
+        return [e for j, (s, e, c) in enumerate(self.blocks_upto(n_max))
+                if c == cls and e - s + 1 == self.block_length(j)]
 
     def class_of(self, k: int) -> int:
         for s, e, c in self.blocks_upto(k):

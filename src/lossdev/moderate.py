@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import erfc, log_ndtr
-
 from .model import AssumptionBounds, PortfolioModel, check_size
 
 
@@ -61,15 +59,31 @@ def petrov_constants(bounds: AssumptionBounds) -> PetrovConstants:
     return PetrovConstants(H, g, G)
 
 
+# above this y the Mills-ratio series with _MILLS_TERMS terms is exact to
+# rounding (its first omitted term is below 1e-17 relative)
+_MILLS_FROM = 30.0
+_MILLS_TERMS = 8
+
+
 def gaussian_upper_tail(y: float) -> float:
     """1 - Phi(y) for the standard Gaussian, via erfc; relative error
     below 1e-12 on y in [-8, 38]."""
-    return 0.5 * float(erfc(y / math.sqrt(2.0)))
+    return 0.5 * math.erfc(y / math.sqrt(2.0))
 
 
 def log_gaussian_upper_tail(y: float) -> float:
-    """log(1 - Phi(y)), safe for large y."""
-    return float(log_ndtr(-y))
+    """log(1 - Phi(y)), safe for large y: log1p of the lower tail below
+    0, log of erfc up to _MILLS_FROM, and above it the asymptotic Mills
+    ratio series (1 - Phi(y)) = phi(y) / y * sum_k (-1)^k (2k-1)!! / y^(2k)."""
+    if y < 0.0:
+        return math.log1p(-0.5 * math.erfc(-y / math.sqrt(2.0)))
+    if y < _MILLS_FROM:
+        return math.log(0.5 * math.erfc(y / math.sqrt(2.0)))
+    series = term = 1.0
+    for k in range(1, _MILLS_TERMS):
+        term *= -(2 * k - 1) / (y * y)
+        series += term
+    return -0.5 * y * y - math.log(y * math.sqrt(2.0 * math.pi)) + math.log(series)
 
 
 def variance_sum(model: PortfolioModel, n: int) -> float:

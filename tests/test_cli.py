@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from lossdev.cli import dispatch, emit_curve
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -159,6 +165,15 @@ class TestExitCodes:
         monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "128")
         self._fails(["exact", "--model", unit_model_file, "--n", "1000", "--x", "0.5"], 3, capsys)
 
+    def test_rate_on_an_assigned_model(self, tmp_path, capsys):
+        path = tmp_path / "round_robin.json"
+        path.write_text(json.dumps({
+            "bounds": {"c0": 2, "c1": 1},
+            "classes": [{"name": "unit", "support": [-1, 1], "probs": [0.5, 0.5]},
+                        {"name": "double", "support": [-2, 2], "probs": [0.5, 0.5]}],
+            "regime": {"assigned": {"round_robin": {"weights": [1, 1]}}}}))
+        self._fails(["rate", "--model", str(path), "--x", "0.5"], 3, capsys)
+
     def test_solver_error(self, unit_model_file, monkeypatch, capsys):
         monkeypatch.setattr("lossdev.legendre.MAX_ITER", 0)
         self._fails(["rate", "--model", unit_model_file, "--x", "0.5"], 3, capsys)
@@ -266,3 +281,21 @@ def test_parser_built_once_and_calls_share_no_state(unit_model_file, monkeypatch
         assert len(built) == 1
     finally:
         lossdev.cli._parser.cache_clear()
+
+
+def test_cli_imports_no_scipy(unit_model_file):
+    """scipy is a test dependency only: importing the package and running
+    ``validate`` and ``exact`` leave no scipy module loaded."""
+    script = (
+        "import sys\n"
+        "import lossdev\n"
+        "from lossdev.cli import dispatch\n"
+        f"assert dispatch(['validate', {unit_model_file!r}]) == 0\n"
+        f"assert dispatch(['exact', '--model', {unit_model_file!r},"
+        " '--n', '500', '--x', '0.3']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

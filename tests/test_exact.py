@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from lossdev import (
+    BlockSchedule,
     IncommensurableSupportError,
     LossClass,
     MemoryBudgetError,
@@ -19,7 +21,7 @@ from lossdev import (
     latticize,
     rate_I1,
 )
-from lossdev.exact import _direct_log_pmf, _threshold_index
+from lossdev.exact import WINDOW_EPS, _direct_log_pmf, _threshold_index
 from lossdev.legendre import transform_from_weights
 
 from conftest import DOUBLE, UNIT, random_lattice_model
@@ -186,3 +188,115 @@ def test_memory_budget_covers_fft(monkeypatch):
     monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "4096")
     with pytest.raises(MemoryBudgetError):
         exact_tail(model, 1000, 0.5)
+
+
+def _window_radius(model, n):
+    """Half-width r of the documented tail window, in lattice steps."""
+    g = latticize(model)
+    spread = sum(nu * ((c.max_support - c.min_support) / g) ** 2
+                 for c, nu in zip(model.classes, model.counts(n)))
+    return math.ceil(math.sqrt(0.5 * spread * math.log(2.0 / WINDOW_EPS)))
+
+
+def _lattice_size(model, n):
+    g = latticize(model)
+    spans = [round((c.max_support - c.min_support) / g) for c in model.classes]
+    return int(model.counts(n) @ spans) + 1
+
+
+class TestWindowAgainstDirect:
+    """Where the window is narrower than the sum lattice, the windowed
+    FFT against the direct log-space convolution."""
+
+    def test_span_four_classes(self):
+        for model in (PortfolioModel((SKEW,), weights=(1.0,)),
+                      PortfolioModel((UNIT, DOUBLE, FOUR), rule=RoundRobin((1, 2, 1)))):
+            for n in (200, 900):
+                assert 2 * _window_radius(model, n) + 1 < _lattice_size(model, n)
+                TestFftAgainstDirect._check(
+                    model, n, (-0.3, -0.1, -0.01, 0.0, 0.02, 0.15, 0.5, 0.8, 0.99))
+
+
+UNIT_DOUBLE_SCHEDULES = {
+    "growth-10 accelerating": BlockSchedule(1, 10, (0, 1), accelerating=True),
+    "growth-3": BlockSchedule(1, 3, (0, 1)),
+}
+LARGEST_N = 1_100_000
+
+
+@pytest.fixture(scope="module")
+def log_factorials():
+    return np.fromiter(map(math.lgamma, range(1, LARGEST_N + 2)), float, LARGEST_N + 1)
+
+
+def _unit_double_log_tails(n_unit, n_double, levels, log_fact):
+    """(log P[S >= t], log P[S < t]) at each t of ``levels``, for S the
+    sum of n_unit {-1, +1} and n_double {-2, +2} contracts with mass 1/2
+    on each point: a sum over the number b of doubles at +2 of P[b]
+    times a binomial tail in the number a of units at +1, as
+    S = 2a - n_unit + 4b - 2 n_double."""
+    def log_pmf(m):
+        k = np.arange(m + 1)
+        return log_fact[m] - log_fact[k] - log_fact[m - k] - m * math.log(2.0)
+
+    la, lb = log_pmf(n_unit), log_pmf(n_double)
+    log_sf = np.logaddexp.accumulate(la[::-1])[::-1]  # log P[a >= i]
+    log_cdf = np.logaddexp.accumulate(la)  # log P[a <= i]
+    for t in levels:
+        need = -((-(t + n_unit + 2 * n_double - 4 * np.arange(n_double + 1))) // 2)
+        upper = np.where(need > n_unit, -np.inf, lb + log_sf[np.clip(need, 0, n_unit)])
+        lower = np.where(need < 1, -np.inf, lb + log_cdf[np.clip(need - 1, 0, n_unit)])
+        up, low = float(logsumexp(upper)), float(logsumexp(lower))
+        # the two add up to 1 up to the rounding of the lgamma table
+        total = np.logaddexp(up, low)
+        yield t, up - total, low - total
+
+
+class TestWindowAgainstBinomial:
+    """The windowed FFT against the closed-form two-binomial sum on the
+    paper's unit/double schedules, to 1e-10 relative in log P: at every
+    block end and on a log sweep of n up to 1.1e6; thresholds at
+    fractions of the top, one lattice step inside each edge, and below
+    the mean, where the tail comes from the lower sum."""
+
+    @pytest.mark.parametrize("name", UNIT_DOUBLE_SCHEDULES)
+    def test_unit_double(self, name, log_factorials):
+        rule = UNIT_DOUBLE_SCHEDULES[name]
+        model = PortfolioModel((UNIT, DOUBLE), rule=rule)
+        ends = [e for c in (0, 1) for e in rule.block_ends(c, LARGEST_N)]
+        sweep = np.geomspace(100, LARGEST_N, 7).round().astype(int).tolist()
+        for n in sorted(set(ends + sweep)):
+            n_unit, n_double = (int(v) for v in model.counts(n))
+            top = n_unit + 2 * n_double
+            sd = math.sqrt(n_unit + 4 * n_double)
+            levels = {top - 1, 1 - top, round(-sd), round(-3 * sd)}
+            levels |= {round(f * top) for f in (0.05, 0.2, 0.5, 0.8, 0.95)}
+            for t, up, low in _unit_double_log_tails(n_unit, n_double, sorted(levels),
+                                                      log_factorials):
+                got = exact_log_tail(model, n, t / n)
+                want = up if up <= low else math.log1p(-math.exp(low))
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-300), (n, t)
+
+
+def test_budget_binds_the_window_not_the_lattice(monkeypatch, pure_unit):
+    n = 200_000
+    window, size = 2 * _window_radius(pure_unit, n) + 1, _lattice_size(pure_unit, n)
+    assert 20 * window < size
+    # a budget below one double per lattice point still holds the window
+    monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", str(4 * size))
+    assert exact_log_tail(pure_unit, n, 0.01) < 0.0
+    # a budget below one double per window point does not
+    monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", str(8 * window - 8))
+    with pytest.raises(MemoryBudgetError):
+        exact_log_tail(pure_unit, n, 0.01)
+
+
+def test_no_runtime_warning_at_spectral_zeros(pure_unit, eq_mix):
+    # the {-1, +1} class on step 1 has exact spectral zeros at a quarter
+    # of any transform length divisible by 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in (pure_unit, eq_mix):
+            for n in (100, 1000, 100_000):
+                for x in (-0.5, 0.0, 0.3, 0.99):
+                    exact_log_tail(model, n, x)

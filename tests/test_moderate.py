@@ -46,6 +46,14 @@ class TestGaussianTail:
         want = -y * y / 2 - math.log(y * math.sqrt(2 * math.pi))
         assert log_gaussian_upper_tail(y) == pytest.approx(want, rel=1e-4)
 
+    def test_log_version_against_scipy(self):
+        from scipy.special import log_ndtr
+        ys = np.concatenate([np.linspace(-8.0, 40.0, 4801), np.geomspace(1.0, 1e3, 601),
+                             np.nextafter(30.0, [-np.inf, np.inf])])
+        for y in ys:
+            assert log_gaussian_upper_tail(float(y)) == pytest.approx(
+                float(log_ndtr(-y)), rel=1e-13, abs=0.0), y
+
 
 class TestVarianceSum:
     def test_pure_unit(self, pure_unit):
