@@ -18,7 +18,6 @@ from .model import (
     PortfolioModel,
     RoundRobin,
     Violation,
-    class_counts,
     density_profile,
     load_model,
     loads_model,
@@ -86,7 +85,6 @@ __all__ = [
     "TiltingRangeError",
     "Violation",
     "build_counterexample",
-    "class_counts",
     "class_mgf",
     "cumulants",
     "density_profile",

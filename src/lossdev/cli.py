@@ -127,7 +127,7 @@ def _cmd_bound(args) -> int:
     model, _ = load_model(args.model)
     xs = _x_grid(args)
     lam_grid = np.linspace(0.0, args.lambda_max, args.lambda_points)
-    bound = rate_upper_bound(model, xs, lam_grid, args.checkpoints)
+    bound = rate_upper_bound(model, xs, lam_grid)
     emit_curve(zip(xs.tolist(), bound.tolist()), ["x", "decay_rate_lower_bound"], sys.stdout)
     return 0
 
@@ -206,11 +206,7 @@ def _checked(kind, ok, want):
 
 _count = _checked(int, lambda v: v >= 1, "a whole number >= 1")
 _finite = _checked(float, math.isfinite, "a finite number")
-
-
-def _counts(text):
-    """Comma-separated whole numbers >= 1."""
-    return [_count(v) for v in text.split(",")]
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,10 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x-max", type=_finite, default=0.9)
         p.add_argument("--points", type=_count, default=51)
         if name == "bound":
-            p.add_argument("--lambda-max", type=_finite, default=20.0)
+            p.add_argument("--lambda-max", type=_positive, default=20.0)
             p.add_argument("--lambda-points", type=_count, default=401)
-            p.add_argument("--checkpoints", type=_counts, default="100,1000,10000",
-                           help="comma-separated n values approximating the running sup")
 
     p = add("exact", _cmd_exact, help="exact tail probability by lattice convolution")
     p.add_argument("--model", required=True)
@@ -262,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("mdp", _cmd_mdp, help="moderate-deviation thresholds and prediction")
     p.add_argument("--model", required=True)
-    p.add_argument("--c", default=1.0,
-                   type=_checked(float, lambda v: 0 < v < math.inf, "a finite number > 0"))
+    p.add_argument("--c", type=_positive, default=1.0)
     p.add_argument("--alpha", default=0.3,
                    type=_checked(float, lambda v: 0 < v < 0.5, "a number in (0, 1/2)"))
     p.add_argument("--n", type=int, required=True)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import MemoryBudgetError, enumerate_tail, exact_log_tail, exact_log_tail_rate
-from .legendre import rate_I1, rate_I2, rate_upper_bound, transform_from_weights
+from .exact import MemoryBudgetError, exact_log_tail, exact_log_tail_rate
+from .legendre import rate_I1, rate_I2, transform_from_weights
 from .model import AssumptionBounds, BlockSchedule, LossClass, PortfolioModel
 
 UNIT = LossClass("unit", (-1.0, 1.0), (0.5, 0.5))

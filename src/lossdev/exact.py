@@ -29,7 +29,7 @@ from functools import reduce
 import numpy as np
 
 from .legendre import transform_from_weights
-from .model import LossClass, PortfolioModel
+from .model import LossClass, PortfolioModel, reaches
 
 LATTICE_TOL = 1e-9
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
@@ -171,11 +171,14 @@ def _log_convolve(a: _GroupPmf, b: _GroupPmf) -> _GroupPmf:
 
 
 def _threshold_index(level: float, g: float, inclusive: bool) -> int:
-    """Smallest lattice index whose point passes the threshold, with a
-    half-ulp-safe comparison so on-grid points are not lost to rounding."""
-    if inclusive:
-        return math.ceil(level / g - 1e-9)
-    return math.floor(level / g + 1e-9) + 1
+    """Smallest lattice index j whose point j * g reaches the level by
+    the package's one threshold rule, ``model.reaches``."""
+    j = math.floor(level / g)
+    while reaches((j - 1) * g, level, inclusive):
+        j -= 1
+    while not reaches(j * g, level, inclusive):
+        j += 1
+    return j
 
 
 def _fft_length(n: int) -> int:
@@ -321,9 +324,7 @@ def enumerate_tail(model: PortfolioModel, n: int, x: float,
         laws.extend([cls] * int(nu))
     total = 0.0
     for combo in itertools.product(*[range(len(c.support)) for c in laws]):
-        s = sum(laws[i].support[j] for i, j in enumerate(combo))
-        hit = s >= n * x - 1e-12 if inclusive else s > n * x + 1e-12
-        if hit:
+        if reaches(sum(laws[i].support[j] for i, j in enumerate(combo)), n * x, inclusive):
             p = 1.0
             for i, j in enumerate(combo):
                 p *= laws[i].probs[j]

@@ -1,5 +1,5 @@
 """Fenchel-Legendre transforms of mixture CGFs, closed-form rate
-functions for the symmetric two-point classes, and the empirical
+functions for the symmetric two-point classes, and the certified
 tail-decay lower bound for assigned (density-oscillating) models.
 """
 
@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cgf import AssignedModelError, empirical_cgf, mixture_cgf, shaped
+from .cgf import AssignedModelError, mixture_cgf, shaped
 from .model import PortfolioModel
 
 SOLVE_TOL = 1e-10
@@ -130,22 +130,27 @@ def rate_I2(x: float) -> float:
     return _two_point_rate(x, 2.0)
 
 
-def rate_upper_bound(model: PortfolioModel, x, lam_grid: Sequence[float],
-                     checkpoints: Iterable[int]):
-    """Grid estimate of the exponential tail-decay lower bound for an
-    assigned model, at x or elementwise over an array of x.
+def rate_upper_bound(model: PortfolioModel, x, lam_grid: Sequence[float]):
+    """Certified lower bound b on the tail decay rate, at x or elementwise
+    over an array of x: P[M_n >= x] <= exp(-n b) at every n >= 1.
 
-    The running-sup CGF is approximated by the max over ``checkpoints``
-    of the finite-n empirical CGF; the returned sup over the lambda grid
-    of (lam x - max_n empirical_cgf(n, lam)) is a certified lower bound
-    on the decay rate (both approximations err in the safe direction for
-    an upper probability bound).  Strictly positive for x > 0 whenever
-    the boundedness/variance-floor assumptions hold.
+    Chernoff gives P[M_n >= x] <= exp(-n (lam x - Lambda_n(lam))) for
+    every n and lam >= 0, and the finite-n CGF Lambda_n is linear in the
+    density vector d(n) = counts(n) / n.  So sup_n Lambda_n is at most
+    the max of the mixture CGF over ``model.density_extremes()``, whose
+    convex hull holds every d(n) (the Gartner-Ellis bound with the
+    running sup of Lambda_n).  b is the max over the lambda grid of
+    lam x minus that max: every grid lambda is a valid Chernoff
+    parameter, so the grid only loosens the bound.  Strictly positive
+    for x > 0 whenever the boundedness/variance-floor assumptions hold
+    and the grid reaches small enough lambda.
     """
-    lam_grid, ns = np.asarray(lam_grid, dtype=float), list(checkpoints)
-    if lam_grid.size == 0 or not ns:
-        raise ValueError("empty lambda grid or checkpoint list")
-    bar = np.max([empirical_cgf(model, n, lam_grid).value for n in ns], axis=0)
+    lam_grid = np.asarray(lam_grid, dtype=float)
+    if lam_grid.size == 0 or not np.all(lam_grid >= 0.0):
+        # a negative lambda bounds the lower tail, not the upper one
+        raise ValueError("the lambda grid must be nonempty and >= 0")
+    bar = np.max([mixture_cgf(model.classes, d, lam_grid).value
+                  for d in model.density_extremes()], axis=0)
     return shaped(np.shape(x), (np.multiply.outer(x, lam_grid) - bar).max(axis=-1))[0]
 
 

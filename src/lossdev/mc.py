@@ -17,7 +17,7 @@ import numpy as np
 
 from .cgf import class_log_mgf, mixture_cgf
 from .legendre import transform_from_weights
-from .model import LossClass, PortfolioModel
+from .model import LossClass, PortfolioModel, reaches
 
 DEFAULT_SEED = 20250411
 
@@ -79,7 +79,7 @@ def sample_plain(model: PortfolioModel, n: int, x: float, n_samples: int,
         raise ValueError("n_samples must be >= 1")
     sums = _sample_sums(model, n, n_samples, _rng(seed),
                         [np.asarray(c.probs) for c in model.classes])
-    hits = (sums >= n * x - 1e-12 * max(1.0, abs(n * x))).astype(float)
+    hits = reaches(sums, n * x).astype(float)
     est = float(hits.mean())
     se = float(hits.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return TailEstimate(est, se, n_samples, "plain", seed)
@@ -107,7 +107,7 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
     log_norm = mixture_cgf(model.classes, counts, lam).value
     tilted_probs = [np.asarray(tilted_class(cls, lam).probs) for cls in model.classes]
     sums = _sample_sums(model, n, n_samples, _rng(seed), tilted_probs)
-    hit = sums >= n * x - 1e-12 * max(1.0, abs(n * x))
+    hit = reaches(sums, n * x)
     weights_ls = np.where(hit, np.exp(-lam * sums + log_norm), 0.0)
     est = float(weights_ls.mean())
     se = float(weights_ls.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0

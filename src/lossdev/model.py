@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 PROB_SUM_TOL = 1e-12
 CENTER_TOL = 1e-10
+# a portfolio sum this close to the threshold, relative to max(1, |level|),
+# is on it: n * x and the sum each carry float round-off of that order
+THRESHOLD_RTOL = 1e-12
 
 
 class ModelError(ValueError):
@@ -32,6 +34,23 @@ def check_size(n: int) -> None:
     """Raise PortfolioSizeError unless n >= 1."""
     if n < 1:
         raise PortfolioSizeError(f"n must be >= 1, got {n}")
+
+
+def reaches(total, level: float, inclusive: bool = True):
+    """Whether a portfolio sum ``total`` (a number or an array) is in the
+    tail event {S >= level}, or {S > level} with ``inclusive=False``.
+
+    The one threshold comparison of the package: a sum within
+    THRESHOLD_RTOL * max(1, |level|) of the level counts as equal to it,
+    so an on-grid threshold rounded in n * x is neither lost nor gained.
+    """
+    slack = THRESHOLD_RTOL * max(1.0, abs(level))
+    return total >= level - slack if inclusive else total > level + slack
+
+
+def _whole(v) -> bool:
+    """v is a whole number a double holds exactly (|v| <= 2**53)."""
+    return math.isfinite(v) and v == int(v) and abs(v) <= 2**53
 
 
 @dataclass(frozen=True)
@@ -124,43 +143,48 @@ class AssumptionBounds:
 
 @dataclass(frozen=True)
 class RoundRobin:
-    """Cyclic assignment: weights (w_1, ..., w_p) expand to a cycle with
-    w_i consecutive slots for class i, realizing densities w_i / sum(w)."""
+    """Cyclic assignment: a cycle of L = sum(w) slots holds a run of w_i
+    consecutive slots for class i, in class order, realizing densities
+    w_i / L.  Only the run ends cumsum(w) are used, never the expanded
+    cycle, so no cost grows with the weights.
+
+    The certification of ``rate_upper_bound`` rests on this: at
+    n = qL + r the density d(n) is a convex combination of w / L and the
+    prefix density c_r / r of the first r slots, and within a run of
+    class i, c_r / r moves on the segment from the density at the
+    previous run end to the one at this run end.  So the densities at
+    the ends of the nonzero runs hold every d(n) in their convex hull.
+    """
 
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        if (not self.weights or not all(0 <= w < math.inf for w in self.weights)
+        if (not self.weights or not all(_whole(w) and w >= 0 for w in self.weights)
                 or sum(self.weights) == 0):
-            raise ModelError("round-robin weights must be finite, nonnegative, with positive sum")
-        cycle = []
-        for i, w in enumerate(self.weights):
-            cycle.extend([i] * int(w))
-        object.__setattr__(self, "_cycle", tuple(cycle))
+            raise ModelError("round-robin weights must be finite whole numbers >= 0 "
+                             "with a positive sum")
+        object.__setattr__(self, "weights", tuple(map(int, self.weights)))
 
     @property
     def n_classes(self) -> int:
         return len(self.weights)
 
-    @property
-    def cycle_length(self) -> int:
-        return len(self._cycle)
-
-    def class_of(self, k: int) -> int:
-        """Class index of contract k (1-based)."""
-        return self._cycle[(k - 1) % len(self._cycle)]
-
     def counts(self, n: int) -> np.ndarray:
         check_size(n)
-        full, rem = divmod(n, len(self._cycle))
-        out = np.array([full * w for w in self.weights], dtype=np.int64)
-        for idx in self._cycle[:rem]:
-            out[idx] += 1
-        return out
+        w = np.asarray(self.weights, dtype=np.int64)
+        ends = np.cumsum(w)
+        full, rem = divmod(n, int(ends[-1]))
+        return full * w + np.clip(rem - (ends - w), 0, w)
 
     def densities(self) -> np.ndarray:
         w = np.asarray(self.weights, dtype=float)
         return w / w.sum()
+
+    def density_extremes(self) -> np.ndarray:
+        """Prefix densities at the ends of the nonzero runs, the last w / L."""
+        w = np.asarray(self.weights, dtype=float)
+        prefix = np.tril(np.broadcast_to(w, (w.size, w.size)))[w > 0]
+        return prefix / prefix.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -173,6 +197,16 @@ class BlockSchedule:
     each class oscillates with liminf 0 and limsup 1, which constant
     ratios cannot achieve (they pin the block-end densities near
     growth/(growth+1)).
+
+    Within a block of class c the density d(n) moves on the segment from
+    the previous block end toward e_c, so the block-end densities hold
+    every d(n) in their convex hull.  With constant ratio g and
+    m = len(order), block end j has density D_j proportional to
+    sum_{s<=j} g^-s e_{order[(j-s) mod m]}.  Along each phase i = j mod m,
+    D_j moves monotonically on the segment from D_i to the phase's limit,
+    and that limit lies on the segment from D_i to D_{m-1}, which is its
+    own phase's limit (its sum repeats with period m, scaled by g^-m).
+    So the first m block ends hold every d(n) in their hull.
     """
 
     a0: int
@@ -181,8 +215,13 @@ class BlockSchedule:
     accelerating: bool = False
 
     def __post_init__(self):
-        if self.a0 < 1 or self.growth < 2 or not self.order:
-            raise ModelError("block schedule needs a0 >= 1, integer growth >= 2, nonempty order")
+        if (not self.order or not all(map(_whole, (self.a0, self.growth, *self.order)))
+                or self.a0 < 1 or self.growth < 2 or min(self.order) < 0):
+            raise ModelError("block schedule needs whole numbers a0 >= 1, growth >= 2 "
+                             "and a nonempty order of class indices >= 0")
+        object.__setattr__(self, "a0", int(self.a0))
+        object.__setattr__(self, "growth", int(self.growth))
+        object.__setattr__(self, "order", tuple(map(int, self.order)))
 
     @property
     def n_classes(self) -> int:
@@ -209,18 +248,24 @@ class BlockSchedule:
         return [e for j, (s, e, c) in enumerate(self.blocks_upto(n_max))
                 if c == cls and e - s + 1 == self.block_length(j)]
 
-    def class_of(self, k: int) -> int:
-        for s, e, c in self.blocks_upto(k):
-            if s <= k <= e:
-                return c
-        raise AssertionError("unreachable")
-
     def counts(self, n: int) -> np.ndarray:
         check_size(n)
         out = np.zeros(self.n_classes, dtype=np.int64)
         for s, e, c in self.blocks_upto(n):
             out[c] += e - s + 1
         return out
+
+    def density_extremes(self) -> np.ndarray:
+        """The unit vectors of the classes in ``order`` for accelerating
+        blocks; otherwise the densities at the first len(order) block ends."""
+        eye = np.eye(self.n_classes)
+        if self.accelerating:
+            return eye[sorted(set(self.order))]
+        rows, counts = [], np.zeros(self.n_classes)
+        for c in self.order:
+            counts = counts / self.growth + eye[c]  # counts at this block end / its length
+            rows.append(counts / counts.sum())
+        return np.array(rows)
 
 
 AssignmentRule = RoundRobin | BlockSchedule
@@ -272,6 +317,16 @@ class PortfolioModel:
             raise ModelError("densities are defined for weighted models only")
         return np.asarray(self.weights, dtype=float)
 
+    def density_extremes(self) -> np.ndarray:
+        """A (k x classes) array whose convex hull holds counts(n) / n for
+        every n >= 1: the rule's own extremes, or for a weighted model the
+        unit vectors of its positive-weight classes, the face
+        apportionment never leaves."""
+        if self.rule is None:
+            return np.eye(len(self.classes))[np.asarray(self.weights) > 0]
+        ext = self.rule.density_extremes()
+        return np.pad(ext, ((0, 0), (0, len(self.classes) - ext.shape[1])))
+
 
 def apportion(weights: np.ndarray, n: int) -> np.ndarray:
     """Largest-remainder apportionment of n slots to ``weights``."""
@@ -312,11 +367,6 @@ def validate_model(model: PortfolioModel, bounds: AssumptionBounds) -> list[Viol
     return out
 
 
-def class_counts(rule: AssignmentRule, n: int) -> np.ndarray:
-    """Per-class counts among contract indices 1..n."""
-    return rule.counts(n)
-
-
 @dataclass(frozen=True)
 class DensityProfile:
     n: np.ndarray
@@ -327,12 +377,14 @@ class DensityProfile:
 
 def density_profile(rule: AssignmentRule, n_max: int) -> DensityProfile:
     """Density nu_1(n)/n of the first class for n = 1..n_max, with its
-    running extremes.  O(n_max) via an assignment indicator array."""
+    running extremes, from the class of each contract: the cycle run its
+    slot falls in (a search among the run ends) or its block.  O(n_max)
+    whatever the cycle length."""
     if n_max < 1:
         raise ModelError("n_max must be >= 1")
     if isinstance(rule, RoundRobin):
-        cyc = np.asarray(rule._cycle)
-        assign = np.tile(cyc, n_max // len(cyc) + 1)[:n_max]
+        ends = np.cumsum(rule.weights)
+        assign = np.searchsorted(ends, np.arange(n_max) % ends[-1], side="right")
     else:
         assign = np.empty(n_max, dtype=np.int64)
         for s, e, c in rule.blocks_upto(n_max):
@@ -378,6 +430,8 @@ def loads_model(text: str) -> tuple[PortfolioModel, AssumptionBounds]:
             out = float(v)
         except (TypeError, ValueError):
             raise ModelError(f"{where} is not a number: {v!r}") from None
+        except OverflowError:  # an integer literal beyond the double range
+            out = math.inf
         if not math.isfinite(out):
             raise ModelError(f"{where} is not finite: {v!r}")
         return out
@@ -405,15 +459,16 @@ def loads_model(text: str) -> tuple[PortfolioModel, AssumptionBounds]:
         model = PortfolioModel(tuple(classes), weights=w)
     elif "assigned" in regime:
         a = regime["assigned"]
+        # the rules refuse fields that are not whole numbers; none is truncated
         if "round_robin" in a:
-            rr = tuple(map(int, numbers(a["round_robin"], "weights", "round_robin")))
+            rr = numbers(a["round_robin"], "weights", "round_robin")
             model = PortfolioModel(tuple(classes), rule=RoundRobin(rr))
         elif "blocks" in a:
             blk = a["blocks"]
             model = PortfolioModel(tuple(classes), rule=BlockSchedule(
-                a0=int(number(need(blk, "a0", "blocks"), "blocks.a0")),
-                growth=int(number(need(blk, "growth", "blocks"), "blocks.growth")),
-                order=tuple(map(int, numbers(blk, "order", "blocks"))),
+                a0=number(need(blk, "a0", "blocks"), "blocks.a0"),
+                growth=number(need(blk, "growth", "blocks"), "blocks.growth"),
+                order=numbers(blk, "order", "blocks"),
                 accelerating=bool(blk.get("accelerating", False)),
             ))
         else:

@@ -121,8 +121,7 @@ class TestDispatch:
                                                   "accelerating": True}}}}
         path = tmp_path / "blocks.json"
         path.write_text(json.dumps(doc))
-        assert dispatch(["bound", "--model", str(path), "--x", "0.5",
-                         "--checkpoints", "11,1011"]) == 0
+        assert dispatch(["bound", "--model", str(path), "--x", "0.5"]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert 0.0 < float(row[1]) < 0.14
 
@@ -199,10 +198,6 @@ class TestExitCodes:
         self._fails(["mdp", "--model", unit_model_file, "--n", "100", "--alpha", "0.7"],
                     2, capsys)
 
-    def test_empty_checkpoints(self, unit_model_file, capsys):
-        self._fails(["bound", "--model", unit_model_file, "--x", "0.5", "--checkpoints", ""],
-                    2, capsys)
-
     @pytest.mark.parametrize("sub", ["rate", "bound", "cgf"])
     def test_no_grid_points(self, unit_model_file, sub, capsys):
         self._fails([sub, "--model", unit_model_file, "--points", "0"], 2, capsys)
@@ -213,6 +208,11 @@ class TestExitCodes:
 
     def test_no_lambda_points(self, unit_model_file, capsys):
         self._fails(["bound", "--model", unit_model_file, "--x", "0.5", "--lambda-points", "0"],
+                    2, capsys)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_lambda_max_not_positive(self, unit_model_file, value, capsys):
+        self._fails(["bound", "--model", unit_model_file, "--x", "0.5", "--lambda-max", value],
                     2, capsys)
 
     def test_validate_violation(self, tmp_path, capsys):
@@ -249,6 +249,12 @@ def test_exact_runs_the_oracle_once(unit_model_file, monkeypatch, capsys):
 
 def test_no_threads_option(unit_model_file, capsys):
     assert dispatch(["--threads", "2", "validate", unit_model_file]) == 2
+
+
+def test_no_checkpoints_option(unit_model_file, capsys):
+    """The bound takes its density extremes from the model."""
+    assert dispatch(["bound", "--model", unit_model_file, "--x", "0.5",
+                     "--checkpoints", "100"]) == 2
 
 
 def test_parser_built_once_and_calls_share_no_state(unit_model_file, monkeypatch, capsys):

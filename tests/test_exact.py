@@ -20,9 +20,11 @@ from lossdev import (
     exact_tail,
     latticize,
     rate_I1,
+    sample_plain,
 )
 from lossdev.exact import WINDOW_EPS, _direct_log_pmf, _threshold_index
 from lossdev.legendre import transform_from_weights
+from lossdev.model import reaches
 
 from conftest import DOUBLE, UNIT, random_lattice_model
 
@@ -93,6 +95,38 @@ class TestAgainstEnumeration:
         # P[M_2 > 0] excludes the mass at 0, P[M_2 >= 0] includes it
         assert exact_tail(pure_unit, 2, 0.0, inclusive=False) == pytest.approx(0.25)
         assert exact_tail(pure_unit, 2, 0.0) == pytest.approx(0.75)
+
+
+THIRDS = PortfolioModel((LossClass("thirds", (-0.3, 0.3), (0.5, 0.5)),), weights=(1.0,))
+
+
+class TestOneThresholdRule:
+    """For n = 3 and x = 0.1, n * x = 0.30000000000000004, while the
+    on-grid sum 0.3 + 0.3 - 0.3 rounds to 0.3, below it.  Every estimator
+    counts that sum as on the threshold: P[M_3 >= 0.1] = 1/2 and
+    P[M_3 > 0.1] = 1/8."""
+
+    def test_the_rounded_sum_is_below_the_rounded_level(self):
+        assert 0.3 + 0.3 - 0.3 < 3 * 0.1
+        assert reaches(0.3 + 0.3 - 0.3, 3 * 0.1)
+        assert not reaches(0.3 + 0.3 - 0.3, 3 * 0.1, inclusive=False)
+
+    @pytest.mark.parametrize("inclusive, want", [(True, 0.5), (False, 0.125)])
+    def test_exact_and_enumeration(self, inclusive, want):
+        assert enumerate_tail(THIRDS, 3, 0.1, inclusive) == pytest.approx(want, rel=1e-12)
+        assert exact_tail(THIRDS, 3, 0.1, inclusive) == pytest.approx(want, rel=1e-12)
+
+    def test_monte_carlo(self):
+        est = sample_plain(THIRDS, 3, 0.1, 4000, seed=1)
+        assert abs(est.estimate - 0.5) <= 5 * est.std_error
+
+    @pytest.mark.parametrize("inclusive", [True, False])
+    def test_oracles_agree_just_off_the_grid(self, inclusive):
+        """3e-11 above the grid point is off it for every estimator."""
+        x = (0.3 + 3e-11) / 3
+        want = enumerate_tail(THIRDS, 3, x, inclusive)
+        assert want == 0.125
+        assert exact_tail(THIRDS, 3, x, inclusive) == pytest.approx(want, rel=1e-12)
 
 
 class TestDistributionInvariants:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_general_model
+from conftest import DOUBLE, UNIT, random_general_model
 from lossdev import (
     BlockSchedule,
     LossClass,
@@ -18,6 +18,7 @@ from lossdev import (
     rate_upper_bound,
 )
 from lossdev.cgf import mixture_cgf
+from lossdev.exact import exact_log_tail_rate
 from lossdev.legendre import SOLVE_TOL, transform_from_weights
 
 
@@ -104,6 +105,9 @@ class TestClosedFormRates:
             assert np.all(second > 0)
 
 
+CLI_GRID = np.linspace(0.0, 20.0, 401)  # lossdev bound's default lambda grid
+
+
 class TestRateUpperBound:
     @pytest.fixture
     def block_mix(self, unit_class, double_class):
@@ -111,28 +115,64 @@ class TestRateUpperBound:
         return PortfolioModel((unit_class, double_class), rule=rule)
 
     def test_sandwiched_by_pure_rates(self, block_mix):
+        """The densities reach both unit vectors, so the running sup of
+        the CGF is log cosh 2 lambda: the bound is the grid transform of
+        the double class alone, and so at most I2."""
         grid = np.linspace(0.0, 5.0, 201)
-        ends = [1, 11, 1011, 101011]
-        j = rate_upper_bound(block_mix, 0.5, grid, ends)
-        assert rate_I2(0.5) - 1e-6 <= j <= rate_I1(0.5) + 1e-6
+        j = rate_upper_bound(block_mix, 0.5, grid)
+        assert j == pytest.approx((0.5 * grid - np.log(np.cosh(2 * grid))).max(), abs=1e-12)
+        assert j <= rate_I2(0.5)
+
+    @pytest.mark.parametrize("rule, bound, n, decay", [
+        (BlockSchedule(1, 3, (0, 1)), 0.038942, 265_720, 0.039076),
+        (BlockSchedule(1, 10, (0, 1), accelerating=True), 0.030659, 1_001_011, 0.031615),
+    ], ids=["constant-ratio growth-3", "accelerating growth-10"])
+    def test_below_the_exact_decay(self, rule, bound, n, decay):
+        """Both schedules once got a bound above the exact decay rate from
+        a max over three fixed n."""
+        model = PortfolioModel((UNIT, DOUBLE), rule=rule)
+        b = rate_upper_bound(model, 0.5, CLI_GRID)
+        assert b == pytest.approx(bound, abs=1e-6)
+        exact_decay = -exact_log_tail_rate(model, n, 0.5)
+        assert exact_decay == pytest.approx(decay, abs=1e-6)
+        assert b <= exact_decay
+
+    @given(a0=st.integers(1, 3), growth=st.integers(2, 12),
+           order=st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple),
+           accelerating=st.booleans(), x=st.floats(0.05, 1.5))
+    @settings(max_examples=50, deadline=None)
+    def test_certified_at_every_block_end(self, a0, growth, order, accelerating, x):
+        """b <= -(1/n) log P[M_n >= x] at every block end up to 1e6."""
+        rule = BlockSchedule(a0, growth, order, accelerating)
+        model = PortfolioModel((UNIT, DOUBLE), rule=rule)
+        b = rate_upper_bound(model, x, CLI_GRID)
+        for n in sorted({e for c in set(order) for e in rule.block_ends(c, 10**6)}):
+            decay = -exact_log_tail_rate(model, n, x)
+            assert b <= decay + 1e-9 * max(1.0, decay), (n, b, decay)
 
     def test_positive_for_positive_x(self, block_mix):
         # fine grid near 0 so small x still sees its (small) maximizer
         grid = np.concatenate([np.linspace(0.0, 0.5, 201),
                                np.linspace(0.5, 5.0, 19)])
         for x in (0.01, 0.05, 0.2):
-            assert rate_upper_bound(block_mix, x, grid, [10, 100, 1000]) > 0.0
+            assert rate_upper_bound(block_mix, x, grid) > 0.0
 
     def test_single_class_matches_transform(self, unit_class, pure_unit):
         from lossdev import RoundRobin
         model = PortfolioModel((unit_class,), rule=RoundRobin((1,)))
         grid = np.linspace(0.0, 3.0, 601)
-        j = rate_upper_bound(model, 0.5, grid, [100])
+        j = rate_upper_bound(model, 0.5, grid)
         assert j == pytest.approx(legendre_transform(pure_unit, 0.5).rate, abs=1e-4)
 
     def test_empty_grid(self, block_mix):
         with pytest.raises(ValueError):
-            rate_upper_bound(block_mix, 0.5, [], [10])
+            rate_upper_bound(block_mix, 0.5, [])
+
+    def test_negative_lambda_refused(self, block_mix):
+        """lam < 0 bounds the lower tail: at x = -0.5 it would certify a
+        positive rate for P[M_n >= -0.5], which tends to 1."""
+        with pytest.raises(ValueError):
+            rate_upper_bound(block_mix, -0.5, [-1.0, 0.0, 1.0])
 
 
 class TestExpansion:

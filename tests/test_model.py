@@ -12,7 +12,6 @@ from lossdev import (
     LossClass,
     PortfolioModel,
     RoundRobin,
-    class_counts,
     density_profile,
     loads_model,
     validate_model,
@@ -82,36 +81,94 @@ class TestValidateModel:
 class TestAssignmentRules:
     def test_round_robin_counts(self):
         rule = RoundRobin((1, 1))
-        assert class_counts(rule, 10).tolist() == [5, 5]
+        assert rule.counts(10).tolist() == [5, 5]
 
     def test_block_counts_by_hand(self):
         rule = BlockSchedule(a0=1, growth=10, order=(0, 1))
-        assert class_counts(rule, 11).tolist() == [1, 10]
-        assert class_counts(rule, 111).tolist() == [101, 10]
+        assert rule.counts(11).tolist() == [1, 10]
+        assert rule.counts(111).tolist() == [101, 10]
 
     @given(n=st.integers(1, 5000),
            weights=st.lists(st.integers(1, 4), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_round_robin_counts_sum_and_density(self, n, weights):
         rule = RoundRobin(tuple(weights))
-        counts = class_counts(rule, n)
+        counts = rule.counts(n)
         assert counts.sum() == n
         dens = rule.densities()
         for i in range(len(weights)):
-            assert abs(counts[i] / n - dens[i]) <= rule.cycle_length / n
+            assert abs(counts[i] / n - dens[i]) <= sum(weights) / n
 
     @given(n=st.integers(1, 3000), a0=st.integers(1, 3),
            growth=st.integers(2, 5), accel=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_block_counts_sum(self, n, a0, growth, accel):
         rule = BlockSchedule(a0=a0, growth=growth, order=(0, 1), accelerating=accel)
-        assert class_counts(rule, n).sum() == n
+        assert rule.counts(n).sum() == n
 
-    def test_class_of_matches_counts(self):
-        rule = BlockSchedule(a0=1, growth=3, order=(0, 1))
-        n = 50
-        by_class = np.bincount([rule.class_of(k) for k in range(1, n + 1)], minlength=2)
-        assert by_class.tolist() == rule.counts(n).tolist()
+    @given(n=st.integers(1, 200),
+           weights=st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any))
+    @settings(max_examples=60, deadline=None)
+    def test_round_robin_counts_match_the_expanded_cycle(self, n, weights):
+        cycle = np.repeat(np.arange(len(weights)), weights)
+        slots = np.resize(cycle, n)
+        want = np.bincount(slots, minlength=len(weights))
+        assert RoundRobin(tuple(weights)).counts(n).tolist() == want.tolist()
+
+    def test_huge_round_robin_weight_is_not_expanded(self):
+        rule = RoundRobin((10**12, 1))
+        assert rule.counts(10**6).tolist() == [10**6, 0]
+        assert rule.counts(10**12 + 3).tolist() == [10**12 + 2, 1]
+        prof = density_profile(rule, 10**5)
+        assert prof.running_min == prof.running_max == 1.0
+
+
+def _density_path(rule, n_max):
+    """d(n) for n = 1..n_max from an explicit assignment array: the
+    expanded cycle for round-robin, each block's span for blocks."""
+    if isinstance(rule, RoundRobin):
+        assign = np.resize(np.repeat(np.arange(rule.n_classes), rule.weights), n_max)
+    else:
+        assign = np.concatenate([np.full(e - s + 1, c) for s, e, c in rule.blocks_upto(n_max)])
+    onehot = np.eye(rule.n_classes)[assign]
+    return np.cumsum(onehot, axis=0) / np.arange(1, n_max + 1)[:, None]
+
+
+rules = st.one_of(
+    st.lists(st.integers(0, 5), min_size=1, max_size=4).filter(any)
+    .map(lambda w: RoundRobin(tuple(w))),
+    st.builds(BlockSchedule, a0=st.integers(1, 4), growth=st.integers(2, 6),
+              order=st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple),
+              accelerating=st.booleans()))
+
+
+class TestDensityExtremes:
+    @given(rule=rules, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_hull_holds_every_density(self, rule, seed):
+        """max over n <= 3000 of a . d(n) never exceeds the max over the
+        extremes, for 20 random functionals a: a . d is linear, so this
+        is what the bound's certification needs."""
+        path = _density_path(rule, 3000)
+        ext = rule.density_extremes()
+        assert ext.shape[1] == rule.n_classes
+        assert np.allclose(ext.sum(axis=1), 1.0) and np.all(ext >= 0.0)
+        a = np.random.default_rng(seed).uniform(-1.0, 1.0, (20, rule.n_classes))
+        assert np.all((path @ a.T).max(axis=0) <= (ext @ a.T).max(axis=0) + 1e-12)
+
+    def test_constant_ratio_growth_3(self):
+        """Unit densities 1 at n = 1 and 1/4 at n = 4; the block ends
+        after those stay between them."""
+        ext = BlockSchedule(1, 3, (0, 1)).density_extremes()
+        assert ext[:, 0].tolist() == [1.0, 0.25]
+
+    def test_weighted_model_uses_its_positive_classes(self, unit_class, double_class):
+        model = PortfolioModel((unit_class, double_class, unit_class), weights=(0.5, 0.0, 0.5))
+        assert model.density_extremes().tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
+    def test_rule_padded_to_the_model_classes(self, unit_class, double_class):
+        model = PortfolioModel((unit_class, double_class), rule=RoundRobin((1,)))
+        assert model.density_extremes().tolist() == [[1.0, 0.0]]
 
 
 class TestDensityProfile:
@@ -196,6 +253,32 @@ class TestLoadModel:
     def test_missing_field(self):
         with pytest.raises(ModelError, match="c1"):
             loads_model(json.dumps({"bounds": {"c0": 1}, "classes": [], "regime": {}}))
+
+
+RULE_FIELDS_NOT_WHOLE = {
+    "negative order index": {"blocks": {"a0": 1, "growth": 10, "order": [0, -1]}},
+    "fractional order index": {"blocks": {"a0": 1, "growth": 10, "order": [0, 0.5]}},
+    "fractional a0": {"blocks": {"a0": 1.9, "growth": 10, "order": [0, 1]}},
+    "fractional growth": {"blocks": {"a0": 1, "growth": 2.7, "order": [0, 1]}},
+    "fractional round-robin weight": {"round_robin": {"weights": [0.5, 1]}},
+    "round-robin weight beyond 2**53": {"round_robin": {"weights": [1e300, 1]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(RULE_FIELDS_NOT_WHOLE))
+def test_rule_fields_must_be_whole_numbers(case):
+    """No rule field is truncated: 0.5 would make class 0 never assigned,
+    and -1 would wrap to the last class."""
+    doc = json.loads(json.dumps(VALID_DOC))
+    doc["regime"] = {"assigned": RULE_FIELDS_NOT_WHOLE[case]}
+    with pytest.raises(ModelError, match="whole numbers"):
+        loads_model(json.dumps(doc))
+
+
+def test_integer_literal_beyond_the_double_range():
+    text = json.dumps(VALID_DOC).replace('"c0": 2.0', '"c0": ' + "9" * 400)
+    with pytest.raises(ModelError, match=r"bounds\.c0 is not finite"):
+        loads_model(text)
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
