@@ -17,15 +17,12 @@ from .model import (
     LossClass,
     PortfolioModel,
     RoundRobin,
-    Violation,
     density_profile,
-    load_model,
     loads_model,
     validate_model,
 )
-from .cgf import CgfPoint, class_mgf, cumulants, empirical_cgf, limit_cgf
+from .cgf import cumulants, empirical_cgf, limit_cgf
 from .legendre import (
-    RatePoint,
     legendre_transform,
     rate_I1,
     rate_I2,
@@ -34,22 +31,17 @@ from .legendre import (
 )
 from .exact import (
     IncommensurableSupportError,
-    LatticeDistribution,
     MemoryBudgetError,
     enumerate_tail,
-    exact_distribution,
     exact_log_tail,
     exact_log_tail_rate,
     exact_tail,
     latticize,
 )
-from .mc import TailEstimate, TiltingRangeError, sample_plain, sample_tilted, tilted_class
+from .mc import TiltingRangeError, sample_plain, sample_tilted
 from .moderate import (
     CltRegimeError,
-    MdPrediction,
     MdQuery,
-    MdThresholds,
-    PetrovConstants,
     gaussian_upper_tail,
     md_log_prob_prediction,
     md_threshold,
@@ -57,7 +49,6 @@ from .moderate import (
     variance_sum,
 )
 from .counterexample import (
-    SubsequenceReport,
     build_counterexample,
     sandwich_check,
     section_mean_tail,
@@ -67,30 +58,19 @@ from .counterexample import (
 __all__ = [
     "AssumptionBounds",
     "BlockSchedule",
-    "CgfPoint",
     "CltRegimeError",
     "IncommensurableSupportError",
-    "LatticeDistribution",
     "LossClass",
-    "MdPrediction",
     "MdQuery",
-    "MdThresholds",
     "MemoryBudgetError",
-    "PetrovConstants",
     "PortfolioModel",
-    "RatePoint",
     "RoundRobin",
-    "SubsequenceReport",
-    "TailEstimate",
     "TiltingRangeError",
-    "Violation",
     "build_counterexample",
-    "class_mgf",
     "cumulants",
     "density_profile",
     "empirical_cgf",
     "enumerate_tail",
-    "exact_distribution",
     "exact_log_tail",
     "exact_log_tail_rate",
     "exact_tail",
@@ -98,7 +78,6 @@ __all__ = [
     "latticize",
     "legendre_transform",
     "limit_cgf",
-    "load_model",
     "loads_model",
     "md_log_prob_prediction",
     "md_threshold",
@@ -112,7 +91,6 @@ __all__ = [
     "sandwich_check",
     "section_mean_tail",
     "subsequence_rates",
-    "tilted_class",
     "validate_model",
     "variance_sum",
 ]

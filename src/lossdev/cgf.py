@@ -1,9 +1,9 @@
-"""Per-class moment generating functions and mixture cumulant generating
-functions with analytic first and second derivatives, all from one array
+"""Mixture cumulant generating functions with analytic first and second
+derivatives, and the exponentially tilted class laws, all from one array
 kernel over a lambda array and a padded (classes x support) matrix.
 MGF sums are evaluated with the max exponent shifted out, so tilts up to
-|lambda| ~ 700 / c0 are safe; derivatives come from the same shifted
-weights, never from differencing.
+|lambda| ~ 700 / c0 are safe; derivatives and tilted probabilities come
+from the same shifted weights, never from differencing.
 """
 
 from __future__ import annotations
@@ -51,15 +51,20 @@ def _class_matrix(classes: tuple[LossClass, ...]) -> tuple[np.ndarray, np.ndarra
     return support, logp
 
 
+def _shifted_weights(classes, lam: np.ndarray):
+    """Support matrix, max exponent ``top`` and weights exp(lam v + log p - top)."""
+    support, logp = _class_matrix(tuple(classes))
+    expo = lam[..., None, None] * support + logp
+    top = expo.max(axis=-1)
+    return support, top, np.exp(expo - top[..., None])
+
+
 def mixture_cgf(classes, weights, lam) -> CgfPoint:
     """Weighted mixture CGF sum_i w_i log phi_i(lam) and its derivatives
     at every lambda of ``lam``: per class the shifted log-sum of
     exp(lam v_j + log p_j), its tilted mean and its tilted variance."""
-    support, logp = _class_matrix(tuple(classes))
     lam = np.asarray(lam, dtype=float)
-    expo = lam[..., None, None] * support + logp
-    top = expo.max(axis=-1)
-    w = np.exp(expo - top[..., None])
+    support, top, w = _shifted_weights(classes, lam)
     s = w.sum(axis=-1)
     mean = (w * support).sum(axis=-1) / s
     var = (w * (support - mean[..., None]) ** 2).sum(axis=-1) / s
@@ -67,14 +72,12 @@ def mixture_cgf(classes, weights, lam) -> CgfPoint:
     return CgfPoint(*shaped(lam.shape, lam, *mixed))
 
 
-def class_mgf(cls: LossClass, lam):
-    """Moment generating function phi(lam) = sum_j p_j exp(lam v_j)."""
-    return np.exp(class_log_mgf(cls, lam))
-
-
-def class_log_mgf(cls: LossClass, lam):
-    """log phi(lam), overflow-safe."""
-    return mixture_cgf((cls,), (1.0,), lam).value
+def tilted_laws(classes, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per class log phi_i(lam), and the tilted probabilities
+    p_j exp(lam v_j - log phi_i(lam)) in the rows of ``_class_matrix``."""
+    _, top, w = _shifted_weights(classes, np.asarray(lam, dtype=float))
+    s = w.sum(axis=-1)
+    return top + np.log(s), w / s[:, None]
 
 
 def limit_cgf(model: PortfolioModel, lam) -> CgfPoint:

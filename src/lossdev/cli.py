@@ -5,8 +5,9 @@ Exit codes (``EXIT_CODES`` maps the exceptions): 0 success, 1 the model
 file fails validation, 2 usage error (bad arguments or a missing model
 file), 3 computation refused (threshold outside the tilting range, query
 in the CLT regime, lattice over the memory budget, solver failure,
-supports without a common lattice step, n < 1, or a weighted-model
-query such as ``rate`` on an assigned model).  Errors print one
+supports without a common lattice step, n < 1, a weighted-model
+query such as ``rate`` on an assigned model, or a ``counterexample``
+with no block end at or below ``--max-n``).  Errors print one
 ``error:`` line on stderr, not a traceback.
 Numbers are rendered with 17 significant digits; infinite rates render
 as the literal ``inf``.
@@ -27,6 +28,7 @@ import numpy as np
 from . import __version__
 from .cgf import AssignedModelError, empirical_cgf, limit_cgf
 from .counterexample import (
+    NoBlockEndsError,
     build_counterexample,
     schedule_depth_end,
     subsequence_rates,
@@ -49,6 +51,7 @@ EXIT_CODES = {
     IncommensurableSupportError: 3,
     PortfolioSizeError: 3,
     AssignedModelError: 3,
+    NoBlockEndsError: 3,
 }
 
 
@@ -166,16 +169,11 @@ def _cmd_mdp(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     model, _ = build_counterexample(growth=args.growth, depth=args.depth, a0=args.a0)
-    max_n = min(schedule_depth_end(model.rule, args.depth), args.max_n)
-    rows = []
-    gaps = {}
-    for which in (1, 2):
-        rep = subsequence_rates(model, args.x, which, max_n=max_n)
-        gaps[which] = rep
-        for p in rep.points:
-            rows.append((f"class{which}_ends", p.n, p.density_unit, p.log_rate))
+    max_n = schedule_depth_end(model.rule, args.depth, cap=args.max_n)
+    r1, r2 = (subsequence_rates(model, args.x, which, max_n=max_n) for which in (1, 2))
+    rows = [(f"class{which}_ends", p.n, p.density_unit, p.log_rate)
+            for which, rep in ((1, r1), (2, r2)) for p in rep.points]
     emit_curve(rows, ["section", "n", "density_class1", "log_rate"], sys.stdout)
-    r1, r2 = gaps[1], gaps[2]
     print(f"summary,target1={_fmt(r1.target)},gap1={_fmt(r1.gap)},"
           f"target2={_fmt(r2.target)},gap2={_fmt(r2.gap)},"
           f"rate_separation={_fmt(abs(r1.points[-1].log_rate - r2.points[-1].log_rate))}")
@@ -204,7 +202,7 @@ def _checked(kind, ok, want):
     return convert
 
 
-_count = _checked(int, lambda v: v >= 1, "a whole number >= 1")
+_count = _checked(int, lambda v: 1 <= v <= 2**53, "a whole number in [1, 2**53]")
 _finite = _checked(float, math.isfinite, "a finite number")
 _positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 
@@ -263,10 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("counterexample", _cmd_counterexample,
             help="distinct subsequential decay rates for the two-class interlacement")
-    p.add_argument("--growth", type=int, default=10)
+    p.add_argument("--growth", default=10, type=_checked(
+        int, lambda v: 2 <= v <= 2**53, "a whole number in [2, 2**53]"))
     p.add_argument("--depth", type=_count, default=6)
     p.add_argument("--x", type=_finite, default=0.5)
-    p.add_argument("--a0", type=int, default=1)
+    p.add_argument("--a0", type=_count, default=1)
     p.add_argument("--max-n", type=int, default=5_000_000)
 
     return ap

@@ -25,6 +25,10 @@ BOUNDS = AssumptionBounds(c0=2.0, c1=1.0)
 DEFAULT_MAX_N = 5_000_000
 
 
+class NoBlockEndsError(ValueError):
+    """No complete block of the class ends at or below max_n: no rate to report."""
+
+
 def build_counterexample(growth: int = 10, depth: int = 6,
                          a0: int = 1) -> tuple[PortfolioModel, AssumptionBounds]:
     """Portfolio alternating unit and double blocks with accelerating
@@ -42,9 +46,13 @@ def build_counterexample(growth: int = 10, depth: int = 6,
     return model, BOUNDS
 
 
-def schedule_depth_end(rule: BlockSchedule, depth: int) -> int:
-    """Last contract index covered by the first ``depth`` blocks."""
-    return sum(rule.block_length(j) for j in range(depth))
+def schedule_depth_end(rule: BlockSchedule, depth: int, cap: float = math.inf):
+    """Last contract index covered by the first ``depth`` blocks, or
+    ``cap`` if smaller; no block past the cap is summed."""
+    end = j = 0
+    while j < depth and end < cap:
+        end, j = end + rule.block_length(j), j + 1
+    return min(end, cap)
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ def subsequence_rates(model: PortfolioModel, x: float, which: int,
         counts = model.counts(n)
         points.append(SubsequencePoint(n, counts[0] / n, lr))
     if not points:
-        raise ValueError(f"no complete class-{which} block ends at or below n={max_n}")
+        raise NoBlockEndsError(f"no complete class-{which} block ends at or below n={max_n}")
     gap = abs(points[-1].log_rate - target) if math.isfinite(target) else math.inf
     return SubsequenceReport(x, which, tuple(points), target, gap, partial)
 

@@ -1,4 +1,4 @@
-"""Exact finite-n distribution of the average centered loss on its
+"""Exact finite-n tail probabilities of the average centered loss on its
 lattice: the oracle for every probabilistic claim at desk scale.
 
 ``exact_log_tail`` has one path, the exponentially tilted FFT of Keich
@@ -13,9 +13,9 @@ lattice steps of the threshold: the FFT runs on a window of
 w = min(L, 2r + 1) = O(sqrt(n) * span) of the L sum lattice points, in
 O(w log w).
 
-The direct path convolves the class groups in log space, in
-O(n^2 * span).  It gives the full law for ``exact_distribution`` and is
-the slow oracle the tests check the FFT against.
+The slow reference the tests check it against lives with them
+(``tests/oracle.py``): the law of the sum by direct convolution in log
+space, one contract at a time, in O(n^2 * span).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -44,23 +43,7 @@ class IncommensurableSupportError(ValueError):
 
 
 class MemoryBudgetError(MemoryError):
-    """The convolution lattice would exceed the configured memory budget."""
-
-
-@dataclass(frozen=True)
-class LatticeDistribution:
-    """Probability masses on the lattice offset + j * step, j = 0..len-1."""
-
-    offset: float
-    step: float
-    masses: np.ndarray
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.offset + self.step * np.arange(len(self.masses))
-
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
+    """The lattice arrays would exceed the configured memory budget."""
 
 
 def _real_gcd(a: float, b: float, tol: float) -> float:
@@ -92,82 +75,17 @@ def latticize(model: PortfolioModel, tol: float = LATTICE_TOL) -> float:
     return g
 
 
-def _memory_budget() -> int:
-    env = os.environ.get(MEMORY_BUDGET_ENV)
-    return int(env) if env else DEFAULT_MEMORY_BUDGET
-
-
-@dataclass(frozen=True)
-class _GroupPmf:
-    """Log pmf of one class group on the lattice: point j sits at lattice
-    index ``offset + j * stride``."""
-
-    offset: int
-    stride: int
-    logp: np.ndarray
-
-
 def _check_budget(n_doubles: int) -> None:
-    if 8 * n_doubles > _memory_budget():
+    budget = int(os.environ.get(MEMORY_BUDGET_ENV) or DEFAULT_MEMORY_BUDGET)
+    if 8 * n_doubles > budget:
         raise MemoryBudgetError(
             f"lattice arrays of {n_doubles} doubles exceed the memory budget "
-            f"({_memory_budget()} bytes; override via ${MEMORY_BUDGET_ENV})")
+            f"({budget} bytes; override via ${MEMORY_BUDGET_ENV})")
 
 
 def _live_classes(model: PortfolioModel, n: int) -> list[tuple[LossClass, int]]:
     """(class, count) for the classes with contracts among 1..n."""
     return [(cls, int(nu)) for cls, nu in zip(model.classes, model.counts(n)) if nu > 0]
-
-
-def _class_group(cls: LossClass, nu: int, g: float) -> _GroupPmf:
-    """Log pmf of the sum of ``nu`` iid copies of ``cls`` on step g."""
-    idx = [round(v / g) for v in cls.support]
-    logp = np.log(cls.probs)
-    if len(idx) == 2:
-        # binomial in closed form: k copies at the upper point
-        _check_budget(nu + 1)
-        k = np.arange(nu + 1)
-        log_fact = np.fromiter(map(math.lgamma, range(1, nu + 2)), float, nu + 1)
-        lp = log_fact[nu] - log_fact - log_fact[::-1] + k * logp[1] + (nu - k) * logp[0]
-        return _GroupPmf(nu * idx[0], idx[1] - idx[0], lp)
-    lo, hi = min(idx), max(idx)
-    span = hi - lo
-    _check_budget(nu * span + 1)
-    shifts = [i - lo for i in idx]
-    cur = np.full(span + 1, -np.inf)
-    for s, lp in zip(shifts, logp):
-        cur[s] = lp
-    single = cur.copy()
-    for _ in range(nu - 1):
-        new = np.full(len(cur) + span, -np.inf)
-        for s, lp in zip(shifts, logp):
-            seg = new[s:s + len(cur)]
-            np.logaddexp(seg, cur + lp, out=seg)
-        cur = new
-    return _GroupPmf(nu * lo, 1, cur)
-
-
-def _densify(gp: _GroupPmf) -> _GroupPmf:
-    if gp.stride == 1:
-        return gp
-    _check_budget((len(gp.logp) - 1) * gp.stride + 1)
-    dense = np.full((len(gp.logp) - 1) * gp.stride + 1, -np.inf)
-    dense[::gp.stride] = gp.logp
-    return _GroupPmf(gp.offset, 1, dense)
-
-
-def _log_convolve(a: _GroupPmf, b: _GroupPmf) -> _GroupPmf:
-    a, b = _densify(a), _densify(b)
-    if len(a.logp) > len(b.logp):
-        a, b = b, a
-    _check_budget(len(a.logp) + len(b.logp))
-    out = np.full(len(a.logp) + len(b.logp) - 1, -np.inf)
-    for i, la in enumerate(a.logp):
-        if la == -np.inf:
-            continue
-        seg = out[i:i + len(b.logp)]
-        np.logaddexp(seg, b.logp + la, out=seg)
-    return _GroupPmf(a.offset + b.offset, 1, out)
 
 
 def _threshold_index(level: float, g: float, inclusive: bool) -> int:
@@ -224,10 +142,10 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], g: float,
     r = math.ceil(math.sqrt(0.5 * spread * math.log(2.0 / WINDOW_EPS)))
     size = max_idx - min_idx + 1
     length = _fft_length(min(size, 2 * r + 1))
-    omega = (2.0 * math.pi / length) * np.arange(length // 2 + 1)
     # omega, the log-modulus and phase sums, the complex spectrum, one
     # class's sines and its real and imaginary parts, and the inverse
-    _check_budget((7 + 2 * max(map(len, shifts))) * omega.size + length)
+    _check_budget((7 + 2 * max(map(len, shifts))) * (length // 2 + 1) + length)
+    omega = (2.0 * math.pi / length) * np.arange(length // 2 + 1)
     log_mod, phase = np.zeros(omega.size), np.zeros(omega.size)
     log_norm = 0.0
     with np.errstate(divide="ignore"):  # log 0 at exact spectral zeros
@@ -275,13 +193,14 @@ def exact_log_tail(model: PortfolioModel, n: int, x: float,
     """
     live = _live_classes(model, n)
     g = latticize(model)
-    t_idx = _threshold_index(n * x, g, inclusive)
     min_idx = sum(nu * round(cls.min_support / g) for cls, nu in live)
     max_idx = sum(nu * round(cls.max_support / g) for cls, nu in live)
-    if t_idx > max_idx:
+    # the edges first: the index search walks one lattice step at a time
+    if not reaches(max_idx * g, n * x, inclusive):
         return -math.inf
-    if t_idx <= min_idx:
+    if reaches(min_idx * g, n * x, inclusive):
         return 0.0
+    t_idx = _threshold_index(n * x, g, inclusive)
     if t_idx == max_idx:
         return float(sum(nu * math.log(cls.probs[-1]) for cls, nu in live))
     return _tilted_fft_log_tail(live, g, t_idx, min_idx, max_idx)
@@ -296,20 +215,6 @@ def exact_tail(model: PortfolioModel, n: int, x: float,
 def exact_log_tail_rate(model: PortfolioModel, n: int, x: float) -> float:
     """(1/n) log P[M_n >= x]; -inf marks an impossible event."""
     return exact_log_tail(model, n, x) / n
-
-
-def _direct_log_pmf(model: PortfolioModel, n: int, g: float) -> _GroupPmf:
-    """Log pmf of the whole sum by direct log-space convolution of the
-    class groups, O(n^2 * span): the slow oracle."""
-    groups = [_class_group(cls, nu, g) for cls, nu in _live_classes(model, n)]
-    return reduce(_log_convolve, [_densify(gp) for gp in groups])
-
-
-def exact_distribution(model: PortfolioModel, n: int) -> LatticeDistribution:
-    """Full law of the portfolio sum S_n = n * M_n as a dense lattice."""
-    g = latticize(model)
-    total = _direct_log_pmf(model, n, g)
-    return LatticeDistribution(total.offset * g, g, np.exp(total.logp))
 
 
 def enumerate_tail(model: PortfolioModel, n: int, x: float,

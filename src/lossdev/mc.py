@@ -6,6 +6,11 @@ pass, so repeated runs are bit-identical.  Because the estimators depend
 on the portfolio sum only, each class contributes through the
 multinomial counts of its support points; a run of nu iid contracts is
 sampled as one multinomial draw instead of nu categorical draws.
+
+The tilted probabilities p_j exp(lambda* v_j - log phi_c(lambda*)) and
+the normalizer sum_c nu_c log phi_c(lambda*) come from one evaluation of
+the CGF kernel (``cgf.tilted_laws``); a support point whose tilted mass
+underflows stays in place with probability 0.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import class_log_mgf, mixture_cgf
+from .cgf import tilted_laws
 from .legendre import transform_from_weights
-from .model import LossClass, PortfolioModel, reaches
+from .model import PortfolioModel, reaches
 
 DEFAULT_SEED = 20250411
 
@@ -41,23 +46,12 @@ class TailEstimate:
             raise ValueError("estimate must be a probability with nonnegative std error")
 
 
-def tilted_class(cls: LossClass, lam: float) -> LossClass:
-    """Exponential change of measure: p_j -> p_j exp(lam v_j) / phi(lam).
-
-    Support is unchanged; the tilted law is not centered (its mean is
-    phi'(lam)/phi(lam)).
-    """
-    logphi = class_log_mgf(cls, lam)
-    probs = tuple(p * math.exp(lam * v - logphi)
-                  for p, v in zip(cls.probs, cls.support))
-    return LossClass(cls.name + f"~tilt({lam:g})", cls.support, probs,
-                     require_centered=False)
-
-
 def _sample_sums(model: PortfolioModel, n: int, n_samples: int,
                  rng: np.random.Generator,
                  class_probs: list[np.ndarray]) -> np.ndarray:
     """Portfolio sums S_n for each replicate, via per-class multinomials."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     counts = model.counts(n)
     sums = np.zeros(n_samples)
     for cls, nu, probs in zip(model.classes, counts, class_probs):
@@ -75,8 +69,6 @@ def _rng(seed: int) -> np.random.Generator:
 def sample_plain(model: PortfolioModel, n: int, x: float, n_samples: int,
                  seed: int = DEFAULT_SEED) -> TailEstimate:
     """Indicator-mean estimate of P[M_n >= x]."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     sums = _sample_sums(model, n, n_samples, _rng(seed),
                         [np.asarray(c.probs) for c in model.classes])
     hits = reaches(sums, n * x).astype(float)
@@ -95,8 +87,6 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
     class densities oscillate.  The estimator averages
     1{S_n >= n x} exp(-lam* S_n + sum_k log phi_k(lam*)) and is unbiased.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     counts = model.counts(n)
     weights = counts / n
     rp = transform_from_weights(model.classes, weights, x)
@@ -104,8 +94,9 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
         raise TiltingRangeError(
             f"x={x} has status {rp.status!r}; use sample_plain or the exact oracle")
     lam = rp.lambda_star
-    log_norm = mixture_cgf(model.classes, counts, lam).value
-    tilted_probs = [np.asarray(tilted_class(cls, lam).probs) for cls in model.classes]
+    log_phi, tilted = tilted_laws(model.classes, lam)
+    log_norm = float((log_phi * counts).sum())
+    tilted_probs = [row[:len(cls.support)] for cls, row in zip(model.classes, tilted)]
     sums = _sample_sums(model, n, n_samples, _rng(seed), tilted_probs)
     hit = reaches(sums, n * x)
     weights_ls = np.where(hit, np.exp(-lam * sums + log_norm), 0.0)

@@ -63,15 +63,13 @@ class LossClass:
     Zero-mass support points are removed at construction.
 
     Set ``center=True`` to pass raw (uncentered) losses; the constructor
-    subtracts the mean.  ``require_centered=False`` skips the mean check
-    (used for exponentially tilted laws, which are not centered).
+    subtracts the mean.
     """
 
     name: str
     support: tuple[float, ...]
     probs: tuple[float, ...]
     center: bool = False
-    require_centered: bool = True
 
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
@@ -97,7 +95,7 @@ class LossClass:
         if self.center:
             sup = sup - float(sup @ pr)
         mean = float(sup @ pr)
-        if self.require_centered and abs(mean) > CENTER_TOL:
+        if abs(mean) > CENTER_TOL:
             raise ModelError(f"class {self.name!r}: mean {mean!r} is not 0 (use center=True?)")
         if float(((sup - mean) ** 2) @ pr) <= 0.0:
             raise ModelError(f"class {self.name!r}: zero variance")
@@ -420,9 +418,11 @@ def loads_model(text: str) -> tuple[PortfolioModel, AssumptionBounds]:
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
-    def need(d, key, where):
+    def need(d, key, where, kind=object):
         if not isinstance(d, dict) or key not in d:
             raise ModelError(f"missing field {key!r} in {where}")
+        if not isinstance(d[key], kind):
+            raise ModelError(f"{where}.{key} is not a {kind.__name__}: {d[key]!r}")
         return d[key]
 
     def number(v, where):
@@ -437,28 +437,26 @@ def loads_model(text: str) -> tuple[PortfolioModel, AssumptionBounds]:
         return out
 
     def numbers(d, key, where):
-        values = need(d, key, where)
-        if not isinstance(values, list):
-            raise ModelError(f"{where}.{key} is not a list: {values!r}")
+        values = need(d, key, where, list)
         return tuple(number(v, f"{where}.{key}[{i}]") for i, v in enumerate(values))
 
     b = need(doc, "bounds", "document")
     bounds = AssumptionBounds(number(need(b, "c0", "bounds"), "bounds.c0"),
                               number(need(b, "c1", "bounds"), "bounds.c1"))
     classes = []
-    for i, c in enumerate(need(doc, "classes", "document")):
+    for i, c in enumerate(need(doc, "classes", "document", list)):
         classes.append(LossClass(
             name=str(need(c, "name", f"classes[{i}]")),
             support=numbers(c, "support", f"classes[{i}]"),
             probs=numbers(c, "probs", f"classes[{i}]"),
             center=bool(c.get("center", False)),
         ))
-    regime = need(doc, "regime", "document")
+    regime = need(doc, "regime", "document", dict)
     if "weighted" in regime:
         w = numbers(regime["weighted"], "weights", "regime.weighted")
         model = PortfolioModel(tuple(classes), weights=w)
     elif "assigned" in regime:
-        a = regime["assigned"]
+        a = need(regime, "assigned", "regime", dict)
         # the rules refuse fields that are not whole numbers; none is truncated
         if "round_robin" in a:
             rr = numbers(a["round_robin"], "weights", "round_robin")

@@ -215,6 +215,15 @@ class TestExitCodes:
         self._fails(["bound", "--model", unit_model_file, "--x", "0.5", "--lambda-max", value],
                     2, capsys)
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--max-n", "0"], 3),  # no block end at or below max-n
+        (["--depth", "1", "--max-n", "1"], 3),
+        (["--growth", "1"], 2),  # an option, not a model file
+        (["--a0", "0"], 2),
+    ])
+    def test_counterexample_options(self, argv, code, capsys):
+        self._fails(["counterexample", *argv], code, capsys)
+
     def test_validate_violation(self, tmp_path, capsys):
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({

@@ -40,6 +40,12 @@ class TestBuild:
         model, _ = build_counterexample(growth=10)
         assert schedule_depth_end(model.rule, 3) == 1011
 
+    def test_depth_end_stops_at_the_cap(self):
+        # 2**53 blocks are never summed: the third already passes the cap
+        model, _ = build_counterexample(growth=10)
+        assert schedule_depth_end(model.rule, 2**53, cap=100) == 100
+        assert schedule_depth_end(model.rule, 3, cap=5000) == 1011
+
 
 class TestSubsequenceRates:
     def test_unit_block_ends_converge_to_I1(self):

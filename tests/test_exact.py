@@ -14,7 +14,6 @@ from lossdev import (
     RoundRobin,
     empirical_cgf,
     enumerate_tail,
-    exact_distribution,
     exact_log_tail,
     exact_log_tail_rate,
     exact_tail,
@@ -22,11 +21,12 @@ from lossdev import (
     rate_I1,
     sample_plain,
 )
-from lossdev.exact import WINDOW_EPS, _direct_log_pmf, _threshold_index
+from lossdev.exact import WINDOW_EPS, _threshold_index
 from lossdev.legendre import transform_from_weights
 from lossdev.model import reaches
 
 from conftest import DOUBLE, UNIT, random_lattice_model
+from oracle import direct_log_pmf
 
 
 class TestLatticize:
@@ -64,6 +64,13 @@ class TestExactTail:
 
     def test_certain_event(self, pure_unit):
         assert exact_tail(pure_unit, 5, -1.0) == 1.0
+
+    @pytest.mark.parametrize("n, x, want", [(10, 1e300, -math.inf), (2, 1e308, -math.inf),
+                                            (10, -1e300, 0.0), (2, -1e308, 0.0)])
+    def test_threshold_far_outside_the_range(self, pure_unit, n, x, want):
+        """Decided at the edges, without a walk to the level one lattice
+        step at a time; n * x may overflow to infinity."""
+        assert exact_log_tail(pure_unit, n, x) == want
 
 
 class TestLogTailRate:
@@ -130,18 +137,20 @@ class TestOneThresholdRule:
 
 
 class TestDistributionInvariants:
+    """On the law of the sum from the direct oracle."""
+
     def test_mass_conservation(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             model, _ = random_lattice_model(rng)
             n = int(rng.integers(2, 60))
-            dist = exact_distribution(model, n)
-            assert abs(dist.total_mass() - 1.0) <= 1e-9 * n
+            _, logp = direct_log_pmf(model, n)
+            assert abs(np.exp(logp).sum() - 1.0) <= 1e-9 * n
 
     def test_symmetry_of_symmetric_classes(self, rr_mix):
         for n in (3, 10, 25):
-            dist = exact_distribution(rr_mix, n)
-            m = dist.masses[dist.masses > 0]
+            masses = np.exp(direct_log_pmf(rr_mix, n)[1])
+            m = masses[masses > 0]
             assert np.allclose(m, m[::-1], atol=1e-12)
             for x in (0.3, 0.7, 1.1):
                 upper = exact_tail(rr_mix, n, x)
@@ -174,13 +183,13 @@ class TestFftAgainstDirect:
     @staticmethod
     def _check(model, n, fractions):
         g = latticize(model)
-        direct = _direct_log_pmf(model, n, g)
+        offset, logp = direct_log_pmf(model, n)
         top = float(model.counts(n) @ [c.max_support for c in model.classes]) / n
         for x in np.asarray(fractions) * top:
             got = exact_log_tail(model, n, x)
-            k = _threshold_index(n * x, g, True) - direct.offset
-            upper = float(logsumexp(direct.logp[k:]))
-            lower = float(logsumexp(direct.logp[:k]))
+            k = _threshold_index(n * x, g, True) - offset
+            upper = float(logsumexp(logp[k:]))
+            lower = float(logsumexp(logp[:k]))
             if upper <= lower:
                 assert got == pytest.approx(upper, rel=1e-9)
             else:  # the complement is the informative number
@@ -214,6 +223,12 @@ def test_memory_budget_override(monkeypatch, pure_unit):
     monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "128")
     with pytest.raises(MemoryBudgetError):
         exact_tail(pure_unit, 1000, 0.5)
+
+
+def test_budget_checked_before_the_first_allocation(pure_unit):
+    # a window of about 6e10 points: refused, not a numpy MemoryError
+    with pytest.raises(MemoryBudgetError):
+        exact_log_tail(pure_unit, 10**18, 0.5)
 
 
 def test_memory_budget_covers_fft(monkeypatch):

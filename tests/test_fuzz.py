@@ -1,0 +1,118 @@
+"""Fuzzing the front end: every input ends in a documented exit code with
+at most one ``error:`` line on stderr and no traceback."""
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+from lossdev.cli import dispatch
+
+
+def run(argv):
+    """(exit code, stderr lines) of one CLI call; an escaping exception
+    fails the test with its traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    event(f"exit {code}")
+    return code, err.getvalue().splitlines()
+
+
+def error_lines(lines):
+    return [line for line in lines if line.startswith("error:")]
+
+
+JUNK_TEXT = st.sampled_from(["", "x", "1.5", "-0.5", "nan", "inf", "-inf", "1e400", "0x10"])
+EDGE_WHOLE = st.one_of(st.integers(1, 12), st.integers(1, 12),
+                       st.sampled_from([-1, 0, 2**53, 2**53 + 1, 10**30]))
+OPTIONS = {
+    "growth": EDGE_WHOLE,
+    "depth": EDGE_WHOLE,
+    "a0": EDGE_WHOLE,
+    "x": st.floats(-2.5, 2.5) | st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(options=st.fixed_dictionaries(
+           {}, optional={name: values.map(str) for name, values in OPTIONS.items()}),
+       max_n=st.integers(-3, 10_000).map(str),
+       junk=st.one_of(*[st.none()] * 3, st.tuples(st.sampled_from([*OPTIONS, "max-n"]),
+                                                   JUNK_TEXT)))
+@example(options={}, max_n="0", junk=None)
+@example(options={"depth": "1"}, max_n="1", junk=None)
+@example(options={"growth": "1"}, max_n="100", junk=None)
+@example(options={"a0": "0"}, max_n="100", junk=None)
+def test_counterexample_options(options, max_n, junk):
+    """Small and edge values, at most one of them not a number; the
+    subcommand reads no model file, so it never exits 1."""
+    options = {**options, "max-n": max_n, **dict([junk] if junk else [])}
+    code, err = run(["counterexample", *(f"--{k}={v}" for k, v in options.items())])
+    assert code in (0, 2, 3)
+    assert len(error_lines(err)) == (code != 0)
+
+
+UNIT = {"name": "unit", "support": [-1, 1], "probs": [0.5, 0.5]}
+DOUBLE = {"name": "double", "support": [-2, 2], "probs": [0.5, 0.5], "center": False}
+BASES = [
+    {"bounds": {"c0": 2, "c1": 1}, "classes": [UNIT, DOUBLE],
+     "regime": {"weighted": {"weights": [0.5, 0.5]}}},
+    {"bounds": {"c0": 2, "c1": 1}, "classes": [UNIT, DOUBLE],
+     "regime": {"assigned": {"round_robin": {"weights": [2, 1]}}}},
+    {"bounds": {"c0": 2, "c1": 1}, "classes": [UNIT, DOUBLE],
+     "regime": {"assigned": {"blocks": {"a0": 1, "growth": 10, "order": [0, 1],
+                                        "accelerating": True}}}},
+]
+JUNK = st.sampled_from([None, True, False, "x", "", [], {}, [1, "a"], {"a": 1}, 0, -1, 0.5,
+                        2.5, -3.7, 2**60, float("nan"), float("inf"), float("-inf")])
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, the root first."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one to three fields replaced by junk (wrong
+    types, NaN, Infinity, negative or fractional numbers) or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))[1:] or [()]))
+        if not path:
+            break
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(JUNK))
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "model.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=mutated_documents())
+@example(text=json.dumps({**BASES[0], "classes": None}))
+@example(text=json.dumps({**BASES[0], "regime": None}))
+def test_mutated_model_documents(doc_path, text):
+    """A document that loads validates cleanly (exit 0); any other ends
+    in one ``error:`` line and exit 1, the model-file code."""
+    doc_path.write_text(text)
+    code, err = run(["validate", str(doc_path)])
+    assert code in (0, 1)
+    assert len(error_lines(err)) == code

@@ -4,33 +4,47 @@ import numpy as np
 import pytest
 
 from lossdev import (
+    AssumptionBounds,
+    LossClass,
     PortfolioModel,
     RoundRobin,
     TiltingRangeError,
+    exact_log_tail,
     exact_tail,
     sample_plain,
     sample_tilted,
-    tilted_class,
 )
+from lossdev.cgf import tilted_laws
+from lossdev.model import validate_model
+
+from conftest import UNIT
+
+
+def tilted_row(cls, lam):
+    """The kernel's tilted probabilities of one class, on its support."""
+    return tilted_laws((cls,), lam)[1][0, :len(cls.support)]
 
 
 class TestTiltedClass:
     def test_tilt_probability(self, unit_class):
-        t = tilted_class(unit_class, 1.0)
+        t = tilted_row(unit_class, 1.0)
         p_up = math.e / (math.e + math.exp(-1.0))
-        assert dict(zip(t.support, t.probs))[1.0] == pytest.approx(p_up, rel=1e-13)
+        assert dict(zip(unit_class.support, t))[1.0] == pytest.approx(p_up, rel=1e-13)
 
     def test_zero_tilt_identity(self, double_class):
-        t = tilted_class(double_class, 0.0)
-        assert t.support == double_class.support
-        assert t.probs == pytest.approx(double_class.probs)
+        t = tilted_row(double_class, 0.0)
+        assert t.tolist() == pytest.approx(double_class.probs)
 
     def test_tilted_mean(self, unit_class):
-        t = tilted_class(unit_class, 1.0)
-        assert t.mean == pytest.approx(math.tanh(1.0), rel=1e-13)
+        t = tilted_row(unit_class, 1.0)
+        assert t @ unit_class.support == pytest.approx(math.tanh(1.0), rel=1e-13)
 
     def test_support_unchanged(self, double_class):
-        assert tilted_class(double_class, -2.3).support == double_class.support
+        """One probability per support point, kept in place even where
+        the tilted mass underflows to 0."""
+        t = tilted_row(double_class, -2.3)
+        assert t.shape == (2,) and t.sum() == pytest.approx(1.0, rel=1e-15)
+        assert tilted_row(WIDE_CLASSES["two-point"], 1.0).tolist() == [0.0, 1.0]
 
 
 class TestSamplePlain:
@@ -102,8 +116,27 @@ class TestDeterminism:
 def test_likelihood_weight_identity(unit_class):
     # on a single contract the weight must equal p(v) / p_tilted(v) exactly
     lam = 0.7
-    t = tilted_class(unit_class, lam)
+    t = tilted_row(unit_class, lam)
     logphi = math.log(math.cosh(lam))
-    for v, p, q in zip(unit_class.support, unit_class.probs, t.probs):
+    for v, p, q in zip(unit_class.support, unit_class.probs, t):
         weight = math.exp(-lam * v + logphi)
         assert weight == pytest.approx(p / q, rel=1e-12)
+
+
+WIDE_CLASSES = {
+    "two-point": LossClass("a", (-1000.0, 1.0), (1 / 1001, 1000 / 1001)),
+    "three-point": LossClass("a", (-1000.0, 0.0, 1.0), (1 / 2002, 0.5, 1000 / 2002)),
+}
+
+
+@pytest.mark.parametrize("name", WIDE_CLASSES)
+def test_tilted_mass_underflow(name):
+    """Half unit, half a wide class whose -1000 point has tilted mass
+    exp(-1000 lam*) / phi, which underflows to 0: the sampler draws with
+    that point at probability 0 and stays unbiased."""
+    model = PortfolioModel((UNIT, WIDE_CLASSES[name]), weights=(0.5, 0.5))
+    assert validate_model(model, AssumptionBounds(1000.0, 1.0)) == []
+    est = sample_tilted(model, 200, 0.85, 1000, seed=1)
+    exact = math.exp(exact_log_tail(model, 200, 0.85))
+    assert math.isfinite(est.estimate) and est.std_error > 0.0
+    assert abs(est.estimate - exact) <= 5 * est.std_error
