@@ -15,6 +15,7 @@ from .model import (
     AssumptionBounds,
     BlockSchedule,
     LossClass,
+    MemoryBudgetError,
     PortfolioModel,
     RoundRobin,
     density_profile,
@@ -31,7 +32,6 @@ from .legendre import (
 )
 from .exact import (
     IncommensurableSupportError,
-    MemoryBudgetError,
     enumerate_tail,
     exact_log_tail,
     exact_log_tail_rate,

@@ -14,12 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import LossClass, PortfolioModel
-
-
-class AssignedModelError(ValueError):
-    """The query needs a weighted model (asymptotic class weights), and
-    the model assigns classes by a rule; use the finite-n forms."""
+from .model import LossClass, PortfolioModel, Refused
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,7 @@ def tilted_laws(classes, lam: float) -> tuple[np.ndarray, np.ndarray]:
 def limit_cgf(model: PortfolioModel, lam) -> CgfPoint:
     """Limit CGF of a weighted model: sum_i d_i log phi_i(lam)."""
     if not model.is_weighted:
-        raise AssignedModelError(
+        raise Refused(
             "limit_cgf needs a weighted model; use empirical_cgf for assigned ones")
     return mixture_cgf(model.classes, model.densities(), lam)
 

@@ -2,13 +2,18 @@
 stdout, and a JSON run manifest on stderr for reproducibility.
 
 Exit codes (``EXIT_CODES`` maps the exceptions): 0 success, 1 the model
-file fails validation, 2 usage error (bad arguments or a missing model
-file), 3 computation refused (threshold outside the tilting range, query
-in the CLT regime, lattice over the memory budget, solver failure,
-supports without a common lattice step, n < 1, a weighted-model
-query such as ``rate`` on an assigned model, or a ``counterexample``
-with no block end at or below ``--max-n``).  Errors print one
-``error:`` line on stderr, not a traceback.
+file fails validation (including bytes that are not UTF-8), 2 usage
+error (bad arguments such as a negative ``--seed``, or a model path that
+is missing, a directory or unreadable), 3 computation refused (any
+``model.Refused``: threshold outside the tilting range, query in the
+CLT regime, lattice or sample arrays over the memory budget, a
+``$LOSSDEV_MEMORY_BUDGET`` that is not a whole number, solver failure,
+supports without a common lattice step, n outside [1, 2**53], a
+weighted-model query such as ``rate`` on an assigned model, or a
+``counterexample`` with no block end at or below ``--max-n``).  Errors
+print one ``error:`` line on stderr, not a traceback.
+The model file is read once, as bytes: the manifest hashes them and
+``model.loads_model`` parses them.
 Numbers are rendered with 17 significant digits; infinite rates render
 as the literal ``inf``.
 """
@@ -26,33 +31,17 @@ import time
 import numpy as np
 
 from . import __version__
-from .cgf import AssignedModelError, empirical_cgf, limit_cgf
-from .counterexample import (
-    NoBlockEndsError,
-    build_counterexample,
-    schedule_depth_end,
-    subsequence_rates,
-)
-from .exact import IncommensurableSupportError, MemoryBudgetError, exact_log_tail
-from .legendre import SolverError, legendre_transform, rate_upper_bound
-from .mc import DEFAULT_SEED, TiltingRangeError, sample_plain, sample_tilted
-from .model import ModelError, PortfolioSizeError, load_model
-from .moderate import CltRegimeError, MdQuery, md_log_prob_prediction, md_threshold
+from .cgf import empirical_cgf, limit_cgf
+from .counterexample import build_counterexample, schedule_depth_end, subsequence_rates
+from .exact import exact_log_tail
+from .legendre import legendre_transform, rate_upper_bound
+from .mc import DEFAULT_SEED, sample_plain, sample_tilted
+from .model import MAX_COUNT, ModelError, Refused, loads_model
+from .moderate import MdQuery, md_log_prob_prediction, md_threshold
 
 # exit code of each exception a subcommand may end with; 2 is also the
 # code argparse gives a usage error
-EXIT_CODES = {
-    ModelError: 1,
-    FileNotFoundError: 2,
-    TiltingRangeError: 3,
-    CltRegimeError: 3,
-    MemoryBudgetError: 3,
-    SolverError: 3,
-    IncommensurableSupportError: 3,
-    PortfolioSizeError: 3,
-    AssignedModelError: 3,
-    NoBlockEndsError: 3,
-}
+EXIT_CODES = {ModelError: 1, OSError: 2, Refused: 3}
 
 
 def _fmt(v) -> str:
@@ -76,17 +65,12 @@ def emit_curve(points, schema, out=None) -> str:
     return text
 
 
-def _model_hash(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _manifest(subcommand: str, args: argparse.Namespace, wall: float) -> None:
+def _manifest(args: argparse.Namespace, data: bytes | None, wall: float) -> None:
     params = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "params": params,
-        "model_hash": _model_hash(args.model) if getattr(args, "model", None) else None,
+        "model_hash": hashlib.sha256(data).hexdigest() if data is not None else None,
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "wall_time_s": wall,
@@ -94,16 +78,14 @@ def _manifest(subcommand: str, args: argparse.Namespace, wall: float) -> None:
     print(json.dumps(doc), file=sys.stderr)
 
 
-def _cmd_validate(args) -> int:
-    # load_model raises ModelError on the first assumption violation, so
+def _cmd_validate(args, model, bounds) -> int:
+    # loads_model raises ModelError on the first assumption violation, so
     # a file that loads has none: the violation table is its header alone
-    load_model(args.model)
     emit_curve([], ["class", "clause", "detail"], sys.stdout)
     return 0
 
 
-def _cmd_cgf(args) -> int:
-    model, _ = load_model(args.model)
+def _cmd_cgf(args, model, bounds) -> int:
     grid = np.linspace(args.lambda_min, args.lambda_max, args.points)
     p = (limit_cgf(model, grid) if model.is_weighted
          else empirical_cgf(model, args.n, grid))
@@ -118,16 +100,14 @@ def _x_grid(args) -> np.ndarray:
     return np.linspace(args.x_min, args.x_max, args.points)
 
 
-def _cmd_rate(args) -> int:
-    model, _ = load_model(args.model)
+def _cmd_rate(args, model, bounds) -> int:
     rp = legendre_transform(model, _x_grid(args))
     emit_curve(zip(*(v.tolist() for v in (rp.x, rp.lambda_star, rp.rate, rp.status))),
                ["x", "lambda_star", "rate", "status"], sys.stdout)
     return 0
 
 
-def _cmd_bound(args) -> int:
-    model, _ = load_model(args.model)
+def _cmd_bound(args, model, bounds) -> int:
     xs = _x_grid(args)
     lam_grid = np.linspace(0.0, args.lambda_max, args.lambda_points)
     bound = rate_upper_bound(model, xs, lam_grid)
@@ -135,16 +115,14 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _cmd_exact(args) -> int:
-    model, _ = load_model(args.model)
+def _cmd_exact(args, model, bounds) -> int:
     lt = exact_log_tail(model, args.n, args.x)
     emit_curve([(args.n, args.x, math.exp(lt), lt / args.n)],
                ["n", "x", "tail_probability", "log_rate"], sys.stdout)
     return 0
 
 
-def _cmd_mc(args) -> int:
-    model, _ = load_model(args.model)
+def _cmd_mc(args, model, bounds) -> int:
     if args.tilted:
         est = sample_tilted(model, args.n, args.x, args.samples, args.seed)
     else:
@@ -154,8 +132,7 @@ def _cmd_mc(args) -> int:
     return 0
 
 
-def _cmd_mdp(args) -> int:
-    model, bounds = load_model(args.model)
+def _cmd_mdp(args, model, bounds) -> int:
     q = MdQuery(args.c, args.alpha, args.n)
     th = md_threshold(q, model, bounds)
     pred = md_log_prob_prediction(q)
@@ -202,7 +179,7 @@ def _checked(kind, ok, want):
     return convert
 
 
-_count = _checked(int, lambda v: 1 <= v <= 2**53, "a whole number in [1, 2**53]")
+_count = _checked(int, lambda v: 1 <= v <= MAX_COUNT, "a whole number in [1, 2**53]")
 _finite = _checked(float, math.isfinite, "a finite number")
 _positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 
@@ -249,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=_finite, required=True)
     p.add_argument("--samples", type=_count, default=100_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "a whole number >= 0"),
+                   default=DEFAULT_SEED)
     p.add_argument("--tilted", action="store_true")
 
     p = add("mdp", _cmd_mdp, help="moderate-deviation thresholds and prediction")
@@ -262,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("counterexample", _cmd_counterexample,
             help="distinct subsequential decay rates for the two-class interlacement")
     p.add_argument("--growth", default=10, type=_checked(
-        int, lambda v: 2 <= v <= 2**53, "a whole number in [2, 2**53]"))
+        int, lambda v: 2 <= v <= MAX_COUNT, "a whole number in [2, 2**53]"))
     p.add_argument("--depth", type=_count, default=6)
     p.add_argument("--x", type=_finite, default=0.5)
     p.add_argument("--a0", type=_count, default=1)
@@ -283,12 +261,18 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     t0 = time.perf_counter()
+    data = None
     try:
-        code = args.func(args)
+        if "model" in args:  # every subcommand but counterexample reads one
+            with open(args.model, "rb") as fh:
+                data = fh.read()
+            code = args.func(args, *loads_model(data))
+        else:
+            code = args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(c for kind, c in EXIT_CODES.items() if isinstance(exc, kind))
-    _manifest(args.subcommand, args, time.perf_counter() - t0)
+    _manifest(args, data, time.perf_counter() - t0)
     return code
 
 

@@ -14,19 +14,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import MemoryBudgetError, exact_log_tail, exact_log_tail_rate
+from .exact import exact_log_tail, exact_log_tail_rate
 from .legendre import rate_I1, rate_I2, transform_from_weights
-from .model import AssumptionBounds, BlockSchedule, LossClass, PortfolioModel
+from .model import (
+    AssumptionBounds,
+    BlockSchedule,
+    MAX_COUNT,
+    LossClass,
+    MemoryBudgetError,
+    PortfolioModel,
+    Refused,
+)
 
 UNIT = LossClass("unit", (-1.0, 1.0), (0.5, 0.5))
 DOUBLE = LossClass("double", (-2.0, 2.0), (0.5, 0.5))
 BOUNDS = AssumptionBounds(c0=2.0, c1=1.0)
 
 DEFAULT_MAX_N = 5_000_000
-
-
-class NoBlockEndsError(ValueError):
-    """No complete block of the class ends at or below max_n: no rate to report."""
 
 
 def build_counterexample(growth: int = 10, depth: int = 6,
@@ -79,8 +83,8 @@ def subsequence_rates(model: PortfolioModel, x: float, which: int,
     """Exact log-tail rates at ends of class ``which`` blocks up to max_n.
 
     Block ends are where the other class's density is minimal, so the
-    rates approach the pure-class limit.  Points beyond the oracle's
-    memory budget truncate the report, flagged as partial.
+    rates approach the pure-class limit.  Points beyond MAX_COUNT or
+    the oracle's memory budget truncate the report, flagged as partial.
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
@@ -91,6 +95,9 @@ def subsequence_rates(model: PortfolioModel, x: float, which: int,
     target = -(rate_I1(x) if which == 1 else rate_I2(x))
     points, partial = [], False
     for n in ends:
+        if n > MAX_COUNT:
+            partial = True
+            break
         try:
             lr = exact_log_tail_rate(model, n, x)
         except MemoryBudgetError:
@@ -99,7 +106,7 @@ def subsequence_rates(model: PortfolioModel, x: float, which: int,
         counts = model.counts(n)
         points.append(SubsequencePoint(n, counts[0] / n, lr))
     if not points:
-        raise NoBlockEndsError(f"no complete class-{which} block ends at or below n={max_n}")
+        raise Refused(f"no complete class-{which} block ends at or below n={max_n}")
     gap = abs(points[-1].log_rate - target) if math.isfinite(target) else math.inf
     return SubsequenceReport(x, which, tuple(points), target, gap, partial)
 

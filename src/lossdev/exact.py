@@ -22,28 +22,21 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from functools import reduce
 
 import numpy as np
 
 from .legendre import transform_from_weights
-from .model import LossClass, PortfolioModel, reaches
+from .model import LossClass, PortfolioModel, Refused, check_budget, reaches
 
 LATTICE_TOL = 1e-9
-DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
-MEMORY_BUDGET_ENV = "LOSSDEV_MEMORY_BUDGET"
 # tilted mass a tail window may leave out or alias onto itself
 WINDOW_EPS = 1e-30
 _LOG_UNDERFLOW = -746.0  # exp of anything lower is 0 in double precision
 
 
-class IncommensurableSupportError(ValueError):
+class IncommensurableSupportError(Refused):
     """Support points share no common lattice step; use Monte Carlo instead."""
-
-
-class MemoryBudgetError(MemoryError):
-    """The lattice arrays would exceed the configured memory budget."""
 
 
 def _real_gcd(a: float, b: float, tol: float) -> float:
@@ -73,14 +66,6 @@ def latticize(model: PortfolioModel, tol: float = LATTICE_TOL) -> float:
             raise IncommensurableSupportError(
                 f"support value {v} is not a multiple of step {g}")
     return g
-
-
-def _check_budget(n_doubles: int) -> None:
-    budget = int(os.environ.get(MEMORY_BUDGET_ENV) or DEFAULT_MEMORY_BUDGET)
-    if 8 * n_doubles > budget:
-        raise MemoryBudgetError(
-            f"lattice arrays of {n_doubles} doubles exceed the memory budget "
-            f"({budget} bytes; override via ${MEMORY_BUDGET_ENV})")
 
 
 def _live_classes(model: PortfolioModel, n: int) -> list[tuple[LossClass, int]]:
@@ -144,7 +129,8 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], g: float,
     length = _fft_length(min(size, 2 * r + 1))
     # omega, the log-modulus and phase sums, the complex spectrum, one
     # class's sines and its real and imaginary parts, and the inverse
-    _check_budget((7 + 2 * max(map(len, shifts))) * (length // 2 + 1) + length)
+    check_budget((7 + 2 * max(map(len, shifts))) * (length // 2 + 1) + length,
+                 "lattice arrays")
     omega = (2.0 * math.pi / length) * np.arange(length // 2 + 1)
     log_mod, phase = np.zeros(omega.size), np.zeros(omega.size)
     log_norm = 0.0

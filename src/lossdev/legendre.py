@@ -11,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cgf import AssignedModelError, mixture_cgf, shaped
-from .model import PortfolioModel
+from .cgf import mixture_cgf, shaped
+from .model import PortfolioModel, Refused
 
 SOLVE_TOL = 1e-10
 MAX_ITER = 200
@@ -33,10 +33,6 @@ class RatePoint:
     status: str
 
 
-class SolverError(RuntimeError):
-    """Root-finder failed to converge; not expected, as Lambda' is smooth and increasing."""
-
-
 def _solve_mean_equation(classes, weights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve d/dlam of the mixture CGF = x for each x of a 1-d array:
     (lambda, lambda x - Lambda(lambda)).  Newton with a bisection
@@ -54,7 +50,7 @@ def _solve_mean_equation(classes, weights, x: np.ndarray) -> tuple[np.ndarray, n
         short = short[(p.d1 - x[short]) * step[short] < 0]
         lo[short], hi[short] = hi[short], 2 * hi[short]
         if np.any(np.abs(hi[short]) > 1e9):
-            raise SolverError(f"could not bracket lambda for x={x[short[0]]}")
+            raise Refused(f"could not bracket lambda for x={x[short[0]]}")
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     # start from the Newton step at lambda = 0 when the bracket holds it
     first = (x - at0.d1) / at0.d2
@@ -72,7 +68,7 @@ def _solve_mean_equation(classes, weights, x: np.ndarray) -> tuple[np.ndarray, n
         newton = at - f / np.where(d2 > 0, d2, np.inf)
         at = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
     if idx.size:
-        raise SolverError(f"no convergence after {MAX_ITER} iterations at x={x[0]}")
+        raise Refused(f"no convergence after {MAX_ITER} iterations at x={x[0]}")
     return lam, rate
 
 
@@ -102,8 +98,8 @@ def legendre_transform(model: PortfolioModel, x: float) -> RatePoint:
     """Rate function Lambda*(x) = sup_lam (lam x - Lambda(lam)) of a
     weighted model's limit CGF."""
     if not model.is_weighted:
-        raise AssignedModelError("legendre_transform needs a weighted model; "
-                                 "use bound for assigned ones")
+        raise Refused("legendre_transform needs a weighted model; "
+                      "use bound for assigned ones")
     return transform_from_weights(model.classes, model.densities(), x)
 
 

@@ -22,12 +22,12 @@ import numpy as np
 
 from .cgf import tilted_laws
 from .legendre import transform_from_weights
-from .model import PortfolioModel, reaches
+from .model import PortfolioModel, Refused, check_budget, reaches
 
 DEFAULT_SEED = 20250411
 
 
-class TiltingRangeError(ValueError):
+class TiltingRangeError(Refused):
     """Threshold not in the interior of the reachable range; tilting is
     undefined there.  Use plain sampling or the exact oracle."""
 
@@ -42,17 +42,23 @@ class TailEstimate:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.estimate <= 1.0 or self.std_error < 0.0:
-            raise ValueError("estimate must be a probability with nonnegative std error")
+        # no upper limit: an unbiased importance-sampling estimate of a
+        # probability near 1 may exceed 1
+        if not self.estimate >= 0.0 or self.std_error < 0.0:
+            raise ValueError("estimate and std error must be nonnegative")
 
 
 def _sample_sums(model: PortfolioModel, n: int, n_samples: int,
                  rng: np.random.Generator,
                  class_probs: list[np.ndarray]) -> np.ndarray:
-    """Portfolio sums S_n for each replicate, via per-class multinomials."""
+    """Portfolio sums S_n for each replicate, via per-class multinomials.
+
+    The budget covers the widest class's draws, the sums and their
+    update, and the estimators' hit mask and weights."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     counts = model.counts(n)
+    check_budget(n_samples * (4 + max(map(len, class_probs))), "sample arrays")
     sums = np.zeros(n_samples)
     for cls, nu, probs in zip(model.classes, counts, class_probs):
         if nu == 0:

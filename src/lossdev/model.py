@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,20 +21,47 @@ CENTER_TOL = 1e-10
 # a portfolio sum this close to the threshold, relative to max(1, |level|),
 # is on it: n * x and the sum each carry float round-off of that order
 THRESHOLD_RTOL = 1e-12
+DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
+MEMORY_BUDGET_ENV = "LOSSDEV_MEMORY_BUDGET"
 
 
 class ModelError(ValueError):
     """Malformed model data (parse- or construction-stage)."""
 
 
-class PortfolioSizeError(ValueError):
-    """A portfolio size n below 1: there are no contracts to compute on."""
+class Refused(ValueError):
+    """A well-formed query the package declines to compute: outside the
+    range where its method holds, or over a resource limit."""
+
+
+class MemoryBudgetError(Refused, MemoryError):
+    """The arrays of a computation would exceed the memory budget."""
+
+
+# the largest count the package takes: above 2**53 a double no longer
+# holds every whole number exactly
+MAX_COUNT = 2**53
 
 
 def check_size(n: int) -> None:
-    """Raise PortfolioSizeError unless n >= 1."""
-    if n < 1:
-        raise PortfolioSizeError(f"n must be >= 1, got {n}")
+    """Refuse n outside [1, MAX_COUNT]: below 1 there are no contracts."""
+    if not 1 <= n <= MAX_COUNT:
+        raise Refused(f"n must be in [1, 2**53], got {n}")
+
+
+def check_budget(n_doubles: int, what: str) -> None:
+    """Refuse arrays of ``n_doubles`` doubles over the memory budget: the
+    whole number of bytes in ``$LOSSDEV_MEMORY_BUDGET``, 2 GiB if unset."""
+    text = os.environ.get(MEMORY_BUDGET_ENV)
+    try:
+        budget = int(text) if text else DEFAULT_MEMORY_BUDGET
+    except ValueError:
+        raise Refused(f"${MEMORY_BUDGET_ENV} must be a whole number of bytes, "
+                      f"got {text!r}") from None
+    if 8 * n_doubles > budget:
+        raise MemoryBudgetError(
+            f"{what} of {n_doubles} doubles exceed the memory budget "
+            f"({budget} bytes; override via ${MEMORY_BUDGET_ENV})")
 
 
 def reaches(total, level: float, inclusive: bool = True):
@@ -49,8 +77,8 @@ def reaches(total, level: float, inclusive: bool = True):
 
 
 def _whole(v) -> bool:
-    """v is a whole number a double holds exactly (|v| <= 2**53)."""
-    return math.isfinite(v) and v == int(v) and abs(v) <= 2**53
+    """v is a whole number a double holds exactly (|v| <= MAX_COUNT)."""
+    return math.isfinite(v) and v == int(v) and abs(v) <= MAX_COUNT
 
 
 @dataclass(frozen=True)
@@ -396,8 +424,8 @@ def density_profile(rule: AssignmentRule, n_max: int) -> DensityProfile:
 # model file format (JSON)
 # ---------------------------------------------------------------------------
 
-def loads_model(text: str) -> tuple[PortfolioModel, AssumptionBounds]:
-    """Parse a JSON model document and validate it.
+def loads_model(data: str | bytes) -> tuple[PortfolioModel, AssumptionBounds]:
+    """Parse a JSON model document, text or UTF-8 bytes, and validate it.
 
     Schema::
 
@@ -408,13 +436,15 @@ def loads_model(text: str) -> tuple[PortfolioModel, AssumptionBounds]:
                               | {"blocks": {"a0": .., "growth": .., "order": [..],
                                             "accelerating": bool}}}}
 
-    Raises ModelError on a malformed document, with the offending field,
-    including a number that is not finite (JSON ``NaN``, ``Infinity`` or
-    an overflowing literal such as ``1e400``), or on the first
-    assumption violation.
+    Raises ModelError on bytes that are not UTF-8, on a malformed
+    document, with the offending field, including a number that is not
+    finite (JSON ``NaN``, ``Infinity`` or an overflowing literal such as
+    ``1e400``), or on the first assumption violation.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"not UTF-8 text at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
@@ -479,9 +509,3 @@ def loads_model(text: str) -> tuple[PortfolioModel, AssumptionBounds]:
         v = violations[0]
         raise ModelError(f"class {v.class_name!r} violates {v.clause}: {v.detail}")
     return model, bounds
-
-
-def load_model(path) -> tuple[PortfolioModel, AssumptionBounds]:
-    """Read and parse a model file (see :func:`loads_model`)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_model(fh.read())

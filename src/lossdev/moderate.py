@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import AssumptionBounds, PortfolioModel, check_size
+from .model import AssumptionBounds, PortfolioModel, Refused, check_size
 
 
-class CltRegimeError(ValueError):
+class CltRegimeError(Refused):
     """The query's y = c n^alpha does not exceed 1; such thresholds sit
     in the central-limit regime, outside the validity of the estimate."""
 

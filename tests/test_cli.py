@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from lossdev.cli import dispatch, emit_curve
+from lossdev.cli import EXIT_CODES, dispatch, emit_curve
+from lossdev.exact import IncommensurableSupportError
+from lossdev.mc import TiltingRangeError
+from lossdev.model import MemoryBudgetError, ModelError, Refused
+from lossdev.moderate import CltRegimeError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -28,6 +33,18 @@ def bad_model_file(tmp_path):
            "classes": [{"name": "u", "support": [-1, 1], "probs": [0.5, 0.4]}],
            "regime": {"weighted": {"weights": [1.0]}}}
     path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture
+def mix_model_file(tmp_path):
+    """The weighted 50/50 mix of the unit and the double class."""
+    doc = {"bounds": {"c0": 2, "c1": 1},
+           "classes": [{"name": "unit", "support": [-1, 1], "probs": [0.5, 0.5]},
+                       {"name": "double", "support": [-2, 2], "probs": [0.5, 0.5]}],
+           "regime": {"weighted": {"weights": [0.5, 0.5]}}}
+    path = tmp_path / "mix.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -235,6 +252,85 @@ class TestExitCodes:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "bound" in err[0]
+
+    def test_model_path_is_a_directory(self, tmp_path, capsys):
+        self._fails(["exact", "--model", str(tmp_path), "--n", "10", "--x", "0.5"], 2, capsys)
+
+    def test_model_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"bounds": {"c0": 1, "c1": 1}, "classes": [{"name": "\xe9"}]}')
+        self._fails(["validate", str(path)], 1, capsys)
+
+    @pytest.mark.parametrize("sub", ["exact", "mc", "mdp"])
+    def test_portfolio_size_above_2_53(self, mix_model_file, sub, capsys):
+        argv = [sub, "--model", mix_model_file, "--n", str(10**20)]
+        if sub != "mdp":
+            argv += ["--x", "0.5"]
+        self._fails(argv, 3, capsys)
+
+    def test_samples_over_the_memory_budget(self, mix_model_file, capsys):
+        self._fails(["mc", "--model", mix_model_file, "--n", "10", "--x", "0.5",
+                     "--samples", str(2**53)], 3, capsys)
+
+    def test_memory_budget_not_a_whole_number(self, unit_model_file, monkeypatch, capsys):
+        monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "2GB")
+        self._fails(["exact", "--model", unit_model_file, "--n", "10", "--x", "0.5"], 3, capsys)
+
+    def test_negative_seed(self, unit_model_file, capsys):
+        self._fails(["mc", "--model", unit_model_file, "--n", "10", "--x", "0.5",
+                     "--seed", "-1"], 2, capsys)
+
+    def test_counterexample_ends_past_2_53(self, capsys):
+        # the class-1 end near 1.15e18 is past 2**53: it truncates the
+        # report, as an end over the memory budget does, and the class-2
+        # end near 1e6 is still printed
+        assert dispatch(["counterexample", "--growth", "1048576",
+                         "--max-n", str(10**19)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert "class2_ends,1048577," in "\n".join(rows)
+        assert rows[-1].startswith("summary,")
+
+
+def test_three_kinds_of_failure():
+    """A refusal of any module maps to exit 3 through its base class."""
+    assert EXIT_CODES == {ModelError: 1, OSError: 2, Refused: 3}
+    for kind in (TiltingRangeError, CltRegimeError, IncommensurableSupportError,
+                 MemoryBudgetError):
+        assert issubclass(kind, Refused)
+    assert issubclass(MemoryBudgetError, MemoryError)
+
+
+def test_model_file_read_once(unit_model_file, monkeypatch, capsys):
+    """The manifest hashes the bytes the loader parsed."""
+    import builtins
+    opened = []
+    real = builtins.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    assert dispatch(["rate", "--model", unit_model_file, "--x", "0.5"]) == 0
+    assert opened.count(unit_model_file) == 1
+    manifest = json.loads(capsys.readouterr().err.splitlines()[-1])
+    with real(unit_model_file, "rb") as fh:
+        assert manifest["model_hash"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_tilted_estimate_may_exceed_one(unit_model_file, capsys):
+    """An unbiased importance-sampling estimate of P = 15/16 (n = 4,
+    x = -0.9 on the unit class) goes above 1 for some seeds; every seed
+    reports it, and the mean is within 5 standard errors of 15/16."""
+    estimates, variance = [], 0.0
+    for seed in range(50):
+        assert dispatch(["mc", "--model", unit_model_file, "--n", "4", "--x=-0.9",
+                         "--samples", "10000", "--tilted", "--seed", str(seed)]) == 0
+        row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines())))
+        estimates.append(float(row["estimate"]))
+        variance += float(row["std_error"]) ** 2
+    assert max(estimates) > 1.0
+    assert abs(sum(estimates) / 50 - 15 / 16) <= 5 * math.sqrt(variance) / 50
 
 
 def test_exact_runs_the_oracle_once(unit_model_file, monkeypatch, capsys):

@@ -225,10 +225,14 @@ def test_memory_budget_override(monkeypatch, pure_unit):
         exact_tail(pure_unit, 1000, 0.5)
 
 
-def test_budget_checked_before_the_first_allocation(pure_unit):
-    # a window of about 6e10 points: refused, not a numpy MemoryError
+def test_budget_checked_before_the_first_allocation():
+    # a span of 1001 lattice steps at n = 2**53, the largest size, gives
+    # a window of about 1e12 points (terabytes): refused, not a numpy
+    # MemoryError
+    wide = LossClass("w", (-1000.0, 1.0), (1 / 1001, 1000 / 1001))
+    model = PortfolioModel((wide,), weights=(1.0,))
     with pytest.raises(MemoryBudgetError):
-        exact_log_tail(pure_unit, 10**18, 0.5)
+        exact_log_tail(model, 2**53, 0.5)
 
 
 def test_memory_budget_covers_fft(monkeypatch):

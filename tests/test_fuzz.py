@@ -116,3 +116,42 @@ def test_mutated_model_documents(doc_path, text):
     code, err = run(["validate", str(doc_path)])
     assert code in (0, 1)
     assert len(error_lines(err)) == code
+
+
+EDGE_SIZE = st.sampled_from([0, -1, 2**53, 2**53 + 1, 10**20])
+QUERY_OPTIONS = {
+    "n": st.integers(1, 200) | EDGE_SIZE,
+    "x": st.floats(-2.5, 2.5) | st.floats(allow_nan=False, allow_infinity=False),
+    "samples": st.integers(1, 5000) | st.just(10**5) | EDGE_SIZE,
+    "seed": st.integers(0, 2**70) | EDGE_SIZE,
+}
+TAKES = {"exact": ("n", "x"), "mc": ("n", "x", "samples", "seed"), "mdp": ("n",)}
+
+
+@pytest.fixture(scope="module")
+def mix_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "mix.json"
+    path.write_text(json.dumps(BASES[0]))
+    return str(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sub=st.sampled_from(["exact", "mc", "mdp"]), tilted=st.booleans(),
+       values=st.fixed_dictionaries(QUERY_OPTIONS))
+@example(sub="exact", tilted=False, values={"n": 10**20, "x": 0.5})
+@example(sub="mc", tilted=False, values={"n": 10**20, "x": 0.5})
+@example(sub="mdp", tilted=False, values={"n": 10**20})
+@example(sub="mc", tilted=False, values={"n": 10, "x": 0.5, "samples": 2**53})
+@example(sub="mc", tilted=False, values={"n": 10, "x": 0.5, "seed": -1})
+@example(sub="mc", tilted=True, values={"n": 4, "x": -1.2, "samples": 1000, "seed": 4})  # > 1
+def test_query_options(mix_path, sub, tilted, values):
+    """Extreme sizes, thresholds, sample counts and seeds on the unit/double
+    mix end in 0, 2 (bad option) or 3 (refused), never 1; a budget of
+    1 MiB refuses huge lattices and sample arrays before they are built."""
+    argv = [sub, "--model", mix_path, *(f"--{k}={v}" for k, v in values.items()
+                                        if k in TAKES[sub])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("LOSSDEV_MEMORY_BUDGET", str(2**20))
+        code, err = run(argv + (["--tilted"] if tilted and sub == "mc" else []))
+    assert code in (0, 2, 3)
+    assert len(error_lines(err)) == (code != 0)
