@@ -18,16 +18,15 @@ from .model import (
     MemoryBudgetError,
     PortfolioModel,
     RoundRobin,
+    check_assumptions,
     density_profile,
     loads_model,
-    validate_model,
 )
-from .cgf import cumulants, empirical_cgf, limit_cgf
+from .cgf import empirical_cgf, limit_cgf
 from .legendre import (
     legendre_transform,
     rate_I1,
     rate_I2,
-    rate_expansion_check,
     rate_upper_bound,
 )
 from .exact import (
@@ -67,7 +66,7 @@ __all__ = [
     "RoundRobin",
     "TiltingRangeError",
     "build_counterexample",
-    "cumulants",
+    "check_assumptions",
     "density_profile",
     "empirical_cgf",
     "enumerate_tail",
@@ -84,13 +83,11 @@ __all__ = [
     "petrov_constants",
     "rate_I1",
     "rate_I2",
-    "rate_expansion_check",
     "rate_upper_bound",
     "sample_plain",
     "sample_tilted",
     "sandwich_check",
     "section_mean_tail",
     "subsequence_rates",
-    "validate_model",
     "variance_sum",
 ]

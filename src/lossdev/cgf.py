@@ -8,7 +8,6 @@ from the same shifted weights, never from differencing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,19 +91,3 @@ def empirical_cgf(model: PortfolioModel, n: int, lam) -> CgfPoint:
     """
     counts = model.counts(n)
     return mixture_cgf(model.classes, counts / n, lam)
-
-
-def cumulants(cls: LossClass, order: int = 6) -> list[float]:
-    """Cumulants kappa_1..kappa_order from raw moments by the standard
-    moment-to-cumulant recursion.  Capped at order 6; higher orders are
-    not used by any estimate here."""
-    if not 1 <= order <= 6:
-        raise ValueError("order must be between 1 and 6")
-    m = [cls.moment(j) for j in range(order + 1)]  # m[0] = 1
-    kappa = [0.0] * (order + 1)
-    for r in range(1, order + 1):
-        acc = m[r]
-        for k in range(1, r):
-            acc -= math.comb(r - 1, k - 1) * kappa[k] * m[r - k]
-        kappa[r] = acc
-    return kappa[1:]

@@ -25,6 +25,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 
@@ -159,7 +160,12 @@ def _cmd_counterexample(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line, like every other
-    failure, instead of the usage text."""
+    failure, instead of the usage text, and takes ``-1e308``, ``-1.5E+2``
+    or ``-.5`` as a negative number, not as an option name."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

@@ -148,24 +148,3 @@ def rate_upper_bound(model: PortfolioModel, x, lam_grid: Sequence[float]):
     bar = np.max([mixture_cgf(model.classes, d, lam_grid).value
                   for d in model.density_extremes()], axis=0)
     return shaped(np.shape(x), (np.multiply.outer(x, lam_grid) - bar).max(axis=-1))[0]
-
-
-# Taylor polynomials of the two closed-form rate functions at 0
-_P6_COEFFS = {1: (0.5, 1.0 / 12.0, 1.0 / 30.0),
-              2: (1.0 / 8.0, 1.0 / 192.0, 1.0 / 1920.0)}
-
-
-def rate_expansion_check(which: int, xs: Sequence[float]) -> float:
-    """Max over the grid of |I(x) - P6(x)| / x^8, where P6 is the
-    degree-6 even Taylor polynomial.  Bounded as the grid refines to 0."""
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    c2, c4, c6 = _P6_COEFFS[which]
-    rate = rate_I1 if which == 1 else rate_I2
-    worst = 0.0
-    for x in xs:
-        if not 0.0 < x <= 0.2:
-            raise ValueError("grid must lie in (0, 0.2]")
-        p6 = c2 * x**2 + c4 * x**4 + c6 * x**6
-        worst = max(worst, abs(rate(x) - p6) / x**8)
-    return worst

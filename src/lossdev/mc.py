@@ -42,10 +42,10 @@ class TailEstimate:
     lam: float = 0.0
 
     def __post_init__(self):
-        # no upper limit: an unbiased importance-sampling estimate of a
-        # probability near 1 may exceed 1
-        if not self.estimate >= 0.0 or self.std_error < 0.0:
-            raise ValueError("estimate and std error must be nonnegative")
+        # no range check: an unbiased importance-sampling estimate of a
+        # probability near 1 or 0 may fall just outside [0, 1]
+        if not math.isfinite(self.estimate) or self.std_error < 0.0:
+            raise ValueError("estimate must be finite and std error nonnegative")
 
 
 def _sample_sums(model: PortfolioModel, n: int, n_samples: int,
@@ -92,6 +92,9 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
     (not the limit CGF), so it is optimal for the actual n even when the
     class densities oscillate.  The estimator averages
     1{S_n >= n x} exp(-lam* S_n + sum_k log phi_k(lam*)) and is unbiased.
+    Below the mean (lam* < 0) the event is the likely one, so it averages
+    the same weight over the complement {S_n < n x} and returns 1 minus
+    that, with the same standard error.
     """
     counts = model.counts(n)
     weights = counts / n
@@ -104,8 +107,9 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
     log_norm = float((log_phi * counts).sum())
     tilted_probs = [row[:len(cls.support)] for cls, row in zip(model.classes, tilted)]
     sums = _sample_sums(model, n, n_samples, _rng(seed), tilted_probs)
-    hit = reaches(sums, n * x)
-    weights_ls = np.where(hit, np.exp(-lam * sums + log_norm), 0.0)
+    below = lam < 0.0
+    counted = reaches(sums, n * x) != below  # the complement's samples when below
+    weights_ls = np.where(counted, np.exp(-lam * sums + log_norm), 0.0)
     est = float(weights_ls.mean())
     se = float(weights_ls.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return TailEstimate(est, se, n_samples, "tilted", seed, lam=lam)
+    return TailEstimate(1.0 - est if below else est, se, n_samples, "tilted", seed, lam=lam)

@@ -88,16 +88,14 @@ class LossClass:
     Support values are centered losses (currency units).  Probabilities
     are validated to sum to one within ``PROB_SUM_TOL`` and then
     renormalized exactly so that repeated convolution does not drift.
-    Zero-mass support points are removed at construction.
-
-    Set ``center=True`` to pass raw (uncentered) losses; the constructor
-    subtracts the mean.
+    Zero-mass support points are removed at construction.  A model file
+    may give raw losses with ``"center": true``; ``loads_model`` then
+    subtracts the mean before building the class.
     """
 
     name: str
     support: tuple[float, ...]
     probs: tuple[float, ...]
-    center: bool = False
 
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
@@ -120,16 +118,14 @@ class LossClass:
         pr = pr / s
         order = np.argsort(sup)
         sup, pr = sup[order], pr[order]
-        if self.center:
-            sup = sup - float(sup @ pr)
         mean = float(sup @ pr)
         if abs(mean) > CENTER_TOL:
-            raise ModelError(f"class {self.name!r}: mean {mean!r} is not 0 (use center=True?)")
+            raise ModelError(f"class {self.name!r}: mean {mean!r} is not 0 "
+                             '(a model file may set "center": true)')
         if float(((sup - mean) ** 2) @ pr) <= 0.0:
             raise ModelError(f"class {self.name!r}: zero variance")
         object.__setattr__(self, "support", tuple(sup.tolist()))
         object.__setattr__(self, "probs", tuple(pr.tolist()))
-        object.__setattr__(self, "center", False)
 
     @property
     def mean(self) -> float:
@@ -147,10 +143,6 @@ class LossClass:
     @property
     def min_support(self) -> float:
         return self.support[0]
-
-    def moment(self, order: int) -> float:
-        """Raw moment E[X^order]."""
-        return float(np.power(self.support, order) @ np.asarray(self.probs))
 
 
 @dataclass(frozen=True)
@@ -201,10 +193,6 @@ class RoundRobin:
         ends = np.cumsum(w)
         full, rem = divmod(n, int(ends[-1]))
         return full * w + np.clip(rem - (ends - w), 0, w)
-
-    def densities(self) -> np.ndarray:
-        w = np.asarray(self.weights, dtype=float)
-        return w / w.sum()
 
     def density_extremes(self) -> np.ndarray:
         """Prefix densities at the ends of the nonzero runs, the last w / L."""
@@ -367,30 +355,18 @@ def apportion(weights: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Violation:
-    class_name: str
-    clause: str  # one of: centering, bound, variance floor
-    detail: str
-
-
-def validate_model(model: PortfolioModel, bounds: AssumptionBounds) -> list[Violation]:
-    """Check every class against the independence-model assumptions.
-
-    Returns an empty list iff every class is centered, bounded by c0, and
-    has variance at least c1.  Violations are data, not exceptions.
-    """
-    out = []
+def check_assumptions(model: PortfolioModel, bounds: AssumptionBounds) -> None:
+    """Raise ModelError on the first class that breaks the independence
+    model's assumptions: |X_k| <= c0 and variance >= c1, each with a
+    relative slack of 1e-12."""
     for cls in model.classes:
-        if abs(cls.mean) > CENTER_TOL:
-            out.append(Violation(cls.name, "centering", f"mean = {cls.mean!r}"))
         worst = max(abs(cls.min_support), abs(cls.max_support))
         if worst > bounds.c0 * (1 + 1e-12):
-            out.append(Violation(cls.name, "bound", f"|support| reaches {worst!r} > c0 = {bounds.c0!r}"))
+            raise ModelError(f"class {cls.name!r} violates bound: "
+                             f"|support| reaches {worst!r} > c0 = {bounds.c0!r}")
         if cls.variance < bounds.c1 * (1 - 1e-12):
-            out.append(Violation(cls.name, "variance floor",
-                                 f"variance {cls.variance!r} < c1 = {bounds.c1!r}"))
-    return out
+            raise ModelError(f"class {cls.name!r} violates variance floor: "
+                             f"variance {cls.variance!r} < c1 = {bounds.c1!r}")
 
 
 @dataclass(frozen=True)
@@ -439,7 +415,9 @@ def loads_model(data: str | bytes) -> tuple[PortfolioModel, AssumptionBounds]:
     Raises ModelError on bytes that are not UTF-8, on a malformed
     document, with the offending field, including a number that is not
     finite (JSON ``NaN``, ``Infinity`` or an overflowing literal such as
-    ``1e400``), or on the first assumption violation.
+    ``1e400``), or on the first class that breaks an assumption
+    (``check_assumptions``).  A class with ``"center": true`` gives raw
+    losses: its probability-weighted mean is subtracted from its support.
     """
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -475,12 +453,16 @@ def loads_model(data: str | bytes) -> tuple[PortfolioModel, AssumptionBounds]:
                               number(need(b, "c1", "bounds"), "bounds.c1"))
     classes = []
     for i, c in enumerate(need(doc, "classes", "document", list)):
-        classes.append(LossClass(
-            name=str(need(c, "name", f"classes[{i}]")),
-            support=numbers(c, "support", f"classes[{i}]"),
-            probs=numbers(c, "probs", f"classes[{i}]"),
-            center=bool(c.get("center", False)),
-        ))
+        name = str(need(c, "name", f"classes[{i}]"))
+        support = numbers(c, "support", f"classes[{i}]")
+        probs = numbers(c, "probs", f"classes[{i}]")
+        if c.get("center", False):
+            try:
+                mean = math.fsum(v * p for v, p in zip(support, probs)) / math.fsum(probs)
+            except (ArithmeticError, ValueError):  # no mean: LossClass refuses the probs
+                mean = 0.0
+            support = tuple(v - mean for v in support)
+        classes.append(LossClass(name, support, probs))
     regime = need(doc, "regime", "document", dict)
     if "weighted" in regime:
         w = numbers(regime["weighted"], "weights", "regime.weighted")
@@ -504,8 +486,5 @@ def loads_model(data: str | bytes) -> tuple[PortfolioModel, AssumptionBounds]:
     else:
         raise ModelError("regime needs 'weighted' or 'assigned'")
 
-    violations = validate_model(model, bounds)
-    if violations:
-        v = violations[0]
-        raise ModelError(f"class {v.class_name!r} violates {v.clause}: {v.detail}")
+    check_assumptions(model, bounds)
     return model, bounds

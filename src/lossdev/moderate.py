@@ -113,13 +113,11 @@ def md_threshold(q: MdQuery, model: PortfolioModel,
 
 @dataclass(frozen=True)
 class MdPrediction:
-    """Leading-order -log P prediction with its known corrections kept
-    separate: correction_scale bounds the neglected series term and
-    log_prefactor is the Gaussian prefactor log(y sqrt(2 pi))."""
+    """Leading-order -log P prediction with its known correction kept
+    separate: correction_scale bounds the neglected series term."""
 
     leading: float            # (1/2) c^2 n^(2 alpha)
     correction_scale: float   # O(n^(3 alpha - 1/2)) order bound
-    log_prefactor: float
 
 
 def md_log_prob_prediction(q: MdQuery) -> MdPrediction:
@@ -133,5 +131,4 @@ def md_log_prob_prediction(q: MdQuery) -> MdPrediction:
             "use a CLT approximation instead")
     leading = 0.5 * q.c**2 * q.n ** (2 * q.alpha)
     correction = q.n ** (3 * q.alpha - 0.5)
-    prefactor = math.log(q.y * math.sqrt(2 * math.pi))
-    return MdPrediction(leading, correction, prefactor)
+    return MdPrediction(leading, correction)

@@ -61,8 +61,8 @@ def random_lattice_model(rng: np.random.Generator, max_classes: int = 3):
 
 
 def random_general_model(rng: np.random.Generator, max_classes: int = 4):
-    """Random valid model with arbitrary (auto-centered) supports; no
-    common lattice guaranteed."""
+    """Random valid model with arbitrary supports, each shifted to mean 0;
+    no common lattice guaranteed."""
     p = int(rng.integers(1, max_classes + 1))
     classes = []
     for i in range(p):
@@ -72,8 +72,8 @@ def random_general_model(rng: np.random.Generator, max_classes: int = 4):
             sup = np.sort(rng.uniform(-3, 3, size))
         pr = rng.dirichlet(np.ones(size) * 2)
         pr = pr / pr.sum()
-        classes.append(LossClass(f"g{i}", tuple(sup.tolist()), tuple(pr.tolist()),
-                                 center=True))
+        sup = sup - sup @ pr
+        classes.append(LossClass(f"g{i}", tuple(sup.tolist()), tuple(pr.tolist())))
     w = rng.dirichlet(np.ones(p))
     model = PortfolioModel(tuple(classes), weights=tuple(w.tolist()))
     c0 = max(max(abs(c.min_support), abs(c.max_support)) for c in classes)

@@ -8,7 +8,6 @@ from lossdev import (
     LossClass,
     PortfolioModel,
     RoundRobin,
-    cumulants,
     empirical_cgf,
     limit_cgf,
 )
@@ -113,25 +112,20 @@ class TestCgfShape:
 
 
 class TestCumulants:
+    """kappa_1 and kappa_2 are the kernel's d1 and d2 at lambda = 0."""
+
     def test_unit_class(self, unit_class):
-        k = cumulants(unit_class, 6)
-        assert k[0] == 0.0
-        assert k[1] == pytest.approx(1.0)
-        assert k[2] == pytest.approx(0.0)
-        assert k[3] == pytest.approx(-2.0)
+        p = mixture_cgf((unit_class,), (1.0,), 0.0)
+        assert (p.value, p.d1, p.d2) == (0.0, 0.0, 1.0)
 
     def test_double_class_scaling(self, double_class):
-        k = cumulants(double_class, 6)
-        assert k[1] == pytest.approx(4.0)
-        assert k[3] == pytest.approx(-32.0)
+        assert mixture_cgf((double_class,), (1.0,), 0.0).d2 == pytest.approx(4.0)
 
     def test_first_cumulant_always_zero(self):
         cls = LossClass("skew", (-3.0, 1.0), (0.25, 0.75))
-        assert cumulants(cls, 2)[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_order_cap(self, unit_class):
-        with pytest.raises(ValueError):
-            cumulants(unit_class, 7)
+        p = mixture_cgf((cls,), (1.0,), 0.0)
+        assert p.d1 == pytest.approx(0.0, abs=1e-12)
+        assert p.d2 == pytest.approx(3.0)
 
 
 def _fsum_cgf(classes, weights, lam):
@@ -158,8 +152,8 @@ def _random_classes(rng, sizes):
     for i, size in enumerate(sizes):
         sup = np.sort(rng.choice(np.arange(-12, 13), size, replace=False) / 4.0)
         pr = rng.dirichlet(np.ones(size) * 2)
-        out.append(LossClass(f"r{i}", tuple(sup.tolist()), tuple((pr / pr.sum()).tolist()),
-                             center=True))
+        pr = pr / pr.sum()
+        out.append(LossClass(f"r{i}", tuple((sup - sup @ pr).tolist()), tuple(pr.tolist())))
     return tuple(out)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from lossdev import (
     build_counterexample,
+    check_assumptions,
     enumerate_tail,
     exact_tail,
     rate_I1,
@@ -11,7 +12,6 @@ from lossdev import (
     sandwich_check,
     section_mean_tail,
     subsequence_rates,
-    validate_model,
 )
 from lossdev.counterexample import schedule_depth_end
 from lossdev.model import BlockSchedule
@@ -21,7 +21,7 @@ class TestBuild:
     def test_classes_satisfy_assumptions(self):
         model, bounds = build_counterexample()
         assert bounds.c0 == 2.0 and bounds.c1 == 1.0
-        assert validate_model(model, bounds) == []
+        check_assumptions(model, bounds)
 
     def test_accelerating_block_layout(self):
         model, _ = build_counterexample(growth=2, depth=3)

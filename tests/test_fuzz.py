@@ -1,16 +1,19 @@
 """Fuzzing the front end: every input ends in a documented exit code with
-at most one ``error:`` line on stderr and no traceback."""
+at most one ``error:`` line on stderr and no traceback, and the loader
+centers any class that asks for it."""
 
 import contextlib
 import copy
 import io
 import json
+import math
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from lossdev.cli import dispatch
+from lossdev.model import CENTER_TOL, loads_model
 
 
 def run(argv):
@@ -118,6 +121,26 @@ def test_mutated_model_documents(doc_path, text):
     assert len(error_lines(err)) == code
 
 
+@settings(max_examples=100, deadline=None)
+@given(support=st.lists(st.integers(-400, 400), min_size=2, max_size=6, unique=True)
+       .map(lambda v: [k / 4 for k in v]),
+       masses=st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6))
+def test_centered_class(support, masses):
+    """A class with ``"center": true`` loads with mean 0, its support the
+    file's support shifted by one constant."""
+    masses = masses[:len(support)]
+    probs = [m / math.fsum(masses) for m in masses]
+    model, _ = loads_model(json.dumps({
+        "bounds": {"c0": 1000, "c1": 1e-6},
+        "classes": [{"name": "raw", "support": support, "probs": probs, "center": True}],
+        "regime": {"weighted": {"weights": [1.0]}}}))
+    (cls,) = model.classes
+    assert abs(cls.mean) <= CENTER_TOL
+    assert len(cls.support) == len(support)
+    shifts = [v - c for v, c in zip(sorted(support), cls.support)]
+    assert max(shifts) - min(shifts) <= 1e-12 * max(map(abs, support))
+
+
 EDGE_SIZE = st.sampled_from([0, -1, 2**53, 2**53 + 1, 10**20])
 QUERY_OPTIONS = {
     "n": st.integers(1, 200) | EDGE_SIZE,
@@ -143,7 +166,7 @@ def mix_path(tmp_path_factory):
 @example(sub="mdp", tilted=False, values={"n": 10**20})
 @example(sub="mc", tilted=False, values={"n": 10, "x": 0.5, "samples": 2**53})
 @example(sub="mc", tilted=False, values={"n": 10, "x": 0.5, "seed": -1})
-@example(sub="mc", tilted=True, values={"n": 4, "x": -1.2, "samples": 1000, "seed": 4})  # > 1
+@example(sub="mc", tilted=True, values={"n": 4, "x": -1.2, "samples": 1000, "seed": 4})  # < mean
 def test_query_options(mix_path, sub, tilted, values):
     """Extreme sizes, thresholds, sample counts and seeds on the unit/double
     mix end in 0, 2 (bad option) or 3 (refused), never 1; a budget of

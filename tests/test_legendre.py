@@ -14,7 +14,6 @@ from lossdev import (
     limit_cgf,
     rate_I1,
     rate_I2,
-    rate_expansion_check,
     rate_upper_bound,
 )
 from lossdev.cgf import mixture_cgf
@@ -177,12 +176,15 @@ class TestRateUpperBound:
 
 class TestExpansion:
     def test_taylor_deviation_bounded(self):
+        """max |I(x) - P6(x)| / x^8 over a grid, P6 the degree-6 even
+        Taylor polynomial, stays bounded as the grid moves toward 0."""
         # stay above x ~ 0.03: below that the x^8 normalizer amplifies
         # float cancellation in the rate itself past the signal
         grids = [np.linspace(0.05, 0.2, 20), np.linspace(0.03, 0.12, 20)]
-        for which in (1, 2):
-            c_coarse = rate_expansion_check(which, grids[0])
-            c_fine = rate_expansion_check(which, grids[1])
+        for rate, (c2, c4, c6) in ((rate_I1, (1 / 2, 1 / 12, 1 / 30)),
+                                   (rate_I2, (1 / 8, 1 / 192, 1 / 1920))):
+            c_coarse, c_fine = (max(abs(rate(x) - (c2 * x**2 + c4 * x**4 + c6 * x**6)) / x**8
+                                    for x in grid) for grid in grids)
             assert math.isfinite(c_coarse) and math.isfinite(c_fine)
             assert c_fine <= 2 * c_coarse + 1.0
 
@@ -194,10 +196,6 @@ class TestExpansion:
         for x in (1e-3, 1e-4):
             assert rate_I1(x) / x**2 == pytest.approx(0.5, rel=1e-5)
             assert rate_I2(x) / x**2 == pytest.approx(0.125, rel=1e-5)
-
-    def test_rejects_out_of_range_grid(self):
-        with pytest.raises(ValueError):
-            rate_expansion_check(1, [0.5])
 
 
 def test_transform_from_weights_respects_zero_weight(unit_class, double_class):

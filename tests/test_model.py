@@ -12,19 +12,14 @@ from lossdev import (
     LossClass,
     PortfolioModel,
     RoundRobin,
+    check_assumptions,
     density_profile,
     loads_model,
-    validate_model,
 )
 from lossdev.model import ModelError, apportion
 
 
 class TestLossClass:
-    def test_auto_centering(self):
-        cls = LossClass("raw", (0.0, 10.0), (0.75, 0.25), center=True)
-        assert abs(cls.mean) <= 1e-10
-        assert cls.support == (-2.5, 7.5)
-
     def test_probs_renormalized_exactly(self):
         eps = 5e-13
         cls = LossClass("c", (-1.0, 1.0), (0.5 + eps / 2, 0.5 + eps / 2))
@@ -47,8 +42,8 @@ class TestLossClass:
             LossClass("c", (0.0,), (1.0,))
 
     def test_moments(self, unit_class):
+        assert unit_class.mean == 0.0
         assert unit_class.variance == 1.0
-        assert unit_class.moment(4) == 1.0
 
 
 class TestAssumptionBounds:
@@ -62,20 +57,23 @@ class TestAssumptionBounds:
 
 
 class TestValidateModel:
+    """``check_assumptions``: the c0 bound and the c1 variance floor."""
+
     def test_clean_symmetric_class(self, pure_unit):
-        assert validate_model(pure_unit, AssumptionBounds(1.0, 1.0)) == []
+        check_assumptions(pure_unit, AssumptionBounds(1.0, 1.0))
 
     def test_bound_exceeded(self, pure_double):
-        report = validate_model(pure_double, AssumptionBounds(1.0, 1.0))
-        assert [v.clause for v in report] == ["bound"]
-        assert report[0].class_name == "double"
+        with pytest.raises(ModelError, match=r"^class 'double' violates bound: "
+                                             r"\|support\| reaches 2\.0 > c0 = 1\.0$"):
+            check_assumptions(pure_double, AssumptionBounds(1.0, 1.0))
 
     def test_variance_floor(self):
         thin = LossClass("thin", (-1.0, 1.0), (0.5, 0.5))
         small = LossClass("small", (-0.1, 0.1), (0.5, 0.5))
         model = PortfolioModel((thin, small), weights=(0.5, 0.5))
-        report = validate_model(model, AssumptionBounds(1.0, 0.5))
-        assert [(v.class_name, v.clause) for v in report] == [("small", "variance floor")]
+        with pytest.raises(ModelError, match=r"^class 'small' violates variance floor: "
+                                             r"variance 0\.01\d* < c1 = 0\.5$"):
+            check_assumptions(model, AssumptionBounds(1.0, 0.5))
 
 
 class TestAssignmentRules:
@@ -95,9 +93,8 @@ class TestAssignmentRules:
         rule = RoundRobin(tuple(weights))
         counts = rule.counts(n)
         assert counts.sum() == n
-        dens = rule.densities()
-        for i in range(len(weights)):
-            assert abs(counts[i] / n - dens[i]) <= sum(weights) / n
+        for i, w in enumerate(weights):
+            assert abs(counts[i] / n - w / sum(weights)) <= sum(weights) / n
 
     @given(n=st.integers(1, 3000), a0=st.integers(1, 3),
            growth=st.integers(2, 5), accel=st.booleans())
@@ -245,6 +242,14 @@ class TestLoadModel:
                              "center": True}
         model, _ = loads_model(json.dumps(doc))
         assert abs(model.classes[1].mean) <= 1e-10
+
+    def test_center_flag_exact_support(self):
+        doc = json.loads(json.dumps(VALID_DOC))
+        doc["bounds"]["c0"] = 7.5
+        doc["classes"][1] = {"name": "raw", "support": [0, 10], "probs": [0.75, 0.25],
+                             "center": True}
+        model, _ = loads_model(json.dumps(doc))
+        assert model.classes[1].support == (-2.5, 7.5)
 
     def test_parse_error_reports_line(self):
         with pytest.raises(ModelError, match="line"):
