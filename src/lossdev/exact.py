@@ -6,12 +6,20 @@ lattice: the oracle for every probabilistic claim at desk scale.
 saddlepoint of the threshold, so the tilted sum has its mean there; the
 product of the class spectra, raised to their counts, goes through one
 inverse FFT, and the tilt is undone in log space, so tails far below
-1e-300 stay representable.  The tilted classes are bounded, so by
-Hoeffding's inequality (JASA 58, 1963) all but WINDOW_EPS of the tilted
-mass lies within r = sqrt(sum_c nu_c span_c^2 log(2 / WINDOW_EPS) / 2)
-lattice steps of the threshold: the FFT runs on a window of
-w = min(L, 2r + 1) = O(sqrt(n) * span) of the L sum lattice points, in
-O(w log w).
+1e-300 stay representable.
+
+It runs on the lattice of the sum, not of the support values: with g
+the step of the values, every class's points lie on its minimum plus
+multiples of g, and the sum on the sum of the minima plus multiples of
+g * h, h the gcd of all those multiples.  For the {-1, +1} and {-2, +2}
+classes of the paper's counterexample g = 1 and h = 2, so the sum lands
+on every second point only; the threshold is rounded up onto the sum
+lattice, where the tail is the same.  The tilted classes are bounded,
+so by Hoeffding's inequality (JASA 58, 1963) all but WINDOW_EPS of the
+tilted mass lies within r = sqrt(sum_c nu_c span_c^2 log(2 / WINDOW_EPS)
+/ 2) sum lattice steps of the threshold, span_c the class span in steps
+of g * h: the FFT runs on a window of w = min(L, 2r + 1) =
+O(sqrt(n) * span) of the L sum lattice points, in O(w log w).
 
 The slow reference the tests check it against lives with them
 (``tests/oracle.py``): the law of the sum by direct convolution in log
@@ -98,16 +106,19 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], g: float,
+def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], g: float, h: int,
                          t_idx: int, min_idx: int, max_idx: int) -> float:
-    """log P[S >= t_idx] for min_idx < t_idx < max_idx, S the lattice
-    index of the sum, by the exponentially tilted FFT on a window.
+    """log P[S >= t_idx] for min_idx < t_idx < max_idx, S the index of
+    the sum on the lattice of step g, by the exponentially tilted FFT on
+    a window.  S - min_idx is a multiple of h, and so is t_idx - min_idx.
 
-    Lattice indices are shifted so that the sum lives on 0..size-1.
-    Under the tilt theta the shifted sum has pmf q with mean k, the
-    shifted threshold, and P[S' = j] = q_j exp(sum_c nu_c log M_c(theta)
-    - theta j), with M_c the shifted class MGF.  Above the mean
-    theta > 0 and the tail sum weights q_j, k <= j <= k + r, by
+    Indices are shifted by min_idx and divided by h, so that the sum
+    lives on 0..size-1 in steps of the sum lattice g * h; the window,
+    the transform and the tail sums all count in those steps, and theta
+    is the tilt per step.  Under the tilt the shifted sum has pmf q with
+    mean k, the shifted threshold, and P[S' = j] = q_j exp(sum_c nu_c
+    log M_c(theta) - theta j), with M_c the shifted class MGF.  Above
+    the mean theta > 0 and the tail sum weights q_j, k <= j <= k + r, by
     exp(-theta (j - k)) <= 1.  At or below it theta <= 0, so the same
     holds for the lower sum over k - r <= j < k, and the tail is
     log1p(-P[S < t]).  Every weight is at most 1, so FFT round-off in
@@ -120,12 +131,12 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], g: float,
     n = sum(nu for _, nu in live)
     classes = [cls for cls, _ in live]
     weights = [nu / n for _, nu in live]
-    theta = g * transform_from_weights(classes, weights, t_idx * g / n).lambda_star
-    shifts = [np.rint((np.asarray(cls.support) - cls.min_support) / g).astype(np.int64)
+    theta = g * h * transform_from_weights(classes, weights, t_idx * g / n).lambda_star
+    shifts = [np.rint((np.asarray(cls.support) - cls.min_support) / g).astype(np.int64) // h
               for cls in classes]
     spread = sum(nu * float(shift[-1]) ** 2 for (_, nu), shift in zip(live, shifts))
     r = math.ceil(math.sqrt(0.5 * spread * math.log(2.0 / WINDOW_EPS)))
-    size = max_idx - min_idx + 1
+    size = (max_idx - min_idx) // h + 1
     length = _fft_length(min(size, 2 * r + 1))
     # omega, the log-modulus and phase sums, the complex spectrum, one
     # class's sines and its real and imaginary parts, and the inverse
@@ -157,13 +168,15 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], g: float,
     spectrum = np.zeros(omega.size, dtype=complex)
     spectrum[live_freq] = np.exp(log_mod[live_freq] + 1j * phase[live_freq])
     q = np.fft.irfft(spectrum, length)
-    k = t_idx - min_idx
+    k = (t_idx - min_idx) // h
     if theta > 0.0:
         j = np.arange(k, min(k + r + 1, size))
-        tail = float(q[j % length] @ np.exp(-theta * (j - k)))
+        # multiply and sum, not a dot product: BLAS threads a long dot
+        # product, which stalls for milliseconds on a few cores
+        tail = float((q[j % length] * np.exp(-theta * (j - k))).sum())
         return min(log_norm - theta * k + math.log(tail), 0.0)
     j = np.arange(max(k - r, 0), k)
-    below = float(q[j % length] @ np.exp(theta * (k - j)))
+    below = float((q[j % length] * np.exp(theta * (k - j))).sum())
     return math.log1p(-math.exp(log_norm - theta * k) * below)
 
 
@@ -175,7 +188,7 @@ def exact_log_tail(model: PortfolioModel, n: int, x: float,
     reachable sum) and 0 for certain ones; the top edge is closed form,
     every other threshold takes the windowed tilted FFT: O(w log w) for
     w = O(sqrt(n) * span) lattice points (span the largest class span in
-    lattice steps), where the whole lattice has O(n * span).
+    steps of the sum lattice), where the whole lattice has O(n * span).
     """
     live = _live_classes(model, n)
     g = latticize(model)
@@ -186,10 +199,12 @@ def exact_log_tail(model: PortfolioModel, n: int, x: float,
         return -math.inf
     if reaches(min_idx * g, n * x, inclusive):
         return 0.0
-    t_idx = _threshold_index(n * x, g, inclusive)
+    # the sum lies on min_idx + h Z: round the threshold up onto it
+    h = math.gcd(*(round((v - cls.min_support) / g) for cls, _ in live for v in cls.support))
+    t_idx = min_idx - (min_idx - _threshold_index(n * x, g, inclusive)) // h * h
     if t_idx == max_idx:
         return float(sum(nu * math.log(cls.probs[-1]) for cls, nu in live))
-    return _tilted_fft_log_tail(live, g, t_idx, min_idx, max_idx)
+    return _tilted_fft_log_tail(live, g, h, t_idx, min_idx, max_idx)
 
 
 def exact_tail(model: PortfolioModel, n: int, x: float,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_SUM_TOL = 1e-12
-CENTER_TOL = 1e-10
+CENTER_TOL = 1e-10  # times the largest |support value|
 # a portfolio sum this close to the threshold, relative to max(1, |level|),
 # is on it: n * x and the sum each carry float round-off of that order
 THRESHOLD_RTOL = 1e-12
@@ -104,22 +104,26 @@ class LossClass:
         pr = np.asarray(self.probs, dtype=float)
         if not (np.isfinite(sup).all() and np.isfinite(pr).all()):
             raise ModelError(f"class {self.name!r}: support and probs must be finite")
-        if np.any(pr < 0):
-            raise ModelError(f"class {self.name!r}: negative probability")
+        # before the sum, which overflows on probabilities near the
+        # largest double
+        if np.any((pr < 0) | (pr > 1)):
+            raise ModelError(f"class {self.name!r}: probability outside [0, 1]")
         keep = pr > 0
         sup, pr = sup[keep], pr[keep]
         if sup.size == 0:
             raise ModelError(f"class {self.name!r}: no support points with positive mass")
         if len(set(sup.tolist())) != sup.size:
             raise ModelError(f"class {self.name!r}: duplicate support values")
-        s = pr.sum()
+        s = float(pr.sum())
         if abs(s - 1.0) > PROB_SUM_TOL:
             raise ModelError(f"class {self.name!r}: probabilities sum to {s!r}, not 1")
         pr = pr / s
         order = np.argsort(sup)
         sup, pr = sup[order], pr[order]
         mean = float(sup @ pr)
-        if abs(mean) > CENTER_TOL:
+        # relative to the support: centering leaves a mean of the order
+        # of the rounding of its largest value
+        if abs(mean) > CENTER_TOL * float(np.abs(sup).max()):
             raise ModelError(f"class {self.name!r}: mean {mean!r} is not 0 "
                              '(a model file may set "center": true)')
         if float(((sup - mean) ** 2) @ pr) <= 0.0:

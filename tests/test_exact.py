@@ -182,10 +182,14 @@ class TestFftAgainstDirect:
 
     @staticmethod
     def _check(model, n, fractions):
+        top = float(model.counts(n) @ [c.max_support for c in model.classes]) / n
+        TestFftAgainstDirect._check_levels(model, n, np.asarray(fractions) * top)
+
+    @staticmethod
+    def _check_levels(model, n, levels):
         g = latticize(model)
         offset, logp = direct_log_pmf(model, n)
-        top = float(model.counts(n) @ [c.max_support for c in model.classes]) / n
-        for x in np.asarray(fractions) * top:
+        for x in levels:
             got = exact_log_tail(model, n, x)
             k = _threshold_index(n * x, g, True) - offset
             upper = float(logsumexp(logp[k:]))
@@ -243,17 +247,27 @@ def test_memory_budget_covers_fft(monkeypatch):
         exact_tail(model, 1000, 0.5)
 
 
-def _window_radius(model, n):
-    """Half-width r of the documented tail window, in lattice steps."""
+def _sum_lattice_step(model, n):
+    """The step of the sum's own lattice: latticize's step g times the
+    gcd of every point's distance, in steps of g, from its class's
+    minimum, over the classes with contracts among 1..n."""
     g = latticize(model)
-    spread = sum(nu * ((c.max_support - c.min_support) / g) ** 2
+    live = [c for c, nu in zip(model.classes, model.counts(n)) if nu > 0]
+    return g * math.gcd(*(round((v - c.min_support) / g) for c in live for v in c.support))
+
+
+def _window_radius(model, n):
+    """Half-width r of the documented tail window, in sum lattice steps."""
+    step = _sum_lattice_step(model, n)
+    spread = sum(nu * ((c.max_support - c.min_support) / step) ** 2
                  for c, nu in zip(model.classes, model.counts(n)))
     return math.ceil(math.sqrt(0.5 * spread * math.log(2.0 / WINDOW_EPS)))
 
 
 def _lattice_size(model, n):
-    g = latticize(model)
-    spans = [round((c.max_support - c.min_support) / g) for c in model.classes]
+    """Points of the sum lattice from the lowest to the highest sum."""
+    step = _sum_lattice_step(model, n)
+    spans = [round((c.max_support - c.min_support) / step) for c in model.classes]
     return int(model.counts(n) @ spans) + 1
 
 
@@ -268,6 +282,53 @@ class TestWindowAgainstDirect:
                 assert 2 * _window_radius(model, n) + 1 < _lattice_size(model, n)
                 TestFftAgainstDirect._check(
                     model, n, (-0.3, -0.1, -0.01, 0.0, 0.02, 0.15, 0.5, 0.8, 0.99))
+
+
+SUM_LATTICES = {
+    # (model, g, h): the sum lies on its lowest value plus multiples of g * h
+    "offsets -1 and -3, h = 2": (
+        PortfolioModel((UNIT, LossClass("m3", (-3.0, 1.0), (0.25, 0.75))),
+                       weights=(0.5, 0.5)), 1.0, 2),
+    "h = 3": (
+        PortfolioModel((LossClass("a", (-1.0, 2.0), (2 / 3, 1 / 3)),
+                        LossClass("b", (-2.0, 1.0), (1 / 3, 2 / 3))), weights=(0.5, 0.5)),
+        1.0, 3),
+    "g = 3, h = 1": (
+        PortfolioModel((LossClass("a", (-3.0, 3.0), (0.5, 0.5)),
+                        LossClass("b", (-6.0, 3.0), (1 / 3, 2 / 3))), weights=(0.5, 0.5)),
+        3.0, 1),
+    "one class with gcd 2, h = 1": (
+        PortfolioModel((UNIT, LossClass("b", (-2.0, 1.0), (1 / 3, 2 / 3))),
+                       rule=RoundRobin((2, 1))), 1.0, 1),
+}
+
+
+class TestSumLattice:
+    """The FFT on the sum's own lattice against the direct log-space
+    convolution at every threshold index strictly between the edges,
+    on the lattice of the support values: on the sum lattice and off it,
+    where the threshold rounds up to the next sum lattice point."""
+
+    @pytest.mark.parametrize("name", SUM_LATTICES)
+    @pytest.mark.parametrize("n", [31, 200])
+    def test_every_threshold(self, name, n):
+        model, g, h = SUM_LATTICES[name]
+        offset, logp = direct_log_pmf(model, n)
+        assert latticize(model) == g
+        assert math.gcd(*np.flatnonzero(np.isfinite(logp)).tolist()) == h
+        assert _sum_lattice_step(model, n) == g * h
+        TestFftAgainstDirect._check_levels(
+            model, n, [(offset + k) * g / n for k in range(1, len(logp) - 1)])
+
+
+def test_budget_holds_the_window_on_the_sum_lattice(monkeypatch, rr_mix):
+    """{-1, +1} and {-2, +2} sums land on every second point: at n = 1000
+    the window counted in those steps fits 50 000 bytes, one counted in
+    unit steps would not."""
+    offset, logp = direct_log_pmf(rr_mix, 1000)
+    want = float(logsumexp(logp[500 - offset:]))
+    monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "50000")
+    assert exact_log_tail(rr_mix, 1000, 0.5) == pytest.approx(want, rel=1e-9)
 
 
 UNIT_DOUBLE_SCHEDULES = {

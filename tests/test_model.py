@@ -30,8 +30,13 @@ class TestLossClass:
         assert cls.support == (-1.0, 1.0)
 
     def test_prob_sum_violation(self):
-        with pytest.raises(ModelError, match="sum"):
+        with pytest.raises(ModelError, match=r"sum to 0\.9, not 1"):
             LossClass("c", (-1.0, 1.0), (0.45, 0.45))
+
+    def test_probability_above_one(self):
+        # refused before the sum, which would overflow to infinity
+        with pytest.raises(ModelError, match=r"outside \[0, 1\]"):
+            LossClass("c", (-1.0, 1.0), (1.7e308, 1.7e308))
 
     def test_not_centered(self):
         with pytest.raises(ModelError, match="mean"):
@@ -242,6 +247,15 @@ class TestLoadModel:
                              "center": True}
         model, _ = loads_model(json.dumps(doc))
         assert abs(model.classes[1].mean) <= 1e-10
+
+    def test_center_flag_large_support(self):
+        # the centered mean, 8.1e-08, is rounding in values of order 3e9
+        doc = json.loads(json.dumps(VALID_DOC))
+        doc["bounds"]["c0"] = 4e9
+        doc["classes"][1] = {"name": "raw", "support": [0, 1e9, 3000000000.1],
+                             "probs": [0.3, 0.3, 0.4], "center": True}
+        model, _ = loads_model(json.dumps(doc))
+        assert abs(model.classes[1].mean) <= 1e-10 * 3e9
 
     def test_center_flag_exact_support(self):
         doc = json.loads(json.dumps(VALID_DOC))
