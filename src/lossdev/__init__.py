@@ -41,16 +41,12 @@ from .mc import TiltingRangeError, sample_plain, sample_tilted
 from .moderate import (
     CltRegimeError,
     MdQuery,
-    gaussian_upper_tail,
     md_log_prob_prediction,
     md_threshold,
-    petrov_constants,
     variance_sum,
 )
 from .counterexample import (
     build_counterexample,
-    sandwich_check,
-    section_mean_tail,
     subsequence_rates,
 )
 
@@ -73,21 +69,17 @@ __all__ = [
     "exact_log_tail",
     "exact_log_tail_rate",
     "exact_tail",
-    "gaussian_upper_tail",
     "latticize",
     "legendre_transform",
     "limit_cgf",
     "loads_model",
     "md_log_prob_prediction",
     "md_threshold",
-    "petrov_constants",
     "rate_I1",
     "rate_I2",
     "rate_upper_bound",
     "sample_plain",
     "sample_tilted",
-    "sandwich_check",
-    "section_mean_tail",
     "subsequence_rates",
     "variance_sum",
 ]

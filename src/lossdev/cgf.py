@@ -53,6 +53,14 @@ def _shifted_weights(classes, lam: np.ndarray):
     return support, top, np.exp(expo - top[..., None])
 
 
+def check_lambda(classes, lam, x=0.0) -> None:
+    """Refuse lambdas whose product with a class span (the kernel's lam * (v - v')),
+    x or 2 (a grid from -lam to lam) overflows; run where a grid enters."""
+    reach = max(2.0, float(np.abs(x).max()), *(c.max_support - c.min_support for c in classes))
+    if not np.isfinite(float(np.abs(lam).max()) * reach):
+        raise Refused(f"lambda times {reach!r} (a class span or |x|) overflows")
+
+
 def mixture_cgf(classes, weights, lam) -> CgfPoint:
     """Weighted mixture CGF sum_i w_i log phi_i(lam) and its derivatives
     at every lambda of ``lam``: per class the shifted log-sum of

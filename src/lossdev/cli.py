@@ -2,16 +2,17 @@
 stdout, and a JSON run manifest on stderr for reproducibility.
 
 Exit codes (``EXIT_CODES`` maps the exceptions): 0 success, 1 the model
-file fails validation (including bytes that are not UTF-8), 2 usage
-error (bad arguments such as a negative ``--seed``, or a model path that
-is missing, a directory or unreadable), 3 computation refused (any
-``model.Refused``: threshold outside the tilting range, query in the
-CLT regime, lattice or sample arrays over the memory budget, a
+file fails validation (bytes that are not UTF-8, a c0 above about
+1.4e146), 2 usage error (bad arguments such as a negative ``--seed``, or
+a model path that is missing, a directory or unreadable), 3 computation
+refused (any ``model.Refused``: threshold outside the tilting range,
+query in the CLT regime, arrays over the memory budget, a
 ``$LOSSDEV_MEMORY_BUDGET`` that is not a whole number, solver failure,
-supports without a common lattice step, n outside [1, 2**53], a
-weighted-model query such as ``rate`` on an assigned model, or a
-``counterexample`` with no block end at or below ``--max-n``).  Errors
-print one ``error:`` line on stderr, not a traceback.
+supports without a common lattice step, n outside [1, 2**53], a lambda
+grid whose product with a class span or x overflows, a weighted-model
+query such as ``rate`` on an assigned model, or a ``counterexample``
+with no block end at or below ``--max-n``).  Errors print one
+``error:`` line on stderr, not a traceback.
 The model file is read once, as bytes: the manifest hashes them and
 ``model.loads_model`` parses them.
 Numbers are rendered with 17 significant digits; infinite rates render
@@ -32,8 +33,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .cgf import empirical_cgf, limit_cgf
-from .counterexample import build_counterexample, schedule_depth_end, subsequence_rates
+from .cgf import check_lambda, empirical_cgf, limit_cgf
+from .counterexample import (DEFAULT_MAX_N, build_counterexample, schedule_depth_end,
+                             subsequence_rates)
 from .exact import exact_log_tail
 from .legendre import legendre_transform, rate_upper_bound
 from .mc import DEFAULT_SEED, sample_plain, sample_tilted
@@ -87,6 +89,7 @@ def _cmd_validate(args, model, bounds) -> int:
 
 
 def _cmd_cgf(args, model, bounds) -> int:
+    check_lambda(model.classes, (args.lambda_min, args.lambda_max))
     grid = np.linspace(args.lambda_min, args.lambda_max, args.points)
     p = (limit_cgf(model, grid) if model.is_weighted
          else empirical_cgf(model, args.n, grid))
@@ -250,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_count, default=6)
     p.add_argument("--x", type=_finite, default=0.5)
     p.add_argument("--a0", type=_count, default=1)
-    p.add_argument("--max-n", type=int, default=5_000_000)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
 
     return ap
 

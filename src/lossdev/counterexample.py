@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import exact_log_tail, exact_log_tail_rate
-from .legendre import rate_I1, rate_I2, transform_from_weights
+from .exact import exact_log_tail_rate
+from .legendre import rate_I1, rate_I2
 from .model import (
     AssumptionBounds,
     BlockSchedule,
@@ -109,47 +109,3 @@ def subsequence_rates(model: PortfolioModel, x: float, which: int,
         raise Refused(f"no complete class-{which} block ends at or below n={max_n}")
     gap = abs(points[-1].log_rate - target) if math.isfinite(target) else math.inf
     return SubsequenceReport(x, which, tuple(points), target, gap, partial)
-
-
-@dataclass(frozen=True)
-class SandwichPoint:
-    n: int
-    log_rate: float
-    lower: float        # -I1(x), asymptotic lower bound
-    upper: float        # -(finite-n empirical Chernoff rate), exact for every n
-    allowance: float    # prefactor allowance log(n)/n * C applied to the lower bound
-    lower_ok: bool      # within allowance; small-n misses are prefactor effects
-    upper_ok: bool
-
-
-def sandwich_check(model: PortfolioModel, x: float, ns,
-                   allowance_const: float = 5.0) -> list[SandwichPoint]:
-    """Per-n check that the exact log-tail rate sits between -I1(x)
-    (asymptotic, up to a log(n)/n prefactor allowance) and the finite-n
-    Chernoff rate (exact for every n)."""
-    if not 0.0 < x < 1.0:
-        raise ValueError("the sandwich needs x in (0, 1) so both rate functions are finite")
-    out = []
-    for n in ns:
-        lr = exact_log_tail_rate(model, n, x)
-        weights = model.counts(n) / n
-        chernoff = transform_from_weights(model.classes, weights, x).rate
-        delta = allowance_const * math.log(max(n, 2)) / n
-        lower = -rate_I1(x)
-        upper = -chernoff
-        out.append(SandwichPoint(n, lr, lower, upper, delta,
-                                 lower_ok=lr >= lower - delta,
-                                 upper_ok=lr <= upper + 1e-12))
-    return out
-
-
-def section_mean_tail(model: PortfolioModel, n: int, which: int, x: float) -> float:
-    """Exact P[M_n^(which) > x]: the tail of the average over only the
-    class-``which`` contracts among indices 1..n."""
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    nu = int(model.counts(n)[which - 1])
-    if nu < 1:
-        raise ValueError(f"no class-{which} contracts among 1..{n}")
-    single = PortfolioModel((model.classes[which - 1],), weights=(1.0,))
-    return math.exp(exact_log_tail(single, nu, x, inclusive=False))

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cgf import mixture_cgf, shaped
+from .cgf import check_lambda, mixture_cgf, shaped
 from .model import PortfolioModel, Refused
 
 SOLVE_TOL = 1e-10
@@ -145,6 +145,7 @@ def rate_upper_bound(model: PortfolioModel, x, lam_grid: Sequence[float]):
     if lam_grid.size == 0 or not np.all(lam_grid >= 0.0):
         # a negative lambda bounds the lower tail, not the upper one
         raise ValueError("the lambda grid must be nonempty and >= 0")
+    check_lambda(model.classes, lam_grid, x)
     bar = np.max([mixture_cgf(model.classes, d, lam_grid).value
                   for d in model.density_extremes()], axis=0)
     return shaped(np.shape(x), (np.multiply.outer(x, lam_grid) - bar).max(axis=-1))[0]

@@ -126,7 +126,7 @@ class LossClass:
         if abs(mean) > CENTER_TOL * float(np.abs(sup).max()):
             raise ModelError(f"class {self.name!r}: mean {mean!r} is not 0 "
                              '(a model file may set "center": true)')
-        if float(((sup - mean) ** 2) @ pr) <= 0.0:
+        if sup.size < 2:  # distinct points with positive mass have positive variance
             raise ModelError(f"class {self.name!r}: zero variance")
         object.__setattr__(self, "support", tuple(sup.tolist()))
         object.__setattr__(self, "probs", tuple(pr.tolist()))
@@ -159,7 +159,10 @@ class AssumptionBounds:
     def __post_init__(self):
         if not (0 < self.c0 < math.inf and 0 < self.c1 < math.inf):
             raise ModelError("bounds c0 and c1 must be finite and strictly positive")
-        if self.c1 > self.c0**2:
+        # c0 up to about 1.41e146: variance sums and the kernel's squared spans stay finite
+        if not math.isfinite(MAX_COUNT * self.c0 * self.c0):
+            raise ModelError(f"c0 = {self.c0!r} is too large: 2**53 * c0^2 must be finite")
+        if self.c1 > self.c0 * self.c0:
             raise ModelError("c1 > c0^2 is impossible for variables bounded by c0")
 
 

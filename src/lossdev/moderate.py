@@ -1,8 +1,8 @@
-"""Moderate-deviation thresholds and Gaussian-tail estimates for
-thresholds scaling like n^(alpha - 1/2), the regime between the CLT and
-large deviations.
+"""Moderate-deviation thresholds, and the leading-order prediction of
+-log P for thresholds scaling like n^(alpha - 1/2), the regime between
+the CLT and large deviations.
 
-Only the leading Gaussian factor is computed; the power-series
+Only the leading Gaussian exponent is computed; the power-series
 correction of the underlying expansion is reported as an order bound
 O(n^(3 alpha - 1/2)), never as a number, because only its negligibility
 relative to n^(2 alpha) is used.
@@ -39,51 +39,6 @@ class MdQuery:
     @property
     def y(self) -> float:
         return self.c * self.n**self.alpha
-
-
-@dataclass(frozen=True)
-class PetrovConstants:
-    """Constants certifying the complex-circle MGF condition under the
-    boundedness assumption: H = 1/c0, and since c0 * H = 1 always,
-    g = exp(-1)/2 and G = e independently of c0."""
-
-    H: float
-    g: float
-    G: float
-
-
-def petrov_constants(bounds: AssumptionBounds) -> PetrovConstants:
-    H = 1.0 / bounds.c0
-    g = 0.5 * math.exp(-bounds.c0 * H)
-    G = math.exp(bounds.c0 * H)
-    return PetrovConstants(H, g, G)
-
-
-# above this y the Mills-ratio series with _MILLS_TERMS terms is exact to
-# rounding (its first omitted term is below 1e-17 relative)
-_MILLS_FROM = 30.0
-_MILLS_TERMS = 8
-
-
-def gaussian_upper_tail(y: float) -> float:
-    """1 - Phi(y) for the standard Gaussian, via erfc; relative error
-    below 1e-12 on y in [-8, 38]."""
-    return 0.5 * math.erfc(y / math.sqrt(2.0))
-
-
-def log_gaussian_upper_tail(y: float) -> float:
-    """log(1 - Phi(y)), safe for large y: log1p of the lower tail below
-    0, log of erfc up to _MILLS_FROM, and above it the asymptotic Mills
-    ratio series (1 - Phi(y)) = phi(y) / y * sum_k (-1)^k (2k-1)!! / y^(2k)."""
-    if y < 0.0:
-        return math.log1p(-0.5 * math.erfc(-y / math.sqrt(2.0)))
-    if y < _MILLS_FROM:
-        return math.log(0.5 * math.erfc(y / math.sqrt(2.0)))
-    series = term = 1.0
-    for k in range(1, _MILLS_TERMS):
-        term *= -(2 * k - 1) / (y * y)
-        series += term
-    return -0.5 * y * y - math.log(y * math.sqrt(2.0 * math.pi)) + math.log(series)
 
 
 def variance_sum(model: PortfolioModel, n: int) -> float:

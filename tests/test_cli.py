@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,16 @@ def mix_model_file(tmp_path):
            "regime": {"weighted": {"weights": [0.5, 0.5]}}}
     path = tmp_path / "mix.json"
     path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _two_point_file(tmp_path, c0, a):
+    """A weighted model file of the class {-a, +a} under the bound c0."""
+    path = tmp_path / f"two_point_{c0:g}_{a:g}.json"
+    path.write_text(json.dumps({
+        "bounds": {"c0": c0, "c1": 1},
+        "classes": [{"name": "d", "support": [-a, a], "probs": [0.5, 0.5]}],
+        "regime": {"weighted": {"weights": [1.0]}}}))
     return str(path)
 
 
@@ -261,6 +272,22 @@ class TestExitCodes:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "bound" in err[0]
 
+    @pytest.mark.parametrize("c0, a", [(1e201, 1.0), (1.3e154, 1.3e154)])
+    def test_c0_over_the_cap(self, tmp_path, c0, a, capsys):
+        self._fails(["validate", _two_point_file(tmp_path, c0, a)], 1, capsys)
+
+    def test_support_far_over_c0(self, tmp_path, capsys):
+        # the zero-variance check squares nothing, so no overflow warning
+        # comes before the bound check's line
+        assert dispatch(["validate", _two_point_file(tmp_path, 1.0, 1e200)]) == 1
+        assert capsys.readouterr().err == (
+            "error: class 'd' violates bound: |support| reaches 1e+200 > c0 = 1.0\n")
+
+    @pytest.mark.parametrize("sub", ["bound", "cgf"])
+    def test_lambda_times_support_overflows(self, tmp_path, sub, capsys):
+        argv = [sub, "--model", _two_point_file(tmp_path, 2.0, 2.0), "--lambda-max", "1e308"]
+        self._fails(argv + (["--x", "0.5"] if sub == "bound" else []), 3, capsys)
+
     def test_model_path_is_a_directory(self, tmp_path, capsys):
         self._fails(["exact", "--model", str(tmp_path), "--n", "10", "--x", "0.5"], 2, capsys)
 
@@ -297,6 +324,24 @@ class TestExitCodes:
         rows = capsys.readouterr().out.splitlines()
         assert "class2_ends,1048577," in "\n".join(rows)
         assert rows[-1].startswith("summary,")
+
+
+def test_c0_just_under_the_cap_runs_clean(tmp_path, capsys):
+    # 2**53 * c0^2 is finite: every subcommand runs without an overflow
+    c0 = 1.41e146
+    path, x = _two_point_file(tmp_path, c0, c0), str(c0 / 2)
+    runs = [["validate", path], ["cgf", "--model", path],
+            ["rate", "--model", path, "--x", x], ["bound", "--model", path, "--x", x],
+            ["exact", "--model", path, "--n", "100", "--x", x],
+            ["mc", "--model", path, "--n", "100", "--x", x, "--samples", "1000"],
+            ["mc", "--model", path, "--n", "100", "--x", x, "--samples", "1000", "--tilted"],
+            ["mdp", "--model", path, "--n", str(2**53)]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in runs:
+            assert dispatch(argv) == 0, argv
+    out = capsys.readouterr().out
+    assert "nan" not in out and "inf" not in out
 
 
 def test_three_kinds_of_failure():

@@ -9,12 +9,10 @@ from lossdev import (
     exact_tail,
     rate_I1,
     rate_I2,
-    sandwich_check,
-    section_mean_tail,
     subsequence_rates,
 )
-from lossdev.counterexample import schedule_depth_end
-from lossdev.model import BlockSchedule
+from lossdev.counterexample import DOUBLE, UNIT, schedule_depth_end
+from lossdev.model import BlockSchedule, PortfolioModel
 
 
 class TestBuild:
@@ -51,9 +49,12 @@ class TestSubsequenceRates:
     def test_unit_block_ends_converge_to_I1(self):
         model, _ = build_counterexample()
         rep = subsequence_rates(model, 0.5, which=1, max_n=2000)
-        assert [p.n for p in rep.points] == [1, 1011]
+        assert [p.n for p in rep.points] == [1, 1011] and not rep.partial
         assert rep.target == pytest.approx(-rate_I1(0.5))
         assert rep.gap <= 0.02
+        # the lower side of the sandwich, up to a log(n)/n prefactor allowance
+        for p in rep.points:
+            assert p.log_rate >= rep.target - 5 * math.log(max(p.n, 2)) / p.n
 
     def test_double_block_ends_structure(self):
         model, _ = build_counterexample()
@@ -73,57 +74,45 @@ class TestSubsequenceRates:
         with pytest.raises(ValueError):
             subsequence_rates(eq_mix, 0.5, 1)
 
+    def test_memory_budget_truncates_the_report(self, monkeypatch):
+        # the n = 1 window fits in 1000 bytes, the n = 1011 one does not
+        monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "1000")
+        model, _ = build_counterexample()
+        rep = subsequence_rates(model, 0.5, which=1, max_n=2000)
+        assert [p.n for p in rep.points] == [1] and rep.partial
+
+    def test_block_end_past_2_53_truncates_the_report(self):
+        # unit blocks end at 1 and 1 + 2**40 + 2**120
+        rule = BlockSchedule(a0=1, growth=2**40, order=(0, 1), accelerating=True)
+        model = PortfolioModel((UNIT, DOUBLE), rule=rule)
+        rep = subsequence_rates(model, 0.5, which=1, max_n=2**121)
+        assert [p.n for p in rep.points] == [1] and rep.partial
+
 
 class TestSandwich:
-    def test_bounds_hold(self):
-        model, _ = build_counterexample()
-        points = sandwich_check(model, 0.5, [100, 1000, 2000])
-        for p in points:
-            assert p.upper_ok
-            assert p.lower_ok
-
     def test_product_lower_bound_small_n(self):
         model, _ = build_counterexample()
+        # the mean over each class's contracts alone is a one-class portfolio
+        unit, double = (PortfolioModel((c,), weights=(1.0,)) for c in model.classes)
         for n in (3, 5, 8, 11):
             full = exact_tail(model, n, 0.5)
-            prod = (section_mean_tail(model, n, 1, 0.5)
-                    * section_mean_tail(model, n, 2, 0.5)
-                    if model.counts(n)[1] > 0 else 0.0)
+            nu1, nu2 = map(int, model.counts(n))
+            prod = (exact_tail(unit, nu1, 0.5, inclusive=False)
+                    * exact_tail(double, nu2, 0.5, inclusive=False) if nu2 > 0 else 0.0)
             enum = enumerate_tail(model, n, 0.5, limit=11)
             assert full == pytest.approx(enum, abs=1e-12)
             assert full >= prod - 1e-12
 
-    def test_rejects_x_outside_unit_range(self):
-        model, _ = build_counterexample()
-        with pytest.raises(ValueError):
-            sandwich_check(model, 1.2, [10])
-
 
 class TestSectionMeans:
-    def test_two_unit_contracts(self):
-        model, _ = build_counterexample(a0=2)
-        # first block: two unit contracts
-        assert model.counts(2).tolist() == [2, 0]
-        assert section_mean_tail(model, 2, 1, 0.5) == pytest.approx(0.25)
-
-    def test_zero_beyond_support(self):
-        model, _ = build_counterexample()
-        n = 11
-        assert section_mean_tail(model, n, 1, 1.0) == 0.0
-        assert section_mean_tail(model, n, 1, 0.99) > 0.0
-
     def test_section_convergence_to_I1(self):
         model, _ = build_counterexample()
         n = 1003500  # inside the third unit block, nu_1 = 3490
         nu1 = int(model.counts(n)[0])
         assert nu1 >= 2000
-        rate = math.log(section_mean_tail(model, n, 1, 0.5)) / nu1
+        unit = PortfolioModel((model.classes[0],), weights=(1.0,))
+        rate = math.log(exact_tail(unit, nu1, 0.5, inclusive=False)) / nu1
         assert abs(rate + rate_I1(0.5)) <= 0.02
-
-    def test_requires_contracts_of_that_class(self):
-        model, _ = build_counterexample()
-        with pytest.raises(ValueError):
-            section_mean_tail(model, 1, 2, 0.5)
 
 
 def test_tail_at_one_positive_for_all_n():

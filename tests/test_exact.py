@@ -12,6 +12,7 @@ from lossdev import (
     MemoryBudgetError,
     PortfolioModel,
     RoundRobin,
+    build_counterexample,
     empirical_cgf,
     enumerate_tail,
     exact_log_tail,
@@ -159,15 +160,24 @@ class TestDistributionInvariants:
 
 
 class TestChernoffDomination:
-    def test_exact_below_chernoff(self):
-        rng = np.random.default_rng(3)
-        model, _ = random_lattice_model(rng)
-        for n in (10, 50):
+    @staticmethod
+    def _check(model, ns):
+        for n in ns:
             weights = model.counts(n) / n
             x_max = float(sum(w * c.max_support for c, w in zip(model.classes, weights)))
             for x in np.linspace(0.05, 0.95, 8) * x_max:
                 bound = transform_from_weights(model.classes, weights, float(x)).rate
-                assert exact_tail(model, n, float(x)) <= math.exp(-n * bound) * (1 + 1e-9)
+                # in logs, so that a tail below the smallest double still counts
+                assert exact_log_tail(model, n, float(x)) <= -n * bound + 1e-9
+
+    def test_exact_below_chernoff(self):
+        model, _ = random_lattice_model(np.random.default_rng(3))
+        self._check(model, (10, 50))
+
+    def test_counterexample_below_chernoff(self):
+        # the finite-n Chernoff rate bounds the block-scheduled portfolio
+        # at every n, not only asymptotically
+        self._check(build_counterexample()[0], (100, 1000, 2000))
 
 
 SKEW = LossClass("skew", (-1.0, 3.0), (0.75, 0.25))

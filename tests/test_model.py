@@ -60,6 +60,13 @@ class TestAssumptionBounds:
         with pytest.raises(ModelError):
             AssumptionBounds(c0=0.0, c1=0.1)
 
+    @pytest.mark.parametrize("c0", [1.42e146, 1.3e154, 1e201])
+    def test_c0_cap(self, c0):
+        # 2**53 * c0^2 overflows above about 1.4127e146
+        with pytest.raises(ModelError, match="too large"):
+            AssumptionBounds(c0=c0, c1=1.0)
+        assert AssumptionBounds(c0=1.41e146, c1=1.0).c0 == 1.41e146
+
 
 class TestValidateModel:
     """``check_assumptions``: the c0 bound and the c1 variance floor."""

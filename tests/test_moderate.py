@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
 from lossdev import (
     AssumptionBounds,
@@ -11,48 +12,12 @@ from lossdev import (
     MdQuery,
     PortfolioModel,
     RoundRobin,
-    gaussian_upper_tail,
     md_log_prob_prediction,
     md_threshold,
-    petrov_constants,
     variance_sum,
 )
-from lossdev.moderate import log_gaussian_upper_tail
 
 from conftest import random_general_model
-
-
-class TestGaussianTail:
-    def test_median(self):
-        assert gaussian_upper_tail(0.0) == 0.5
-
-    def test_two_sigma(self):
-        assert gaussian_upper_tail(2.0) == pytest.approx(0.022750131948179207, rel=1e-12)
-
-    def test_far_tail_against_asymptotic_series(self):
-        y = 10.0
-        series = (math.exp(-y * y / 2) / (y * math.sqrt(2 * math.pi))
-                  * (1 - 1 / y**2 + 3 / y**4 - 15 / y**6))
-        assert gaussian_upper_tail(y) == pytest.approx(series, rel=1e-6)
-        assert gaussian_upper_tail(y) == pytest.approx(7.6199e-24, rel=1e-4)
-
-    def test_reflection_identity(self):
-        for y in np.linspace(-8, 8, 33):
-            total = gaussian_upper_tail(float(y)) + gaussian_upper_tail(float(-y))
-            assert abs(total - 1.0) <= 1e-14
-
-    def test_log_version_far_out(self):
-        y = 63.0
-        want = -y * y / 2 - math.log(y * math.sqrt(2 * math.pi))
-        assert log_gaussian_upper_tail(y) == pytest.approx(want, rel=1e-4)
-
-    def test_log_version_against_scipy(self):
-        from scipy.special import log_ndtr
-        ys = np.concatenate([np.linspace(-8.0, 40.0, 4801), np.geomspace(1.0, 1e3, 601),
-                             np.nextafter(30.0, [-np.inf, np.inf])])
-        for y in ys:
-            assert log_gaussian_upper_tail(float(y)) == pytest.approx(
-                float(log_ndtr(-y)), rel=1e-13, abs=0.0), y
 
 
 class TestVarianceSum:
@@ -124,24 +89,6 @@ class TestPrediction:
 
     def test_gaussian_tail_matches_leading_term(self):
         q = MdQuery(1.0, 0.3, 10**6)
-        ratio = -log_gaussian_upper_tail(q.y) / md_log_prob_prediction(q).leading
+        ratio = -log_ndtr(-q.y) / md_log_prob_prediction(q).leading
         assert 0.9 <= ratio <= 1.1
 
-
-class TestPetrovConstants:
-    def test_unit_bound(self):
-        pc = petrov_constants(AssumptionBounds(1.0, 1.0))
-        assert pc.H == 1.0
-        assert pc.g == pytest.approx(0.5 * math.exp(-1))
-        assert pc.G == pytest.approx(math.e)
-
-    def test_scale_invariance_of_g_and_G(self):
-        a = petrov_constants(AssumptionBounds(1.0, 0.5))
-        b = petrov_constants(AssumptionBounds(2.0, 0.5))
-        assert b.H == 0.5
-        assert a.g == b.g
-        assert a.G == b.G
-
-    def test_ordering(self):
-        pc = petrov_constants(AssumptionBounds(3.0, 1.0))
-        assert pc.g < 1 < pc.G
