@@ -15,8 +15,9 @@ with no block end at or below ``--max-n``).  Errors print one
 ``error:`` line on stderr, not a traceback.
 The model file is read once, as bytes: the manifest hashes them and
 ``model.loads_model`` parses them.
-Numbers are rendered with 17 significant digits; infinite rates render
-as the literal ``inf``.
+Each CSV row is rendered from one format template built from the first
+row's types: floats with 17 significant digits (``{:.17g}``, so an
+infinite rate is the literal ``inf``), everything else with ``str``.
 """
 
 from __future__ import annotations
@@ -47,21 +48,26 @@ from .moderate import MdQuery, md_log_prob_prediction, md_threshold
 EXIT_CODES = {ModelError: 1, OSError: 2, Refused: 3}
 
 
+def _field(v) -> str:
+    """The format field of one CSV value: 17 significant digits for a
+    float, ``str`` for anything else."""
+    return "{:.17g}" if isinstance(v, float) else "{}"
+
+
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.17g}"
-    return str(v)
+    return _field(v).format(v)
 
 
 def emit_curve(points, schema, out=None) -> str:
-    """Render homogeneous point tuples as CSV under the given header."""
-    lines = [",".join(schema)]
+    """Render homogeneous point tuples as CSV under the given header, every
+    row from one template built from the first row's types."""
+    lines, template = [",".join(schema)], None
     for p in points:
         if len(p) != len(schema):
             raise ValueError("point arity does not match schema")
-        lines.append(",".join(_fmt(v) for v in p))
+        if template is None:
+            template = ",".join(map(_field, p))
+        lines.append(template.format(*p))
     text = "\n".join(lines) + "\n"
     if out is not None:
         out.write(text)

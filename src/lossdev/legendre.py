@@ -16,6 +16,7 @@ from .model import PortfolioModel, Refused
 
 SOLVE_TOL = 1e-10
 MAX_ITER = 200
+MAX_LAMBDA = 1e9  # the solve refuses a lambda whose |lambda| times the range's scale passes this
 
 
 @dataclass(frozen=True)
@@ -33,43 +34,62 @@ class RatePoint:
     status: str
 
 
-def _solve_mean_equation(classes, weights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve d/dlam of the mixture CGF = x for each x of a 1-d array:
-    (lambda, lambda x - Lambda(lambda)).  Newton with a bisection
-    safeguard inside a bracket found by doubling lambda; each CGF
-    evaluation covers only the points still open."""
-    tol = SOLVE_TOL * np.maximum(1.0, np.abs(x))
-    at0 = mixture_cgf(classes, weights, np.zeros(1))
-    lam, rate = np.zeros_like(x), 0.0 * x - at0.value
-    idx = np.flatnonzero(np.abs(at0.d1 - x) > tol)
-    x, tol, step = x[idx], tol[idx], np.where(x[idx] > at0.d1, 1.0, -1.0)
-    # bracket by doubling
-    lo, hi, short = np.zeros_like(x), step.copy(), np.arange(x.size)
-    while short.size:
-        p = mixture_cgf(classes, weights, hi[short])
-        short = short[(p.d1 - x[short]) * step[short] < 0]
-        lo[short], hi[short] = hi[short], 2 * hi[short]
-        if np.any(np.abs(hi[short]) > 1e9):
-            raise Refused(f"could not bracket lambda for x={x[short[0]]}")
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    # start from the Newton step at lambda = 0 when the bracket holds it
-    first = (x - at0.d1) / at0.d2
-    at = np.where((lo < first) & (first < hi), first, 0.5 * (lo + hi))
+def _solve_mean_equation(classes, weights, x: np.ndarray, x_min: float,
+                         x_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve Lambda'(lam) = x, Lambda the mixture CGF, for each x of a
+    1-d array inside (x_min, x_max), the range of Lambda':
+    (lambda, lambda x - Lambda(lambda)).
+
+    Newton runs on the logit of the tilted mean,
+    z(lam) = log(Lambda' - x_min) - log(x_max - Lambda'), which is close
+    to linear in lam at both ends (exactly linear for a symmetric
+    two-point class), so it starts from the one scalar kernel call at
+    lam = 0.  Each evaluation closes one side of a bracket [lo, hi]; a
+    Newton step that leaves it, or is not finite because the mean
+    rounded onto an end, is replaced by bisection once both ends are
+    closed and by doubling lam while one is open.  The scale
+    s = max(-x_min, x_max) sets the units: an open end sits at
+    +-MAX_LAMBDA / s, and a point stops when |Lambda' - x| <= SOLVE_TOL s,
+    since Lambda' is not resolved more finely than the rounding of
+    values of size s.  Each kernel call covers only the points still
+    open."""
+    scale = max(-x_min, x_max)  # > 0: every class is centered
+    tol, limit = SOLVE_TOL * scale, MAX_LAMBDA / scale
+    ends = np.empty((3, x.size))
+    ends[0], ends[1], ends[2] = x, x_min, x_max
+    odds = (x - x_min) / (x_max - x)  # exp(z) at the solution
+    lam, rate, idx = np.zeros_like(x), np.zeros_like(x), np.arange(x.size)
+    lo, hi, at = np.full_like(x, -limit), np.full_like(x, limit), np.zeros_like(x)
+    p = mixture_cgf(classes, weights, np.zeros(1))
     for _ in range(MAX_ITER):
-        if not idx.size:
-            break
+        gaps = p.d1 - ends  # Lambda' - x, Lambda' - x_min, Lambda' - x_max
+        dist = np.abs(gaps)
+        above = gaps[0] > 0.0
+        lo, hi = np.where(above, lo, at), np.where(above, at, hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # not finite where the mean rounded onto an end; the bracket rejects it
+            step = at + np.log(odds * dist[2] / dist[1]) / (p.d2 / dist[1:]).sum(axis=0)
+        done = dist[0] <= tol
+        finished = np.count_nonzero(done)
+        if finished:
+            lam[idx[done]], rate[idx[done]] = at[done], (at * ends[0] - p.value)[done]
+            if finished == idx.size:
+                return lam, rate
+            idx, odds, lo, hi, step = (v[~done] for v in (idx, odds, lo, hi, step))
+            ends = ends[:, ~done]
+        inside = (lo < step) & (step < hi)
+        if np.count_nonzero(inside) < inside.size:
+            # the first evaluation, at lam = 0, closes one end; double from lam s = 1
+            grow = np.where(hi == limit, np.maximum(2.0 * lo, 1.0 / scale),
+                            np.minimum(2.0 * hi, -1.0 / scale))
+            fallback = np.where((lo == -limit) | (hi == limit), grow, 0.5 * (lo + hi))
+            step = np.where(inside, step, fallback)
+            if np.abs(step).max() >= limit:
+                raise Refused("could not bracket lambda for "
+                              f"x={ends[0][np.argmax(np.abs(step))]}")
+        at = step
         p = mixture_cgf(classes, weights, at)
-        f, d2 = p.d1 - x, p.d2
-        done = np.abs(f) <= tol
-        if done.any():
-            lam[idx[done]], rate[idx[done]] = at[done], at[done] * x[done] - p.value[done]
-            idx, x, tol, at, lo, hi, f, d2 = (v[~done] for v in (idx, x, tol, at, lo, hi, f, d2))
-        hi, lo = np.where(f > 0, at, hi), np.where(f > 0, lo, at)
-        newton = at - f / np.where(d2 > 0, d2, np.inf)
-        at = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
-    if idx.size:
-        raise Refused(f"no convergence after {MAX_ITER} iterations at x={x[0]}")
-    return lam, rate
+    raise Refused(f"no convergence after {MAX_ITER} iterations at x={ends[0][0]}")
 
 
 def transform_from_weights(classes, weights, x) -> RatePoint:
@@ -89,7 +109,7 @@ def transform_from_weights(classes, weights, x) -> RatePoint:
     rate = np.where(infinite, np.inf, np.where(upper, edge_rates[1], edge_rates[0]))
     status = np.where(infinite, "infinite", np.where(interior, "interior", "boundary"))
     if interior.any():
-        lam[interior], solved = _solve_mean_equation(classes, weights, xs[interior])
+        lam[interior], solved = _solve_mean_equation(classes, weights, xs[interior], x_min, x_max)
         rate[interior] = np.maximum(solved, 0.0)
     return RatePoint(*shaped(np.shape(x), xs, lam, rate, status))
 
@@ -148,4 +168,5 @@ def rate_upper_bound(model: PortfolioModel, x, lam_grid: Sequence[float]):
     check_lambda(model.classes, lam_grid, x)
     bar = np.max([mixture_cgf(model.classes, d, lam_grid).value
                   for d in model.density_extremes()], axis=0)
-    return shaped(np.shape(x), (np.multiply.outer(x, lam_grid) - bar).max(axis=-1))[0]
+    # + 0.0 turns the -0.0 that a negative x makes at lambda = 0 into 0.0
+    return shaped(np.shape(x), (np.multiply.outer(x, lam_grid) - bar).max(axis=-1) + 0.0)[0]

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from lossdev.cli import EXIT_CODES, dispatch, emit_curve
+from lossdev.cli import EXIT_CODES, _fmt, dispatch, emit_curve
 from lossdev.exact import IncommensurableSupportError
+from lossdev.legendre import _two_point_rate
 from lossdev.mc import TiltingRangeError
 from lossdev.model import MemoryBudgetError, ModelError, Refused
 from lossdev.moderate import CltRegimeError
@@ -50,6 +51,18 @@ def mix_model_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def round_robin_file(tmp_path):
+    """The unit and the double class assigned round-robin, one each."""
+    path = tmp_path / "round_robin.json"
+    path.write_text(json.dumps({
+        "bounds": {"c0": 2, "c1": 1},
+        "classes": [{"name": "unit", "support": [-1, 1], "probs": [0.5, 0.5]},
+                    {"name": "double", "support": [-2, 2], "probs": [0.5, 0.5]}],
+        "regime": {"assigned": {"round_robin": {"weights": [1, 1]}}}}))
+    return str(path)
+
+
 def _two_point_file(tmp_path, c0, a):
     """A weighted model file of the class {-a, +a} under the bound c0."""
     path = tmp_path / f"two_point_{c0:g}_{a:g}.json"
@@ -74,6 +87,21 @@ class TestEmitCurve:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             emit_curve([(1, 2)], ["only"])
+
+    @pytest.mark.parametrize("bad", [(1.0, 2), (1.0, 2, "x", 3)])
+    def test_arity_mismatch_on_a_later_row(self, bad):
+        rows = [(0.5, 1, "a"), (0.25, 2, "b"), bad]
+        with pytest.raises(ValueError):
+            emit_curve(rows, ["x", "n", "s"])
+
+    def test_template_matches_per_value_rendering(self):
+        rows = [(math.inf, 10**17 + 1, "interior", -0.0),
+                (-math.inf, 2**63, "infinite", 1 / 3),
+                (-0.0, -(10**20), "boundary", math.nan),
+                (1e-300, 0, "", -2.5e17)]
+        want = "a,b,c,d\n" + "".join(",".join(_fmt(v) for v in r) + "\n" for r in rows)
+        assert emit_curve(rows, ["a", "b", "c", "d"]) == want
+        assert want.splitlines()[1] == "inf,100000000000000001,interior,-0"
 
 
 class TestDispatch:
@@ -161,6 +189,20 @@ class TestDispatch:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert 0.0 < float(row[1]) < 0.14
 
+    def test_bound_below_the_mean_is_zero_not_minus_zero(self, round_robin_file, capsys):
+        assert dispatch(["bound", "--model", round_robin_file, "--x=-0.5"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "-0.5,0"
+
+    @pytest.mark.parametrize("a", [1e9, 1.41e146])
+    def test_default_rate_grid_on_a_wide_support(self, tmp_path, capsys, a):
+        """{-a, a} under c0 = a, up to the c0 cap: every default grid point
+        converges to the closed form."""
+        assert dispatch(["rate", "--model", _two_point_file(tmp_path, a, a)]) == 0
+        rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 51 and all(r[3] == "interior" for r in rows)
+        for x, _, rate, _ in rows:
+            assert float(rate) == pytest.approx(_two_point_rate(float(x), a), abs=1e-15)
+
 
 class TestExitCodes:
     """One test per entry of cli.EXIT_CODES: a single ``error:`` line on
@@ -200,14 +242,8 @@ class TestExitCodes:
         monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "128")
         self._fails(["exact", "--model", unit_model_file, "--n", "1000", "--x", "0.5"], 3, capsys)
 
-    def test_rate_on_an_assigned_model(self, tmp_path, capsys):
-        path = tmp_path / "round_robin.json"
-        path.write_text(json.dumps({
-            "bounds": {"c0": 2, "c1": 1},
-            "classes": [{"name": "unit", "support": [-1, 1], "probs": [0.5, 0.5]},
-                        {"name": "double", "support": [-2, 2], "probs": [0.5, 0.5]}],
-            "regime": {"assigned": {"round_robin": {"weights": [1, 1]}}}}))
-        self._fails(["rate", "--model", str(path), "--x", "0.5"], 3, capsys)
+    def test_rate_on_an_assigned_model(self, round_robin_file, capsys):
+        self._fails(["rate", "--model", round_robin_file, "--x", "0.5"], 3, capsys)
 
     def test_solver_error(self, unit_model_file, monkeypatch, capsys):
         monkeypatch.setattr("lossdev.legendre.MAX_ITER", 0)

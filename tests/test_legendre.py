@@ -16,9 +16,11 @@ from lossdev import (
     rate_I2,
     rate_upper_bound,
 )
+import lossdev.legendre
 from lossdev.cgf import mixture_cgf
 from lossdev.exact import exact_log_tail_rate
-from lossdev.legendre import SOLVE_TOL, transform_from_weights
+from lossdev.legendre import SOLVE_TOL, _two_point_rate, transform_from_weights
+from lossdev.model import Refused
 
 
 class TestLegendreTransform:
@@ -214,6 +216,16 @@ def _range(classes, weights):
     return lo, hi
 
 
+def _assert_stationary(classes, weights, xs, rp):
+    """|Lambda'(lambda*) - x| within the solver's tolerance
+    SOLVE_TOL max(-x_min, x_max) at every interior point of ``rp``."""
+    inside = np.asarray(rp.status) == "interior"
+    lam, xs = np.atleast_1d(rp.lambda_star)[inside], xs[inside]
+    resid = np.abs(mixture_cgf(classes, weights, lam).d1 - xs)
+    lo, hi = _range(classes, weights)
+    assert np.all(resid <= SOLVE_TOL * max(-lo, hi))
+
+
 class TestBatchedTransform:
     """The whole-grid transform against slow references: one-point calls,
     a dense lambda grid, and the closed-form edges."""
@@ -277,7 +289,125 @@ class TestBatchedTransform:
         classes, weights = _random_weighted(seed)
         lo, hi = _range(classes, weights)
         xs = lo + (hi - lo) * np.asarray(fractions)
+        _assert_stationary(classes, weights, xs, transform_from_weights(classes, weights, xs))
+
+
+def _seven_point_classes():
+    """Six centered classes of 7 points each, drawn from the quarter
+    lattice in [-3, 3]."""
+    rng = np.random.default_rng(7)
+    classes = []
+    for i in range(6):
+        sup = np.sort(rng.choice(np.arange(-12, 13), 7, replace=False) / 4.0)
+        pr = rng.dirichlet(np.full(7, 2.0))
+        classes.append(LossClass(f"c{i}", tuple((sup - sup @ pr).tolist()), tuple(pr.tolist())))
+    return tuple(classes)
+
+
+class TestSolverCost:
+    """Kernel calls per solve: Newton on the logit of the tilted mean needs
+    no bracket search before its first step."""
+
+    @staticmethod
+    def _calls(monkeypatch, classes, weights, x):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return mixture_cgf(*args)
+
+        monkeypatch.setattr(lossdev.legendre, "mixture_cgf", counted)
+        rp = transform_from_weights(classes, weights, x)
+        assert np.all(np.asarray(rp.status) == "interior")
+        return len(calls)
+
+    def test_unit_double_mix_near_the_edge(self, monkeypatch):
+        assert self._calls(monkeypatch, (UNIT, DOUBLE), (0.5, 0.5), 0.99 * 1.5) <= 5
+
+    def test_six_classes_over_a_300_point_grid(self, monkeypatch):
+        classes = _seven_point_classes()
+        weights = (1.0 / 6.0,) * 6
+        lo, hi = _range(classes, weights)
+        xs = np.linspace(lo, hi, 302)[1:-1]
+        assert self._calls(monkeypatch, classes, weights, xs) <= 7
+
+    def test_support_of_1e9(self, monkeypatch):
+        big = LossClass("big", (-1e9, 1e9), (0.5, 0.5))
+        assert self._calls(monkeypatch, (big,), (1.0,), 0.9) <= 2
+
+
+def test_large_support_converges_to_its_rounding():
+    """The stopping rule scales with the range: Lambda' of {-1e9, 1e9} is
+    not resolved more finely than the rounding of values of that size."""
+    big = LossClass("big", (-1e9, 1e9), (0.5, 0.5))
+    rp = transform_from_weights((big,), (1.0,), 0.9)
+    assert rp.status == "interior"
+    assert rp.lambda_star == pytest.approx(math.atanh(0.9e-9) / 1e9, rel=1e-6)
+    # the closed form cancels to about 1e-16 absolute at this x
+    assert rp.rate == pytest.approx(_two_point_rate(0.9, 1e9), abs=1e-15)
+    _assert_stationary((big,), (1.0,), np.array([0.9]), rp)
+
+
+@pytest.mark.parametrize("weight", [0.0, 1e-12])
+def test_light_wide_class_keeps_the_tolerance_fine(unit_class, weight):
+    """A {-1e9, 1e9} class of weight 0 or 1e-12 next to the unit class: the
+    tolerance follows the weighted range, not the widest support.  For
+    lambda >> 1e-9 the wide class adds weight * (1e9 lambda - log 2) to the
+    CGF, which shifts the unit rate by 1e9 weight."""
+    big = LossClass("big", (-1e9, 1e9), (0.5, 0.5))
+    rp = transform_from_weights((unit_class, big), (1.0, weight), 0.05)
+    assert rp.status == "interior"
+    assert rp.rate == pytest.approx(rate_I1(0.05 - 1e9 * weight) + weight * math.log(2.0),
+                                    abs=1e-13)
+
+
+def test_tiny_support_is_solved_on_its_own_scale():
+    """{-1e-11, 1e-11}: every x is within 1e-10 of Lambda'(0), so only a
+    tolerance and a lambda limit relative to the range give the rate
+    I1(x / 1e-11), at lambda* = atanh(x / 1e-11) / 1e-11."""
+    tiny = LossClass("tiny", (-1e-11, 1e-11), (0.5, 0.5))
+    rp = transform_from_weights((tiny,), (1.0,), 0.5e-11)
+    assert rp.status == "interior"
+    assert rp.rate == pytest.approx(rate_I1(0.5), rel=1e-9)
+    assert rp.lambda_star == pytest.approx(math.atanh(0.5) / 1e-11, rel=1e-9)
+
+
+def test_lambda_beyond_the_bracket_limit_is_refused():
+    """Support {-1, 1 - 1e-8, 1} (centered), with the top point e^30 times
+    less likely than its neighbour: x halfway between the two puts lambda*
+    at 30 / 1e-8 = 3e9, past MAX_LAMBDA / max(-x_min, x_max) = 1e9."""
+    sup = np.array([-1.0, 1.0 - 1e-8, 1.0])
+    pr = np.array([1.0, math.exp(-30.0)]) / (1.0 + math.exp(-30.0)) / 2.0
+    pr = np.concatenate([[0.5], pr])
+    sup = sup - sup @ pr
+    clustered = LossClass("clustered", tuple(sup.tolist()), tuple(pr.tolist()))
+    with pytest.raises(Refused, match="could not bracket lambda"):
+        transform_from_weights((clustered,), (1.0,), (sup[1] + sup[2]) / 2)
+
+
+def _skewed_mixture(rng):
+    """1-3 centered classes of 2-5 points on scales 1e-3 to 1e3, some with
+    masses down to 1e-12, under random weights."""
+    classes = []
+    for i in range(int(rng.integers(1, 4))):
+        size = int(rng.integers(2, 6))
+        sup = np.sort(rng.uniform(-1, 1, size)) * 10 ** rng.uniform(-3, 3)
+        pr = np.maximum(rng.dirichlet(np.full(size, rng.choice([0.1, 1.0, 5.0]))), 1e-12)
+        pr /= pr.sum()
+        classes.append(LossClass(f"c{i}", tuple((sup - sup @ pr).tolist()), tuple(pr.tolist())))
+    return tuple(classes), tuple(rng.dirichlet(np.ones(len(classes))).tolist())
+
+
+def test_skewed_mixtures_near_the_edges():
+    """Thresholds 1e-11 to 1e-1 of the range from either end: on these
+    models Newton steps leave the bracket, and are replaced by bisection
+    and, while an end is still open, by doubling."""
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        classes, weights = _skewed_mixture(rng)
+        lo, hi = _range(classes, weights)
+        offsets = (hi - lo) * np.logspace(-11, -1, 11)
+        xs = np.concatenate([lo + offsets, hi - offsets])
         rp = transform_from_weights(classes, weights, xs)
-        inside = rp.status == "interior"
-        resid = np.abs(mixture_cgf(classes, weights, rp.lambda_star[inside]).d1 - xs[inside])
-        assert np.all(resid <= SOLVE_TOL * np.maximum(1.0, np.abs(xs[inside])))
+        assert np.all(np.isfinite(rp.rate) & (rp.rate >= 0.0))
+        _assert_stationary(classes, weights, xs, rp)
