@@ -1,10 +1,14 @@
 """Rare-event estimation: plain Monte Carlo vs exponential tilting.
 
-For P[M_100 >= 0.5] with +-1 losses, the true probability is ~2.6e-7.
-Plain Monte Carlo at 1e5 samples typically sees zero hits; the tilted
-estimator shifts the sampling law so the event is common, then corrects
-with likelihood weights, and matches the exact lattice oracle to three
-digits with the same budget.
+For P[M_100 >= 0.5] with +-1 losses, the true probability is ~2.8e-7.
+Plain Monte Carlo at 1e5 samples typically sees zero hits.  The tilted
+estimator shifts the sampling law so the event is common and corrects
+with likelihood weights.  It draws 1e5 tilted sums of each half of the
+portfolio (50 contracts each) and averages the weighted indicator over
+all 1e10 pairs of one sum from each half, which takes one sort and one
+``searchsorted`` per half.  Its relative standard error is about 0.2%,
+four times below the average of the same weights over 1e5 whole sums,
+so it matches the exact lattice oracle to about three digits.
 
 Run:  python3 demos/importance_sampling.py
 """

@@ -137,8 +137,10 @@ def _cmd_mc(args, model, bounds) -> int:
         est = sample_tilted(model, args.n, args.x, args.samples, args.seed)
     else:
         est = sample_plain(model, args.n, args.x, args.samples, args.seed)
-    emit_curve([(est.estimate, est.std_error, est.method, est.lam)],
-               ["estimate", "std_error", "method", "lambda_star"], sys.stdout)
+    emit_curve([(est.estimate, est.std_error, est.method, est.lam,
+                 est.log_estimate, est.log_std_error)],
+               ["estimate", "std_error", "method", "lambda_star", "log_estimate",
+                "log_std_error"], sys.stdout)
     return 0
 
 

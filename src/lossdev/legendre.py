@@ -98,7 +98,7 @@ def transform_from_weights(classes, weights, x) -> RatePoint:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     x_max = float(sum(w * c.max_support for c, w in zip(classes, weights)))
     x_min = float(sum(w * c.min_support for c, w in zip(classes, weights)))
-    edge_tol = 1e-12 * max(1.0, abs(x_max), abs(x_min))
+    edge_tol = 1e-12 * max(-x_min, x_max)  # on the solver's scale: every class is centered
     infinite = ~((x_min - edge_tol <= xs) & (xs <= x_max + edge_tol))  # NaN too
     upper = np.abs(xs - x_max) <= edge_tol
     interior = ~(infinite | upper | (np.abs(xs - x_min) <= edge_tol))

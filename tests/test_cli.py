@@ -156,6 +156,18 @@ class TestDispatch:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_mc_columns(self, unit_model_file, capsys):
+        """The log columns follow the first four; at n = 100000 the estimate
+        underflows to 0 and log P is about -13086.6."""
+        assert dispatch(["mc", "--model", unit_model_file, "--n", "100000", "--x", "0.5",
+                         "--samples", "2000", "--tilted", "--seed", "1"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "estimate,std_error,method,lambda_star,log_estimate,log_std_error"
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert (cols["estimate"], cols["std_error"], cols["method"]) == ("0", "0", "tilted")
+        assert float(cols["log_estimate"]) == pytest.approx(-13086.6, abs=0.2)
+        assert float(cols["log_std_error"]) < float(cols["log_estimate"]) - 3.0
+
     def test_mdp(self, unit_model_file, capsys):
         assert dispatch(["mdp", "--model", unit_model_file, "--n", "10000"]) == 0
         header, row = capsys.readouterr().out.splitlines()
@@ -377,7 +389,9 @@ def test_c0_just_under_the_cap_runs_clean(tmp_path, capsys):
         for argv in runs:
             assert dispatch(argv) == 0, argv
     out = capsys.readouterr().out
-    assert "nan" not in out and "inf" not in out
+    # the one inf is the log of plain sampling's 0: it sees no hit at P ~ 3e-7
+    assert "nan" not in out and out.count("inf") == 2
+    assert "\n0,0,plain,0,-inf,-inf\n" in out
 
 
 def test_three_kinds_of_failure():

@@ -409,5 +409,6 @@ def test_skewed_mixtures_near_the_edges():
         offsets = (hi - lo) * np.logspace(-11, -1, 11)
         xs = np.concatenate([lo + offsets, hi - offsets])
         rp = transform_from_weights(classes, weights, xs)
+        assert np.all(rp.status == "interior")
         assert np.all(np.isfinite(rp.rate) & (rp.rate >= 0.0))
         _assert_stationary(classes, weights, xs, rp)
