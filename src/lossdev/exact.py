@@ -1,25 +1,29 @@
 """Exact finite-n tail probabilities of the average centered loss on its
 lattice: the oracle for every probabilistic claim at desk scale.
 
-``exact_log_tail`` has one path, the exponentially tilted FFT of Keich
-(J. Comput. Biol. 12, 2005): the class laws are tilted by the
-saddlepoint of the threshold, so the tilted sum has its mean there; the
-product of the class spectra, raised to their counts, goes through one
-inverse FFT, and the tilt is undone in log space, so tails far below
-1e-300 stay representable.
+``exact_log_tail`` sets up the lattice of the sum first.  With g the
+step of the support values, to within LATTICE_TOL of each class's
+largest |value| whatever its scale, every class's points are its minimum
+plus distinct multiples of g, and the sum lies on the sum of the minima
+plus multiples of g * h, h the gcd of those multiples: g = 1 and h = 2
+for the {-1, +1} and {-2, +2} classes of the paper's counterexample.
+The supports are rounded onto it once, and the threshold is walked to
+the first lattice point that reaches it, where the tail is the same.
+The FFT helper then takes only lattice steps and a tilt: the
+exponentially tilted FFT of Keich (J. Comput. Biol. 12, 2005) tilts the
+class laws by the saddlepoint of the threshold, sends the product of
+their spectra, raised to their counts, through one inverse FFT on a
+window of w = O(sqrt(n) * span) lattice points, and undoes the tilt in
+log space, so tails far below 1e-300 stay representable.
 
-It runs on the lattice of the sum, not of the support values: with g
-the step of the values, every class's points lie on its minimum plus
-multiples of g, and the sum on the sum of the minima plus multiples of
-g * h, h the gcd of all those multiples.  For the {-1, +1} and {-2, +2}
-classes of the paper's counterexample g = 1 and h = 2, so the sum lands
-on every second point only; the threshold is rounded up onto the sum
-lattice, where the tail is the same.  The tilted classes are bounded,
-so by Hoeffding's inequality (JASA 58, 1963) all but WINDOW_EPS of the
-tilted mass lies within r = sqrt(sum_c nu_c span_c^2 log(2 / WINDOW_EPS)
-/ 2) sum lattice steps of the threshold, span_c the class span in steps
-of g * h: the FFT runs on a window of w = min(L, 2r + 1) =
-O(sqrt(n) * span) of the L sum lattice points, in O(w log w).
+The tilted class laws are computed here, as log M_c(theta) = theta *
+ref + log1p(excess) with 1 + excess never rounded, not taken from
+``cgf.tilted_laws`` or the Legendre solve: on the paper's unit/double
+schedules up to n = 1.1e6 the worst relative error in log P is 2.9e-11,
+and taking log_norm - theta * k = -n * rate from the solve raised it to
+9.8e-11, against the tests' 1e-10.  Moving the CGF kernel to this
+expm1/log1p form instead made finite differences of its value miss its
+second derivative at lambda = +-3.5.
 
 The slow reference the tests check it against lives with them
 (``tests/oracle.py``): the law of the sum by direct convolution in log
@@ -37,7 +41,7 @@ import numpy as np
 from .legendre import transform_from_weights
 from .model import LossClass, PortfolioModel, Refused, check_budget, reaches
 
-LATTICE_TOL = 1e-9
+LATTICE_TOL = 1e-9  # times the largest |support value| of the class
 # tilted mass a tail window may leave out or alias onto itself
 WINDOW_EPS = 1e-30
 _LOG_UNDERFLOW = -746.0  # exp of anything lower is 0 in double precision
@@ -54,42 +58,28 @@ def _real_gcd(a: float, b: float, tol: float) -> float:
     return a
 
 
-def latticize(model: PortfolioModel, tol: float = LATTICE_TOL) -> float:
+def latticize(model: PortfolioModel) -> float:
     """Largest step g such that every support point of every class is an
-    integer multiple of g within ``tol``."""
-    values = [v for cls in model.classes for v in cls.support if abs(v) > tol]
-    if not values:
-        raise IncommensurableSupportError("no nonzero support values")
-    # run Euclid well below the rejection threshold so incommensurable
-    # pairs (whose remainders decay indefinitely) land under it instead
-    # of stalling just above
-    scale = max(map(abs, values))
-    g = reduce(lambda a, b: _real_gcd(a, b, 1e-3 * tol * scale), map(abs, values))
-    if g <= tol * scale:
+    integer multiple of g within LATTICE_TOL times the largest |support
+    value| of its class."""
+    # (value, tolerance) for the points that are not 0 at their class's scale
+    points = []
+    for cls in model.classes:
+        tol = LATTICE_TOL * max(map(abs, cls.support))
+        points += [(v, tol) for v in cls.support if abs(v) > tol]
+    finest = min(tol for _, tol in points)
+    # Euclid stops well below the rejection threshold: the remainders of
+    # incommensurable pairs decay indefinitely and must land under it
+    g = reduce(lambda a, b: _real_gcd(a, b, 1e-3 * finest), (abs(v) for v, _ in points))
+    if g <= finest:
         raise IncommensurableSupportError(
-            "supports share no common lattice step at tolerance "
-            f"{tol}; use the Monte Carlo estimator instead")
-    for v in values:
+            "supports share no common lattice step at relative tolerance "
+            f"{LATTICE_TOL}; use the Monte Carlo estimator instead")
+    for v, tol in points:
         if abs(v - round(v / g) * g) > tol:
             raise IncommensurableSupportError(
                 f"support value {v} is not a multiple of step {g}")
     return g
-
-
-def _live_classes(model: PortfolioModel, n: int) -> list[tuple[LossClass, int]]:
-    """(class, count) for the classes with contracts among 1..n."""
-    return [(cls, int(nu)) for cls, nu in zip(model.classes, model.counts(n)) if nu > 0]
-
-
-def _threshold_index(level: float, g: float, inclusive: bool) -> int:
-    """Smallest lattice index j whose point j * g reaches the level by
-    the package's one threshold rule, ``model.reaches``."""
-    j = math.floor(level / g)
-    while reaches((j - 1) * g, level, inclusive):
-        j -= 1
-    while not reaches(j * g, level, inclusive):
-        j += 1
-    return j
 
 
 def _fft_length(n: int) -> int:
@@ -106,47 +96,40 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], g: float, h: int,
-                         t_idx: int, min_idx: int, max_idx: int) -> float:
-    """log P[S >= t_idx] for min_idx < t_idx < max_idx, S the index of
-    the sum on the lattice of step g, by the exponentially tilted FFT on
-    a window.  S - min_idx is a multiple of h, and so is t_idx - min_idx.
+def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarray],
+                         theta: float, k: int, size: int) -> float:
+    """log P[S >= k] for 0 < k < size - 1, S the sum on its own lattice
+    0..size-1, by the exponentially tilted FFT on a window.  ``steps``
+    holds each live class's points in lattice steps from its minimum, and
+    theta is the tilt per step that puts the mean of the sum at k.
 
-    Indices are shifted by min_idx and divided by h, so that the sum
-    lives on 0..size-1 in steps of the sum lattice g * h; the window,
-    the transform and the tail sums all count in those steps, and theta
-    is the tilt per step.  Under the tilt the shifted sum has pmf q with
-    mean k, the shifted threshold, and P[S' = j] = q_j exp(sum_c nu_c
-    log M_c(theta) - theta j), with M_c the shifted class MGF.  Above
-    the mean theta > 0 and the tail sum weights q_j, k <= j <= k + r, by
-    exp(-theta (j - k)) <= 1.  At or below it theta <= 0, so the same
-    holds for the lower sum over k - r <= j < k, and the tail is
-    log1p(-P[S < t]).  Every weight is at most 1, so FFT round-off in
-    the far tails of q is never amplified, and the aliased and the
-    omitted mass (each below WINDOW_EPS) add at most that much to the
-    sum.  The class spectra z_c come in closed form, and their product
-    in log-polar form, sum_c nu_c (log|z_c|, arg z_c), exponentiated
-    only where it does not underflow: cheaper than complex powers.
+    Under the tilt the sum has pmf q with mean k, and P[S = j] = q_j
+    exp(sum_c nu_c log M_c(theta) - theta j), with M_c the MGF of the
+    class in steps.  By Hoeffding's inequality (JASA 58, 1963) all but
+    WINDOW_EPS of q lies within r = sqrt(sum_c nu_c span_c^2 log(2 /
+    WINDOW_EPS) / 2) steps of k, span_c the class span in steps: the FFT
+    runs on min(size, 2r + 1) points.  Above the mean theta > 0 and the
+    tail sums q_j over k <= j <= k + r; at or below it theta <= 0, the sum
+    runs over k - r <= j < k and the tail is log1p(-P[S < k]).  Either way
+    q_j is weighted by exp(-theta (j - k)) <= 1, so FFT round-off in the
+    far tails of q is never amplified, and the aliased and the omitted
+    mass (each below WINDOW_EPS) add at most that much to the sum.  The
+    class spectra z_c come in closed form, and their product in log-polar
+    form, sum_c nu_c (log|z_c|, arg z_c), exponentiated only where it does
+    not underflow: cheaper than complex powers.
     """
-    n = sum(nu for _, nu in live)
-    classes = [cls for cls, _ in live]
-    weights = [nu / n for _, nu in live]
-    theta = g * h * transform_from_weights(classes, weights, t_idx * g / n).lambda_star
-    shifts = [np.rint((np.asarray(cls.support) - cls.min_support) / g).astype(np.int64) // h
-              for cls in classes]
-    spread = sum(nu * float(shift[-1]) ** 2 for (_, nu), shift in zip(live, shifts))
+    spread = sum(nu * float(shift[-1]) ** 2 for (_, nu), shift in zip(live, steps))
     r = math.ceil(math.sqrt(0.5 * spread * math.log(2.0 / WINDOW_EPS)))
-    size = (max_idx - min_idx) // h + 1
     length = _fft_length(min(size, 2 * r + 1))
     # omega, the log-modulus and phase sums, the complex spectrum, one
     # class's sines and its real and imaginary parts, and the inverse
-    check_budget((7 + 2 * max(map(len, shifts))) * (length // 2 + 1) + length,
+    check_budget((7 + 2 * max(map(len, steps))) * (length // 2 + 1) + length,
                  "lattice arrays")
     omega = (2.0 * math.pi / length) * np.arange(length // 2 + 1)
     log_mod, phase = np.zeros(omega.size), np.zeros(omega.size)
     log_norm = 0.0
     with np.errstate(divide="ignore"):  # log 0 at exact spectral zeros
-        for (cls, nu), shift in zip(live, shifts):
+        for (cls, nu), shift in zip(live, steps):
             # log M_c(theta) = theta * ref + log1p(excess): the exponents
             # theta * (shift - ref) are <= 0, and 1 + excess is never
             # rounded, since log_norm takes nu_c times its error
@@ -168,16 +151,14 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], g: float, h: int,
     spectrum = np.zeros(omega.size, dtype=complex)
     spectrum[live_freq] = np.exp(log_mod[live_freq] + 1j * phase[live_freq])
     q = np.fft.irfft(spectrum, length)
-    k = (t_idx - min_idx) // h
-    if theta > 0.0:
-        j = np.arange(k, min(k + r + 1, size))
-        # multiply and sum, not a dot product: BLAS threads a long dot
-        # product, which stalls for milliseconds on a few cores
-        tail = float((q[j % length] * np.exp(-theta * (j - k))).sum())
-        return min(log_norm - theta * k + math.log(tail), 0.0)
-    j = np.arange(max(k - r, 0), k)
-    below = float((q[j % length] * np.exp(theta * (k - j))).sum())
-    return math.log1p(-math.exp(log_norm - theta * k) * below)
+    upper = theta > 0.0
+    j = np.arange(k, min(k + r + 1, size)) if upper else np.arange(max(k - r, 0), k)
+    # multiply and sum, not a dot product: BLAS threads a long dot
+    # product, which stalls for milliseconds on a few cores
+    part = float((q[j % length] * np.exp(-theta * (j - k))).sum())
+    if upper:
+        return min(log_norm - theta * k + math.log(part), 0.0)
+    return math.log1p(-math.exp(log_norm - theta * k) * part)
 
 
 def exact_log_tail(model: PortfolioModel, n: int, x: float,
@@ -186,25 +167,37 @@ def exact_log_tail(model: PortfolioModel, n: int, x: float,
 
     Returns -inf for impossible events (threshold above the maximal
     reachable sum) and 0 for certain ones; the top edge is closed form,
-    every other threshold takes the windowed tilted FFT: O(w log w) for
-    w = O(sqrt(n) * span) lattice points (span the largest class span in
-    steps of the sum lattice), where the whole lattice has O(n * span).
+    every other threshold takes the tilted FFT, O(w log w) on a window
+    of w = O(sqrt(n) * span) of the O(n * span) lattice points.
     """
-    live = _live_classes(model, n)
+    live = [(cls, int(nu)) for cls, nu in zip(model.classes, model.counts(n)) if nu > 0]
     g = latticize(model)
-    min_idx = sum(nu * round(cls.min_support / g) for cls, nu in live)
-    max_idx = sum(nu * round(cls.max_support / g) for cls, nu in live)
-    # the edges first: the index search walks one lattice step at a time
-    if not reaches(max_idx * g, n * x, inclusive):
+    # each class's points in steps of g, the one rounding of the supports
+    idx = [np.rint(np.asarray(cls.support) / g).astype(np.int64) for cls, _ in live]
+    if any((np.diff(i) == 0).any() for i in idx):
+        raise IncommensurableSupportError("two points of a class on one lattice step")
+    h = math.gcd(*np.concatenate([i - i[0] for i in idx]).tolist())
+    steps = [(i - i[0]) // h for i in idx]
+    # the sum lies on the points (base + h k) g, k = 0..size-1
+    base = sum(nu * int(i[0]) for (_, nu), i in zip(live, idx))
+    size = sum(nu * int(s[-1]) for (_, nu), s in zip(live, steps)) + 1
+    level = n * x
+    # the edges first, as n * x may overflow and the walk takes single steps
+    if not reaches((base + h * (size - 1)) * g, level, inclusive):
         return -math.inf
-    if reaches(min_idx * g, n * x, inclusive):
+    if reaches(base * g, level, inclusive):
         return 0.0
-    # the sum lies on min_idx + h Z: round the threshold up onto it
-    h = math.gcd(*(round((v - cls.min_support) / g) for cls, _ in live for v in cls.support))
-    t_idx = min_idx - (min_idx - _threshold_index(n * x, g, inclusive)) // h * h
-    if t_idx == max_idx:
+    # the first lattice point that reaches the level
+    k = (math.floor(level / g) - base) // h
+    while reaches((base + h * (k - 1)) * g, level, inclusive):
+        k -= 1
+    while not reaches((base + h * k) * g, level, inclusive):
+        k += 1
+    if k == size - 1:
         return float(sum(nu * math.log(cls.probs[-1]) for cls, nu in live))
-    return _tilted_fft_log_tail(live, g, h, t_idx, min_idx, max_idx)
+    lam = transform_from_weights([cls for cls, _ in live], [nu / n for _, nu in live],
+                                 (base + h * k) * g / n).lambda_star
+    return _tilted_fft_log_tail(live, steps, g * h * lam, k, size)
 
 
 def exact_tail(model: PortfolioModel, n: int, x: float,

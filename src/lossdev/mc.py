@@ -97,13 +97,19 @@ def _rng(seed: int) -> np.random.Generator:
 
 def sample_plain(model: PortfolioModel, n: int, x: float, n_samples: int,
                  seed: int = DEFAULT_SEED) -> TailEstimate:
-    """Indicator-mean estimate of P[M_n >= x]."""
+    """Indicator-mean estimate of P[M_n >= x]; with no hit, or only hits,
+    the standard error is inf, or 0 for an impossible or certain event."""
     probs = [np.asarray(c.probs) for c in model.classes]
     check_budget(n_samples * (4 + max(map(len, probs))), "sample arrays")
-    sums = _sample_sums(model.classes, model.counts(n), n_samples, _rng(seed), probs)
+    counts = model.counts(n)
+    sums = _sample_sums(model.classes, counts, n_samples, _rng(seed), probs)
     hits = reaches(sums, n * x).astype(float)
     est = float(hits.mean())
-    se = float(hits.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    if 0.0 < est < 1.0:
+        se = float(hits.std(ddof=1) / math.sqrt(n_samples))
+    else:  # the largest sum for no hit, the smallest for only hits
+        edge = counts @ [c.min_support if est else c.max_support for c in model.classes]
+        se = 0.0 if reaches(float(edge), n * x) == bool(est) else math.inf
     return TailEstimate(est, se, n_samples, "plain", seed, 0.0, _log(est), _log(se))
 
 

@@ -7,13 +7,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lossdev.cgf import empirical_cgf, limit_cgf
 from lossdev.cli import EXIT_CODES, _fmt, dispatch, emit_curve
 from lossdev.exact import IncommensurableSupportError
 from lossdev.legendre import _two_point_rate
 from lossdev.mc import TiltingRangeError
-from lossdev.model import MemoryBudgetError, ModelError, Refused
+from lossdev.model import MemoryBudgetError, ModelError, Refused, loads_model
 from lossdev.moderate import CltRegimeError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -64,10 +66,11 @@ def round_robin_file(tmp_path):
 
 
 def _two_point_file(tmp_path, c0, a):
-    """A weighted model file of the class {-a, +a} under the bound c0."""
+    """A weighted model file of the class {-a, +a} under the bound c0 and
+    the variance floor min(1, a^2)."""
     path = tmp_path / f"two_point_{c0:g}_{a:g}.json"
     path.write_text(json.dumps({
-        "bounds": {"c0": c0, "c1": 1},
+        "bounds": {"c0": c0, "c1": min(1, a * a)},
         "classes": [{"name": "d", "support": [-a, a], "probs": [0.5, 0.5]}],
         "regime": {"weighted": {"weights": [1.0]}}}))
     return str(path)
@@ -174,11 +177,19 @@ class TestDispatch:
         cols = dict(zip(header.split(","), row.split(",")))
         assert float(cols["predicted_minus_log_prob"]) == pytest.approx(0.5 * 10**2.4)
 
-    def test_cgf_curve(self, unit_model_file, capsys):
-        assert dispatch(["cgf", "--model", unit_model_file, "--points", "5"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "lambda,value,d1,d2"
-        assert len(lines) == 6
+    def test_cgf_curve(self, unit_model_file, round_robin_file, capsys):
+        """The limit CGF of a weighted model; the empirical CGF of an
+        assigned one at --n, 1000 by default."""
+        for path, argv, n in ((unit_model_file, ["--points", "5"], None),
+                              (round_robin_file, ["--n", "7", "--points", "3"], 7),
+                              (round_robin_file, ["--points", "3"], 1000)):
+            assert dispatch(["cgf", "--model", path, *argv]) == 0
+            model, _ = loads_model(Path(path).read_bytes())
+            grid = np.linspace(-5.0, 5.0, int(argv[-1]))
+            p = limit_cgf(model, grid) if n is None else empirical_cgf(model, n, grid)
+            want = ["lambda,value,d1,d2"] + [",".join(f"{v:.17g}" for v in row)
+                                             for row in zip(p.lam, p.value, p.d1, p.d2)]
+            assert capsys.readouterr().out.splitlines() == want
 
     def test_counterexample_summary(self, capsys):
         argv = ["counterexample", "--growth", "10", "--depth", "4", "--x", "0.5",
@@ -309,16 +320,35 @@ class TestExitCodes:
         self._fails(["counterexample", *argv], code, capsys)
 
     def test_validate_violation(self, tmp_path, capsys):
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps({
-            "bounds": {"c0": 1, "c1": 1},
-            "classes": [{"name": "d", "support": [-2, 2], "probs": [0.5, 0.5]}],
-            "regime": {"weighted": {"weights": [1.0]}}}))
-        assert dispatch(["validate", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "bound" in err[0]
+        """Each file breaks one rule of the model: a single ``error:`` line
+        that names it, and no CSV."""
+        unit = {"name": "u", "support": [-1, 1], "probs": [0.5, 0.5]}
+        weighted = {"weighted": {"weights": [1.0]}}
+        cases = {
+            "bound": ({"name": "d", "support": [-2, 2], "probs": [0.5, 0.5]}, weighted),
+            "length mismatch or empty": ({"name": "e", "support": [], "probs": []}, weighted),
+            "length mismatch": ({"name": "m", "support": [-1, 1], "probs": [1.0]}, weighted),
+            "no support points with positive mass": (
+                {"name": "z", "support": [-1, 1], "probs": [0, 0]}, weighted),
+            "duplicate support values": (
+                {"name": "dup", "support": [-1, -1, 1], "probs": [0.25, 0.25, 0.5]}, weighted),
+            # no mean to subtract: the class refuses the probabilities
+            "positive mass": (
+                {"name": "c", "support": [0, 2], "probs": [0, 0], "center": True}, weighted),
+            "one weight per class": (unit, {"weighted": {"weights": [0.5, 0.5]}}),
+            "class index out of range": (
+                unit, {"assigned": {"round_robin": {"weights": [1, 1]}}}),
+            "'round_robin' or 'blocks'": (unit, {"assigned": {}}),
+        }
+        for i, (message, (cls, regime)) in enumerate(cases.items()):
+            path = tmp_path / f"bad_{i}.json"
+            path.write_text(json.dumps({"bounds": {"c0": 1, "c1": 1}, "classes": [cls],
+                                        "regime": regime}))
+            assert dispatch(["validate", str(path)]) == 1, message
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
     @pytest.mark.parametrize("c0, a", [(1e201, 1.0), (1.3e154, 1.3e154)])
     def test_c0_over_the_cap(self, tmp_path, c0, a, capsys):
@@ -389,9 +419,10 @@ def test_c0_just_under_the_cap_runs_clean(tmp_path, capsys):
         for argv in runs:
             assert dispatch(argv) == 0, argv
     out = capsys.readouterr().out
-    # the one inf is the log of plain sampling's 0: it sees no hit at P ~ 3e-7
-    assert "nan" not in out and out.count("inf") == 2
-    assert "\n0,0,plain,0,-inf,-inf\n" in out
+    # every inf is plain sampling's: it sees no hit at P ~ 3e-7, which
+    # bounds the error bar by nothing
+    assert "nan" not in out and out.count("inf") == 3
+    assert "\n0,inf,plain,0,-inf,inf\n" in out
 
 
 def test_three_kinds_of_failure():
@@ -437,7 +468,7 @@ def test_tilted_below_the_mean_estimates_the_complement(unit_model_file, capsys)
         assert abs(est - 15 / 16) <= 4 * se
 
 
-def test_exact_runs_the_oracle_once(unit_model_file, monkeypatch, capsys):
+def test_exact_runs_the_oracle_once(unit_model_file, tmp_path, monkeypatch, capsys):
     import lossdev.cli
     calls = []
     real = lossdev.cli.exact_log_tail
@@ -447,13 +478,19 @@ def test_exact_runs_the_oracle_once(unit_model_file, monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(lossdev.cli, "exact_log_tail", counted)
-    assert dispatch(["exact", "--model", unit_model_file, "--n", "100", "--x", "0.5"]) == 0
-    assert len(calls) == 1
-    header, row = capsys.readouterr().out.splitlines()
-    assert header == "n,x,tail_probability,log_rate"
-    n, x, tail, rate = row.split(",")
-    assert float(tail) == pytest.approx(2.818141646666e-07, rel=1e-9)
-    assert float(rate) == pytest.approx(math.log(float(tail)) / 100, rel=1e-12)
+    # the lattice tolerance is relative: {-1e-10, +1e-10} is the unit
+    # class scaled, with the same tail at the scaled threshold
+    tiny = _two_point_file(tmp_path, 1e-10, 1e-10)
+    for path, x in ((unit_model_file, "0.5"), (tiny, "5e-11")):
+        calls.clear()
+        assert dispatch(["exact", "--model", path, "--n", "100", "--x", x]) == 0
+        assert len(calls) == 1
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "n,x,tail_probability,log_rate"
+        _, _, tail, rate = row.split(",")
+        # sum of C(100, k) / 2**100 over k >= 75 is 2.818141017102701e-07
+        assert tail == "2.8181410171027202e-07"
+        assert float(rate) == pytest.approx(math.log(float(tail)) / 100, rel=1e-12)
 
 
 def test_no_threads_option(unit_model_file, capsys):

@@ -22,7 +22,7 @@ from lossdev import (
     rate_I1,
     sample_plain,
 )
-from lossdev.exact import WINDOW_EPS, _threshold_index
+from lossdev.exact import WINDOW_EPS
 from lossdev.legendre import transform_from_weights
 from lossdev.model import reaches
 
@@ -46,6 +46,32 @@ class TestLatticize:
         model = PortfolioModel((a, b), weights=(0.5, 0.5))
         with pytest.raises(IncommensurableSupportError):
             latticize(model)
+
+    # {-1e-10, +1e-10} is no 0 next to {-1, +1}, and a wide class, live
+    # or not, coarsens no other class's tolerance
+    @pytest.mark.parametrize("scale, weights, g", [(1e-10, (0.5, 0.5), 1e-10),
+                                                   (1e9, (1.0, 0.0), 1.0),
+                                                   (1e9, (0.5, 0.5), 1.0)])
+    def test_each_class_on_its_own_scale(self, scale, weights, g):
+        other = LossClass("other", (-scale, scale), (0.5, 0.5))
+        model = PortfolioModel((UNIT, other), weights=weights)
+        assert latticize(model) == pytest.approx(g)
+
+    def test_a_wide_class_without_contracts_leaves_the_tail(self, pure_unit):
+        wide = LossClass("wide", (-1e9, 1e9), (0.5, 0.5))
+        model = PortfolioModel((UNIT, wide), weights=(1.0, 0.0))
+        assert exact_log_tail(model, 100, 0.05) == exact_log_tail(pure_unit, 100, 0.05)
+        # both live, the sum spans 1e9 steps of 2: over the budget
+        model = PortfolioModel((UNIT, wide), weights=(0.5, 0.5))
+        with pytest.raises(MemoryBudgetError):
+            exact_log_tail(model, 2, (1e9 - 1) / 2)
+
+    def test_points_on_one_step_are_refused(self):
+        # 1 and 1 + 1e-13 are one multiple of g = 1 within the tolerance
+        close = LossClass("close", (-1.0, 1.0, 1.0 + 1e-13), (0.5, 0.25, 0.25))
+        model = PortfolioModel((close,), weights=(1.0,))
+        with pytest.raises(IncommensurableSupportError, match="one lattice step"):
+            exact_log_tail(model, 10, 0.3)
 
 
 class TestExactTail:
@@ -199,9 +225,11 @@ class TestFftAgainstDirect:
     def _check_levels(model, n, levels):
         g = latticize(model)
         offset, logp = direct_log_pmf(model, n)
+        points = (offset + np.arange(len(logp))) * g
         for x in levels:
             got = exact_log_tail(model, n, x)
-            k = _threshold_index(n * x, g, True) - offset
+            # the points that reach the level are a suffix of the lattice
+            k = len(logp) - int(reaches(points, n * x).sum())
             upper = float(logsumexp(logp[k:]))
             lower = float(logsumexp(logp[:k]))
             if upper <= lower:

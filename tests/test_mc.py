@@ -58,6 +58,23 @@ class TestSamplePlain:
         assert est.estimate == 0.0
         assert est.std_error == 0.0
 
+    @pytest.mark.parametrize("n, x, want, se", [
+        (100, 0.9, 0.0, math.inf),  # P ~ 1e-17: no hit, but the event can happen
+        (100, -0.9, 1.0, math.inf),  # only hits, but the event can fail
+        (5, -1.0, 1.0, 0.0),  # a certain event
+    ])
+    def test_one_sided_sample(self, pure_unit, n, x, want, se):
+        est = sample_plain(pure_unit, n, x, 1000, seed=2)
+        assert (est.estimate, est.std_error) == (want, se)
+
+    def test_one_replicate_has_no_error_bar(self, pure_unit):
+        estimates = set()
+        for seed in range(8):
+            est = sample_plain(pure_unit, 3, 0.1, 1, seed=seed)
+            estimates.add(est.estimate)
+            assert est.std_error == math.inf
+        assert estimates == {0.0, 1.0}
+
     def test_two_coins(self, pure_unit):
         est = sample_plain(pure_unit, 2, 1.0, 10**6, seed=3)
         assert abs(est.estimate - 0.25) <= 3 * 0.00043 + 1e-4

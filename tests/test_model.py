@@ -281,6 +281,13 @@ class TestLoadModel:
             loads_model(json.dumps({"bounds": {"c0": 1}, "classes": [], "regime": {}}))
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"weights": (1.0,), "rule": RoundRobin((1,))}],
+                         ids=["neither", "both"])
+def test_portfolio_takes_exactly_one_of_weights_and_rule(unit_class, kwargs):
+    with pytest.raises(ModelError, match="exactly one of weights / rule"):
+        PortfolioModel((unit_class,), **kwargs)
+
+
 RULE_FIELDS_NOT_WHOLE = {
     "negative order index": {"blocks": {"a0": 1, "growth": 10, "order": [0, -1]}},
     "fractional order index": {"blocks": {"a0": 1, "growth": 10, "order": [0, 0.5]}},
