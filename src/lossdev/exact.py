@@ -9,21 +9,30 @@ plus multiples of g * h, h the gcd of those multiples: g = 1 and h = 2
 for the {-1, +1} and {-2, +2} classes of the paper's counterexample.
 The supports are rounded onto it once, and the threshold is walked to
 the first lattice point that reaches it, where the tail is the same.
-The FFT helper then takes only lattice steps and a tilt: the
-exponentially tilted FFT of Keich (J. Comput. Biol. 12, 2005) tilts the
-class laws by the saddlepoint of the threshold, sends the product of
-their spectra, raised to their counts, through one inverse FFT on a
-window of w = O(sqrt(n) * span) lattice points, and undoes the tilt in
-log space, so tails far below 1e-300 stay representable.
+The FFT helper then takes only lattice steps: the exponentially tilted
+FFT of Keich (J. Comput. Biol. 12, 2005) tilts the class laws by the
+saddlepoint of the threshold, sends the product of their spectra, raised
+to their counts, through one inverse FFT on a window of lattice points
+around the threshold, and undoes the tilt in log space, so tails far
+below 1e-300 stay representable.  The window's radius is the smaller of
+Hoeffding's bound, O(sqrt(n) * span), and Bernstein's, which takes the
+tilted variance instead of span^2 / 4 per contract: for a premium of 1
+against a claim of -1000 at 1/1001 it is some 20 times narrower.
 
-The tilted class laws are computed here, as log M_c(theta) = theta *
-ref + log1p(excess) with 1 + excess never rounded, not taken from
-``cgf.tilted_laws`` or the Legendre solve: on the paper's unit/double
-schedules up to n = 1.1e6 the worst relative error in log P is 2.9e-11,
-and taking log_norm - theta * k = -n * rate from the solve raised it to
-9.8e-11, against the tests' 1e-10.  Moving the CGF kernel to this
-expm1/log1p form instead made finite differences of its value miss its
-second derivative at lambda = +-3.5.
+The helper solves for the tilt itself, by a scalar Newton on the sum's
+lattice whose iterates form the tilted class laws the spectra and the
+window then use, log M_c(theta) = theta * ref + log1p(excess) with
+1 + excess never rounded.  It does not call the Legendre solve, which
+works in units of x, on a vectorized CGF kernel, and cost as much as the
+FFT on a small query; and since the window is taken about both the
+threshold and the tilted mean, a tilt that misses the threshold by the
+solve's tolerance costs only that much more window.  Forming log_norm
+here matters too: on the paper's unit/double schedules up to n = 1.1e6
+the worst relative error in log P is 2.9e-11, where taking log_norm -
+theta * k = -n * rate from the Legendre solve raised it to 9.8e-11,
+against the tests' 1e-10.  Moving the CGF kernel to this expm1/log1p
+form instead made finite differences of its value miss its second
+derivative at lambda = +-3.5.
 
 The slow reference the tests check it against lives with them
 (``tests/oracle.py``): the law of the sum by direct convolution in log
@@ -35,15 +44,18 @@ from __future__ import annotations
 import itertools
 import math
 from functools import reduce
+from operator import mul
 
 import numpy as np
 
-from .legendre import transform_from_weights
 from .model import LossClass, PortfolioModel, Refused, check_budget, reaches
 
 LATTICE_TOL = 1e-9  # times the largest |support value| of the class
 # tilted mass a tail window may leave out or alias onto itself
 WINDOW_EPS = 1e-30
+# the tilt solve stops at |m(theta) - k| <= TILT_TOL * max(1, k) lattice steps
+TILT_TOL = 1e-9
+MAX_ITER = 200
 _LOG_UNDERFLOW = -746.0  # exp of anything lower is 0 in double precision
 
 
@@ -96,30 +108,104 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _tilted_laws(classes: list[tuple], theta: float
+                 ) -> tuple[list[list[float]], float, float, float, float]:
+    """The class laws tilted by theta per lattice step, and of the sum:
+    log_norm = sum_c nu_c log M_c(theta), its tilted mean counted up from
+    its bottom and down from its top, and its tilted variance.  Each class
+    comes as (probs, its points in steps up from its bottom and down from
+    its top, its exact fsum(probs) - 1, nu).
+
+    log M_c(theta) = theta * ref + log1p(excess), ref the top of the class
+    for theta > 0 and its bottom otherwise: the exponents theta * (s - ref)
+    are <= 0, and 1 + excess is never rounded, since log_norm takes nu_c
+    times its error.  The mean is counted from both ends so that its
+    distance to the nearer one keeps its relative accuracy.  Python
+    floats, not arrays: on a class of a few points numpy's cost per call
+    exceeds the arithmetic, and on a wide one the spectra cost more."""
+    laws, log_norm, below, above, var = [], 0.0, 0.0, 0.0, 0.0
+    for probs, shift, back, off, nu in classes:
+        ref = back[0] if theta > 0.0 else 0
+        expo = [theta * (s - ref) for s in shift]
+        excess = off + sum(map(mul, probs, map(math.expm1, expo)))
+        # exp, not expm1 + 1, which loses the relative accuracy of a small weight
+        law = [p * w / (1.0 + excess) for p, w in zip(probs, map(math.exp, expo))]
+        mean = sum(map(mul, law, shift))
+        log_norm += nu * (theta * ref + math.log1p(excess))
+        below += nu * mean
+        above += nu * sum(map(mul, law, back))
+        var += nu * sum([q * (s - mean) ** 2 for q, s in zip(law, shift)])
+        laws.append(law)
+    return laws, log_norm, below, above, var
+
+
 def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarray],
-                         theta: float, k: int, size: int) -> float:
+                         k: int, size: int) -> float:
     """log P[S >= k] for 0 < k < size - 1, S the sum on its own lattice
     0..size-1, by the exponentially tilted FFT on a window.  ``steps``
-    holds each live class's points in lattice steps from its minimum, and
-    theta is the tilt per step that puts the mean of the sum at k.
+    holds each live class's points in lattice steps from its minimum.
 
-    Under the tilt the sum has pmf q with mean k, and P[S = j] = q_j
-    exp(sum_c nu_c log M_c(theta) - theta j), with M_c the MGF of the
-    class in steps.  By Hoeffding's inequality (JASA 58, 1963) all but
-    WINDOW_EPS of q lies within r = sqrt(sum_c nu_c span_c^2 log(2 /
-    WINDOW_EPS) / 2) steps of k, span_c the class span in steps: the FFT
-    runs on min(size, 2r + 1) points.  Above the mean theta > 0 and the
-    tail sums q_j over k <= j <= k + r; at or below it theta <= 0, the sum
-    runs over k - r <= j < k and the tail is log1p(-P[S < k]).  Either way
-    q_j is weighted by exp(-theta (j - k)) <= 1, so FFT round-off in the
-    far tails of q is never amplified, and the aliased and the omitted
-    mass (each below WINDOW_EPS) add at most that much to the sum.  The
-    class spectra z_c come in closed form, and their product in log-polar
-    form, sum_c nu_c (log|z_c|, arg z_c), exponentiated only where it does
-    not underflow: cheaper than complex powers.
+    The tilt theta per step puts the tilted mean m(theta) of the sum at k:
+    Newton from theta = 0 on its logit z = log(m / (size - 1 - m)), which
+    is close to linear in theta at both ends, each step closing one side
+    of a bracket; a step that leaves the bracket, or is not finite because
+    the mean rounded onto an end, is replaced by bisection once both sides
+    are closed and by doubling theta while one is open.  It stops at
+    |m - k| <= TILT_TOL * max(1, k) and refuses after MAX_ITER steps.
+    This is `legendre._solve_mean_equation`'s algorithm in scalar form, on
+    the sum's lattice rather than a grid of x; a fix to one belongs in
+    both.
+
+    Under the tilt the sum has pmf q with mean m, and P[S = j] = q_j
+    exp(log_norm - theta j).  All but WINDOW_EPS of q lies within R steps
+    of m, R the smaller of two rigorous bounds, with L = log(2 /
+    WINDOW_EPS): Hoeffding's (JASA 58, 1963), sqrt(L sum_c nu_c span_c^2 /
+    2), and Bernstein's (Bennett, JASA 57, 1962), bL/3 + sqrt((bL/3)^2 +
+    2 V L), V = sum_c nu_c Var_theta(X_c) the tilted variance and b the
+    largest class span, all in steps.  The window's radius r = R + |m -
+    k| holds that mass about k too, so any theta the solve stops at is
+    safe; the FFT runs on min(size, 2r + 1) points.  For theta > 0 the
+    tail sums q_j over k <= j <= k + r; otherwise the sum runs over
+    k - r <= j < k and the tail is log1p(-P[S < k]).  Either way q_j is
+    weighted by exp(-theta (j - k)) <= 1, so FFT round-off in the far
+    tails of q is never amplified, and the aliased and the omitted mass
+    (each below WINDOW_EPS) add at most that much to the sum.  The class
+    spectra z_c come in closed form from the last iterate's tilted laws,
+    and their product in log-polar form, sum_c nu_c (log|z_c|, arg z_c),
+    exponentiated only where it does not underflow: cheaper than complex
+    powers.
     """
-    spread = sum(nu * float(shift[-1]) ** 2 for (_, nu), shift in zip(live, steps))
-    r = math.ceil(math.sqrt(0.5 * spread * math.log(2.0 / WINDOW_EPS)))
+    classes = [(cls.probs, pts, [pts[-1] - v for v in pts], math.fsum([*cls.probs, -1.0]), nu)
+               for (cls, nu), pts in zip(live, (s.tolist() for s in steps))]
+    odds = k / (size - 1 - k)
+    theta, lo, hi = 0.0, -math.inf, math.inf
+    for _ in range(MAX_ITER):
+        laws, log_norm, below, above, var = _tilted_laws(classes, theta)
+        gap = below - k
+        if abs(gap) <= TILT_TOL * max(1, k):
+            break
+        lo, hi = (lo, theta) if gap > 0.0 else (theta, hi)
+        # exp(z(solution) - z(theta)), and dz/dtheta = V / m + V / (size - 1 - m)
+        ratio = odds * above / below if below > 0.0 else math.inf
+        slope = var / below + var / above if 0.0 < ratio < math.inf else 0.0
+        step = theta + math.log(ratio) / slope if slope > 0.0 else math.nan
+        if not lo < step < hi:
+            # the first evaluation, at theta = 0, closes one side
+            if hi == math.inf:
+                step = max(2.0 * lo, 1.0)
+            elif lo == -math.inf:
+                step = min(2.0 * hi, -1.0)
+            else:
+                step = 0.5 * (lo + hi)
+        theta = step
+    else:
+        raise Refused(f"no tilt after {MAX_ITER} iterations at lattice point {k} of {size}")
+    log_2_eps = math.log(2.0 / WINDOW_EPS)
+    hoeffding = math.sqrt(0.5 * log_2_eps * sum(nu * int(s[-1]) ** 2
+                                                 for (_, nu), s in zip(live, steps)))
+    third = max(int(s[-1]) for s in steps) * log_2_eps / 3.0
+    bernstein = third + math.sqrt(third * third + 2.0 * var * log_2_eps)
+    r = math.ceil(min(hoeffding, bernstein) + abs(gap))
     length = _fft_length(min(size, 2 * r + 1))
     # omega, the log-modulus and phase sums, the complex spectrum, one
     # class's sines and its real and imaginary parts, and the inverse
@@ -127,18 +213,9 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
                  "lattice arrays")
     omega = (2.0 * math.pi / length) * np.arange(length // 2 + 1)
     log_mod, phase = np.zeros(omega.size), np.zeros(omega.size)
-    log_norm = 0.0
     with np.errstate(divide="ignore"):  # log 0 at exact spectral zeros
-        for (cls, nu), shift in zip(live, steps):
-            # log M_c(theta) = theta * ref + log1p(excess): the exponents
-            # theta * (shift - ref) are <= 0, and 1 + excess is never
-            # rounded, since log_norm takes nu_c times its error
-            ref = int(shift[-1]) if theta > 0.0 else 0
-            e_m1 = np.expm1(theta * (shift - ref))
-            probs = np.asarray(cls.probs)
-            excess = math.fsum([*cls.probs, -1.0]) + float(probs @ e_m1)
-            log_norm += nu * (theta * ref + math.log1p(excess))
-            p = (probs * (e_m1 + 1.0) / (1.0 + excess))[1:]
+        for (_, nu), shift, law in zip(live, steps, laws):
+            p = np.array(law[1:])
             # z_c - 1 = sum_j p_j (exp(-i omega s_j) - 1), s_0 = 0 adding
             # nothing, keeps its relative accuracy near z_c = 1, where an
             # FFT's absolute round-off, times nu_c, would reach 1e-10 of
@@ -158,7 +235,8 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
     part = float((q[j % length] * np.exp(-theta * (j - k))).sum())
     if upper:
         return min(log_norm - theta * k + math.log(part), 0.0)
-    return math.log1p(-math.exp(log_norm - theta * k) * part)
+    # + 0.0 turns the -0.0 of a lower mass that underflows into 0.0
+    return math.log1p(-math.exp(log_norm - theta * k) * part) + 0.0
 
 
 def exact_log_tail(model: PortfolioModel, n: int, x: float,
@@ -195,9 +273,7 @@ def exact_log_tail(model: PortfolioModel, n: int, x: float,
         k += 1
     if k == size - 1:
         return float(sum(nu * math.log(cls.probs[-1]) for cls, nu in live))
-    lam = transform_from_weights([cls for cls, _ in live], [nu / n for _, nu in live],
-                                 (base + h * k) * g / n).lambda_star
-    return _tilted_fft_log_tail(live, steps, g * h * lam, k, size)
+    return _tilted_fft_log_tail(live, steps, k, size)
 
 
 def exact_tail(model: PortfolioModel, n: int, x: float,

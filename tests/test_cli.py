@@ -493,6 +493,21 @@ def test_exact_runs_the_oracle_once(unit_model_file, tmp_path, monkeypatch, caps
         assert float(rate) == pytest.approx(math.log(float(tail)) / 100, rel=1e-12)
 
 
+def test_exact_prints_plus_zero_for_a_near_certain_event(unit_model_file, capsys):
+    # P[S_2000 >= -1800] = 1 - 5e-433 rounds to 1, its log to +0
+    assert dispatch(["exact", "--model", unit_model_file, "--n", "2000", "--x", "-0.9"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "2000,-0.90000000000000002,1,0"
+
+
+def test_claim_mix_file_fits_64mb(monkeypatch, capsys):
+    """The life-insurance model file at n = 1e6, as the CI step runs it."""
+    path = Path(__file__).resolve().parents[1] / "demos" / "claim_mix.json"
+    monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "64000000")
+    assert dispatch(["exact", "--model", str(path), "--n", "1000000", "--x", "0.3"]) == 0
+    log_rate = float(capsys.readouterr().out.splitlines()[1].split(",")[3])
+    assert -1.21e-4 < log_rate < -1.19e-4
+
+
 def test_no_threads_option(unit_model_file, capsys):
     assert dispatch(["--threads", "2", "validate", unit_model_file]) == 2
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -22,9 +23,10 @@ from lossdev import (
     rate_I1,
     sample_plain,
 )
+from lossdev.cgf import mixture_cgf
 from lossdev.exact import WINDOW_EPS
 from lossdev.legendre import transform_from_weights
-from lossdev.model import reaches
+from lossdev.model import Refused, reaches
 
 from conftest import DOUBLE, UNIT, random_lattice_model
 from oracle import direct_log_pmf
@@ -91,6 +93,11 @@ class TestExactTail:
 
     def test_certain_event(self, pure_unit):
         assert exact_tail(pure_unit, 5, -1.0) == 1.0
+
+    def test_a_lower_mass_that_underflows_gives_plus_zero(self, pure_unit):
+        # P[S_2000 < -1800] = P[at most 99 of 2000 at +1] ~ 5e-433
+        got = exact_log_tail(pure_unit, 2000, -0.9)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
     @pytest.mark.parametrize("n, x, want", [(10, 1e300, -math.inf), (2, 1e308, -math.inf),
                                             (10, -1e300, 0.0), (2, -1e308, 0.0)])
@@ -222,14 +229,14 @@ class TestFftAgainstDirect:
         TestFftAgainstDirect._check_levels(model, n, np.asarray(fractions) * top)
 
     @staticmethod
-    def _check_levels(model, n, levels):
+    def _check_levels(model, n, levels, inclusive=True):
         g = latticize(model)
         offset, logp = direct_log_pmf(model, n)
         points = (offset + np.arange(len(logp))) * g
         for x in levels:
-            got = exact_log_tail(model, n, x)
+            got = exact_log_tail(model, n, x, inclusive)
             # the points that reach the level are a suffix of the lattice
-            k = len(logp) - int(reaches(points, n * x).sum())
+            k = len(logp) - int(reaches(points, n * x, inclusive).sum())
             upper = float(logsumexp(logp[k:]))
             lower = float(logsumexp(logp[:k]))
             if upper <= lower:
@@ -294,12 +301,25 @@ def _sum_lattice_step(model, n):
     return g * math.gcd(*(round((v - c.min_support) / g) for c in live for v in c.support))
 
 
-def _window_radius(model, n):
-    """Half-width r of the documented tail window, in sum lattice steps."""
+def _window_radius(model, n, x):
+    """Half-width r of the documented tail window at the threshold x, in
+    sum lattice steps: the smaller of Hoeffding's and Bernstein's radius,
+    at the tilt that puts the mean of the sum on the first lattice point
+    k to reach n x, from the Legendre solve.  The exact oracle adds the
+    |m - k| its own solve stops at, at most 1e-9 k."""
     step = _sum_lattice_step(model, n)
-    spread = sum(nu * ((c.max_support - c.min_support) / step) ** 2
-                 for c, nu in zip(model.classes, model.counts(n)))
-    return math.ceil(math.sqrt(0.5 * spread * math.log(2.0 / WINDOW_EPS)))
+    counts = model.counts(n)
+    lowest = float(counts @ [c.min_support for c in model.classes])
+    k = int(np.argmax(reaches(lowest + step * np.arange(_lattice_size(model, n)), n * x)))
+    lam = transform_from_weights(model.classes, counts / n, (lowest + k * step) / n).lambda_star
+    var = n * mixture_cgf(model.classes, counts / n, lam).d2 / step**2
+    live = [(c, nu) for c, nu in zip(model.classes, counts) if nu > 0]
+    spans = [(c.max_support - c.min_support) / step for c, _ in live]
+    log_2_eps = math.log(2.0 / WINDOW_EPS)
+    hoeffding = math.sqrt(0.5 * log_2_eps * sum(nu * s**2 for (_, nu), s in zip(live, spans)))
+    third = max(spans) * log_2_eps / 3.0
+    bernstein = third + math.sqrt(third**2 + 2.0 * var * log_2_eps)
+    return math.ceil(min(hoeffding, bernstein))
 
 
 def _lattice_size(model, n):
@@ -317,7 +337,7 @@ class TestWindowAgainstDirect:
         for model in (PortfolioModel((SKEW,), weights=(1.0,)),
                       PortfolioModel((UNIT, DOUBLE, FOUR), rule=RoundRobin((1, 2, 1)))):
             for n in (200, 900):
-                assert 2 * _window_radius(model, n) + 1 < _lattice_size(model, n)
+                assert 2 * _window_radius(model, n, 0.01) + 1 < _lattice_size(model, n)
                 TestFftAgainstDirect._check(
                     model, n, (-0.3, -0.1, -0.01, 0.0, 0.02, 0.15, 0.5, 0.8, 0.99))
 
@@ -432,7 +452,7 @@ class TestWindowAgainstBinomial:
 
 def test_budget_binds_the_window_not_the_lattice(monkeypatch, pure_unit):
     n = 200_000
-    window, size = 2 * _window_radius(pure_unit, n) + 1, _lattice_size(pure_unit, n)
+    window, size = 2 * _window_radius(pure_unit, n, 0.01) + 1, _lattice_size(pure_unit, n)
     assert 20 * window < size
     # a budget below one double per lattice point still holds the window
     monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", str(4 * size))
@@ -441,6 +461,165 @@ def test_budget_binds_the_window_not_the_lattice(monkeypatch, pure_unit):
     monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", str(8 * window - 8))
     with pytest.raises(MemoryBudgetError):
         exact_log_tail(pure_unit, n, 0.01)
+
+
+CLAIMS = LossClass("claims", (-1000.0, 1.0), (1 / 1001, 1000 / 1001))
+CLAIM_MIX = PortfolioModel((UNIT, CLAIMS), weights=(0.5, 0.5))
+
+
+def _log_binomial_pmf(n, k, log_p, log_q):
+    import mpmath
+
+    return (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+            + k * log_p + (n - k) * log_q)
+
+
+def _half_binomial_sf(n, ms):
+    """{m: P[a >= m]} in mpmath for a ~ Bin(n, 1/2), at each m of ``ms``
+    in 1..n: the terms from the largest m up (from n - m + 1 up, and by
+    symmetry, if it is below the mean) until what they leave is below
+    1e-40 of their sum, then one pass down to the smallest m."""
+    import mpmath
+
+    top = max(ms)
+    start = top if 2 * top > n else n - top + 1
+    log_half = mpmath.log(mpmath.mpf(0.5))
+    term = mpmath.exp(_log_binomial_pmf(n, start, log_half, log_half))
+    total, a = mpmath.mpf(0), start
+    while True:
+        total += term
+        ratio = mpmath.mpf(n - a) / (a + 1)  # < 1 above the mean, and falling
+        term *= ratio
+        a += 1
+        if term <= 1e-40 * total * (1 - ratio):  # bounds what the terms leave
+            break
+    sf = total if start == top else 1 - total
+    term = mpmath.exp(_log_binomial_pmf(n, top, log_half, log_half))
+    out, wanted = {top: sf}, set(ms)
+    for a in range(top - 1, min(ms) - 1, -1):
+        term *= mpmath.mpf(a + 1) / (n - a)
+        sf += term
+        if a in wanted:
+            out[a] = sf
+    return out
+
+
+def _claim_mix_log_tail(n_unit, n_claim, t, log_fact):
+    """(upper, log P) for S the sum of n_unit UNIT and n_claim CLAIMS
+    contracts: log P[S >= t] with upper True if that is the smaller
+    tail, else log P[S < t].  With a units at +1 and b claims, S = 2a -
+    n_unit + n_claim - 1001 b, a sum over b of P[b] times a binomial
+    tail in a.  Float terms from the lgamma table pick the smaller tail
+    and the b whose terms lie within e^-50 of the largest (the at most
+    n_claim others leave less than 1e-15 of it); those are summed in
+    30-digit mpmath."""
+    import mpmath
+
+    p_claim, p_premium = CLAIMS.probs
+    b = np.arange(n_claim + 1)
+    log_pb = (log_fact[n_claim] - log_fact[b] - log_fact[n_claim - b]
+              + b * math.log(p_claim) + (n_claim - b) * math.log(p_premium))
+    a = np.arange(n_unit + 1)
+    log_pa = log_fact[n_unit] - log_fact[a] - log_fact[n_unit - a] - n_unit * math.log(2.0)
+    log_sf = np.logaddexp.accumulate(log_pa[::-1])[::-1]  # log P[a >= i]
+    need = -((-(t + n_unit - n_claim + 1001 * b)) // 2)  # the fewest units at +1 for S >= t
+    # P[a < m] = P[a >= n_unit - m + 1]
+    at = {True: need, False: n_unit - need + 1}
+    terms = {side: np.where(m > n_unit, -np.inf, log_pb + log_sf[np.clip(m, 0, n_unit)])
+             for side, m in at.items()}
+    upper = bool(logsumexp(terms[True]) <= logsumexp(terms[False]))
+    keep = np.flatnonzero(terms[upper] >= terms[upper].max() - 50.0)
+    ms = at[upper][keep].tolist()
+    with mpmath.workdps(30):
+        inside = [m for m in ms if 1 <= m <= n_unit]
+        sf = _half_binomial_sf(n_unit, inside) if inside else {}
+        log_p, log_q = mpmath.log(p_claim), mpmath.log(p_premium)
+        total = mpmath.mpf(0)
+        for bi, m in zip(keep.tolist(), ms):
+            tail = 1 if m < 1 else 0 if m > n_unit else sf[m]
+            total += mpmath.exp(_log_binomial_pmf(n_claim, bi, log_p, log_q)) * tail
+        return upper, float(mpmath.log(total))
+
+
+class TestClaimMix:
+    """A life-insurance class, a premium of 1 with probability 1000/1001
+    and a claim of -1000 otherwise, beside the unit class, half the
+    contracts each.  Its tilted variance is far below the span^2 / 4
+    that Hoeffding's inequality charges, so Bernstein's sizes the
+    window."""
+
+    @pytest.mark.parametrize("inclusive", [True, False])
+    def test_against_direct(self, inclusive):
+        # at n = 300 the window is narrower than the lattice
+        assert 2 * _window_radius(CLAIM_MIX, 300, 0.05) + 1 < _lattice_size(CLAIM_MIX, 300)
+        for n in (7, 60, 300):
+            # on both sides of the mean 0
+            TestFftAgainstDirect._check_levels(
+                CLAIM_MIX, n, (-3.0, -0.5, -0.1, 0.0, 0.05, 0.3, 0.7, 0.95), inclusive)
+
+    @pytest.mark.parametrize("n, xs", [(10**3, (0.3, -0.1)), (10**5, (0.3, -0.1)),
+                                       (10**6, (0.3,))])
+    def test_against_binomial_sums(self, n, xs, log_factorials, monkeypatch):
+        # at n = 1e6 Hoeffding's window alone takes 54.5 million doubles
+        monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "64000000")
+        n_unit, n_claim = (int(v) for v in CLAIM_MIX.counts(n))
+        for x in xs:
+            upper, want = _claim_mix_log_tail(n_unit, n_claim, round(n * x), log_factorials)
+            got = exact_log_tail(CLAIM_MIX, n, x)
+            if not upper:  # the complement is the informative number
+                got = math.log(-math.expm1(got))
+            assert got == pytest.approx(want, rel=1e-10), (n, x)
+
+
+ZERO_FOUR = LossClass("zero_four", (-2.0, 0.0, 1.0, 3.0), (0.3, 0.3, 0.3, 0.1))
+
+
+class TestTiltSolve:
+    """The oracle solves for its tilt on the sum's own lattice."""
+
+    def test_no_cgf_kernel_or_legendre_call(self, monkeypatch, eq_mix):
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").split(".")[0] == "lossdev":
+                for name in ("mixture_cgf", "transform_from_weights"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for n, x in ((10, 0.3), (1000, -0.2), (100_000, 0.5)):
+            assert exact_log_tail(eq_mix, n, x) < 0.0
+        assert calls == []
+        # the counters see the calls there are
+        import lossdev.legendre
+        lossdev.legendre.legendre_transform(eq_mix, 0.5)
+        assert calls[0] == "transform_from_weights" and "mixture_cgf" in calls
+
+    @pytest.mark.parametrize("n", [1, 10, 10**4, 10**6, 10**8])
+    def test_one_step_inside_each_edge(self, n):
+        """On {-2, 0, 1, 3} no sum lies one step inside either edge, so
+        P[S >= 3n - 1] = 0.1^n and P[S >= 1 - 2n] = 1 - 0.3^n; the tilt
+        that puts the mean there grows like log n."""
+        model = PortfolioModel((ZERO_FOUR,), weights=(1.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # each level inclusive, and one step further out strictly: the same events
+            for top_x, bottom_x, inclusive in (((3 * n - 1) / n, (1 - 2 * n) / n, True),
+                                               ((3 * n - 2) / n, -2.0, False)):
+                top = exact_log_tail(model, n, top_x, inclusive)
+                bottom = exact_log_tail(model, n, bottom_x, inclusive)
+                assert top == pytest.approx(n * math.log(0.1), rel=1e-10)
+                assert bottom == pytest.approx(math.log1p(-0.3**n), rel=1e-10)
+                assert math.copysign(1.0, bottom) == (1.0 if bottom == 0.0 else -1.0)
+
+    def test_refuses_without_convergence(self, monkeypatch, pure_unit):
+        monkeypatch.setattr("lossdev.exact.MAX_ITER", 1)
+        with pytest.raises(Refused, match="no tilt"):
+            exact_log_tail(pure_unit, 100, 0.5)
 
 
 def test_no_runtime_warning_at_spectral_zeros(pure_unit, eq_mix):
