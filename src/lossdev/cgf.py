@@ -53,25 +53,47 @@ def _shifted_weights(classes, lam: np.ndarray):
     return support, top, np.exp(expo - top[..., None])
 
 
-def check_lambda(classes, lam, x=0.0) -> None:
-    """Refuse lambdas whose product with a class span (the kernel's lam * (v - v')),
-    x or 2 (a grid from -lam to lam) overflows; run where a grid enters."""
-    reach = max(2.0, float(np.abs(x).max()), *(c.max_support - c.min_support for c in classes))
+def check_lambda(classes, lam) -> None:
+    """Refuse lambdas whose product with a class span (the kernel's lam * (v - v'))
+    or 2 (a grid from -lam to lam) overflows; run where a user's lambda grid enters."""
+    reach = max(2.0, *(c.max_support - c.min_support for c in classes))
     if not np.isfinite(float(np.abs(lam).max()) * reach):
-        raise Refused(f"lambda times {reach!r} (a class span or |x|) overflows")
+        raise Refused(f"lambda times {reach!r} (a class span) overflows")
 
 
 def mixture_cgf(classes, weights, lam) -> CgfPoint:
     """Weighted mixture CGF sum_i w_i log phi_i(lam) and its derivatives
     at every lambda of ``lam``: per class the shifted log-sum of
-    exp(lam v_j + log p_j), its tilted mean and its tilted variance."""
+    exp(lam v_j + log p_j), its tilted mean and its tilted variance.
+    A stack of weight rows (k x classes) gives one mixture per row from
+    the same per-class sums: value, d1 and d2 then gain a last axis of
+    length k."""
     lam = np.asarray(lam, dtype=float)
     support, top, w = _shifted_weights(classes, lam)
     s = w.sum(axis=-1)
     mean = (w * support).sum(axis=-1) / s
     var = (w * (support - mean[..., None]) ** 2).sum(axis=-1) / s
-    mixed = ((c * weights).sum(axis=-1) for c in (top + np.log(s), mean, var))
+    per_class = (top + np.log(s), mean, var)
+    if np.ndim(weights) == 2:
+        return CgfPoint(lam, *(c @ np.transpose(weights) for c in per_class))
+    mixed = ((c * weights).sum(axis=-1) for c in per_class)
     return CgfPoint(*shaped(lam.shape, lam, *mixed))
+
+
+def envelope_cgf(classes, rows: np.ndarray, lam) -> CgfPoint:
+    """Upper envelope max_k of the mixture CGFs of the weight rows ``rows``
+    (k x classes) from one kernel call: its value, and the derivatives of
+    the row that attains it, one-sided at a kink where two rows cross.
+    One row is its mixture CGF."""
+    if len(rows) == 1:
+        return mixture_cgf(classes, rows[0], lam)
+    p = mixture_cgf(classes, rows, lam)
+    # at lam = 0 every row is 0 with slope 0 (the classes are centered), up
+    # to rounding: on both sides the row of largest curvature binds
+    binds = np.where(p.lam[..., None] == 0.0, p.d2, p.value)
+    top = binds.argmax(axis=-1)[..., None]
+    mixed = (np.take_along_axis(c, top, axis=-1)[..., 0] for c in (p.value, p.d1, p.d2))
+    return CgfPoint(*shaped(p.lam.shape, p.lam, *mixed))
 
 
 def tilted_laws(classes, lam: float) -> tuple[np.ndarray, np.ndarray]:

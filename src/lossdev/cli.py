@@ -8,8 +8,8 @@ a model path that is missing, a directory or unreadable), 3 computation
 refused (any ``model.Refused``: threshold outside the tilting range,
 query in the CLT regime, arrays over the memory budget, a
 ``$LOSSDEV_MEMORY_BUDGET`` that is not a whole number, solver failure,
-supports without a common lattice step, n outside [1, 2**53], a lambda
-grid whose product with a class span or x overflows, a weighted-model
+supports without a common lattice step, n outside [1, 2**53], a ``cgf``
+lambda grid whose product with a class span overflows, a weighted-model
 query such as ``rate`` on an assigned model, or a ``counterexample``
 with no block end at or below ``--max-n``).  Errors print one
 ``error:`` line on stderr, not a traceback.
@@ -119,8 +119,7 @@ def _cmd_rate(args, model, bounds) -> int:
 
 def _cmd_bound(args, model, bounds) -> int:
     xs = _x_grid(args)
-    lam_grid = np.linspace(0.0, args.lambda_max, args.lambda_points)
-    bound = rate_upper_bound(model, xs, lam_grid)
+    bound = rate_upper_bound(model, xs)
     emit_curve(zip(xs.tolist(), bound.tolist()), ["x", "decay_rate_lower_bound"], sys.stdout)
     return 0
 
@@ -229,9 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x-min", type=_finite, default=-0.9)
         p.add_argument("--x-max", type=_finite, default=0.9)
         p.add_argument("--points", type=_count, default=51)
-        if name == "bound":
-            p.add_argument("--lambda-max", type=_positive, default=20.0)
-            p.add_argument("--lambda-points", type=_count, default=401)
 
     p = add("exact", _cmd_exact, help="exact tail probability by lattice convolution")
     p.add_argument("--model", required=True)

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .cgf import check_lambda, mixture_cgf, shaped
+from .cgf import envelope_cgf, shaped
 from .model import PortfolioModel, Refused
 
 SOLVE_TOL = 1e-10
@@ -34,9 +33,10 @@ class RatePoint:
     status: str
 
 
-def _solve_mean_equation(classes, weights, x: np.ndarray, x_min: float,
+def _solve_mean_equation(classes, rows: np.ndarray, x: np.ndarray, x_min: float,
                          x_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Solve Lambda'(lam) = x, Lambda the mixture CGF, for each x of a
+    """Solve Lambda'(lam) = x, Lambda the upper envelope of the mixture
+    CGFs of the weight rows (one row: its mixture CGF), for each x of a
     1-d array inside (x_min, x_max), the range of Lambda':
     (lambda, lambda x - Lambda(lambda)).
 
@@ -51,8 +51,9 @@ def _solve_mean_equation(classes, weights, x: np.ndarray, x_min: float,
     s = max(-x_min, x_max) sets the units: an open end sits at
     +-MAX_LAMBDA / s, and a point stops when |Lambda' - x| <= SOLVE_TOL s,
     since Lambda' is not resolved more finely than the rounding of
-    values of size s.  Each kernel call covers only the points still
-    open."""
+    values of size s, or when its bracket has closed to round-off: a
+    kink of the envelope, where Lambda' jumps over x.  Each kernel call
+    covers only the points still open, and every row."""
     scale = max(-x_min, x_max)  # > 0: every class is centered
     tol, limit = SOLVE_TOL * scale, MAX_LAMBDA / scale
     ends = np.empty((3, x.size))
@@ -60,7 +61,7 @@ def _solve_mean_equation(classes, weights, x: np.ndarray, x_min: float,
     odds = (x - x_min) / (x_max - x)  # exp(z) at the solution
     lam, rate, idx = np.zeros_like(x), np.zeros_like(x), np.arange(x.size)
     lo, hi, at = np.full_like(x, -limit), np.full_like(x, limit), np.zeros_like(x)
-    p = mixture_cgf(classes, weights, np.zeros(1))
+    p = envelope_cgf(classes, rows, np.zeros(1))
     for _ in range(MAX_ITER):
         gaps = p.d1 - ends  # Lambda' - x, Lambda' - x_min, Lambda' - x_max
         dist = np.abs(gaps)
@@ -70,6 +71,20 @@ def _solve_mean_equation(classes, weights, x: np.ndarray, x_min: float,
             # not finite where the mean rounded onto an end; the bracket rejects it
             step = at + np.log(odds * dist[2] / dist[1]) / (p.d2 / dist[1:]).sum(axis=0)
         done = dist[0] <= tol
+        inside = done | ((lo < step) & (step < hi))
+        if np.count_nonzero(inside) < inside.size:
+            # the first evaluation, at lam = 0, closes one end; double from lam s = 1
+            grow = np.where(hi == limit, np.maximum(2.0 * lo, 1.0 / scale),
+                            np.minimum(2.0 * hi, -1.0 / scale))
+            mid = 0.5 * (lo + hi)
+            step = np.where(inside, step,
+                            np.where((lo == -limit) | (hi == limit), grow, mid))
+            # a bracket closed to round-off holds a kink of an envelope, where
+            # Lambda' jumps over x: no lam solves the equation, the sup is there
+            done |= ~((lo < mid) & (mid < hi))
+            far = np.where(done, 0.0, np.abs(step))
+            if far.max() >= limit:
+                raise Refused(f"could not bracket lambda for x={ends[0][np.argmax(far)]}")
         finished = np.count_nonzero(done)
         if finished:
             lam[idx[done]], rate[idx[done]] = at[done], (at * ends[0] - p.value)[done]
@@ -77,39 +92,39 @@ def _solve_mean_equation(classes, weights, x: np.ndarray, x_min: float,
                 return lam, rate
             idx, odds, lo, hi, step = (v[~done] for v in (idx, odds, lo, hi, step))
             ends = ends[:, ~done]
-        inside = (lo < step) & (step < hi)
-        if np.count_nonzero(inside) < inside.size:
-            # the first evaluation, at lam = 0, closes one end; double from lam s = 1
-            grow = np.where(hi == limit, np.maximum(2.0 * lo, 1.0 / scale),
-                            np.minimum(2.0 * hi, -1.0 / scale))
-            fallback = np.where((lo == -limit) | (hi == limit), grow, 0.5 * (lo + hi))
-            step = np.where(inside, step, fallback)
-            if np.abs(step).max() >= limit:
-                raise Refused("could not bracket lambda for "
-                              f"x={ends[0][np.argmax(np.abs(step))]}")
         at = step
-        p = mixture_cgf(classes, weights, at)
+        p = envelope_cgf(classes, rows, at)
     raise Refused(f"no convergence after {MAX_ITER} iterations at x={ends[0][0]}")
 
 
 def transform_from_weights(classes, weights, x) -> RatePoint:
     """Legendre transform of the mixture CGF with the given class weights,
-    at x or elementwise over an array of x."""
+    at x or elementwise over an array of x.  ``weights`` may be a stack of
+    weight rows: the transform is then that of the upper envelope of their
+    mixture CGFs, whose slope runs from the smallest row bottom to the
+    largest row top."""
+    rows = np.atleast_2d(np.asarray(weights, dtype=float))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    x_max = float(sum(w * c.max_support for c, w in zip(classes, weights)))
-    x_min = float(sum(w * c.min_support for c, w in zip(classes, weights)))
+    # per support end (bottom, top) and row: the row's average there, and
+    # the closed-form limit of the transform as lambda -> -+inf
+    reach = [[float(sum(w * c.support[end] for c, w in zip(classes, row))) for row in rows]
+             for end in (0, -1)]
+    limits = [[-sum(w * math.log(c.probs[end]) for c, w in zip(classes, row) if w > 0.0)
+               for row in rows] for end in (0, -1)]
+    x_min, x_max = min(reach[0]), max(reach[1])
     edge_tol = 1e-12 * max(-x_min, x_max)  # on the solver's scale: every class is centered
     infinite = ~((x_min - edge_tol <= xs) & (xs <= x_max + edge_tol))  # NaN too
     upper = np.abs(xs - x_max) <= edge_tol
     interior = ~(infinite | upper | (np.abs(xs - x_min) <= edge_tol))
-    # at an edge the sup is attained only as lambda -> +-inf; limit value in closed form
-    edge_rates = [-sum(w * math.log(cls.probs[end]) for cls, w in zip(classes, weights) if w > 0.0)
-                  for end in (0, -1)]
+    # at an edge the sup is attained only as lambda -> +-inf: the least
+    # limit over the rows that reach it, as every other row's tends to inf
+    edge_rates = [min(r for e, r in zip(reach[i], limits[i]) if abs(e - edge) <= edge_tol)
+                  for i, edge in enumerate((x_min, x_max))]
     lam = np.where(upper | (xs > x_max), np.inf, -np.inf)
     rate = np.where(infinite, np.inf, np.where(upper, edge_rates[1], edge_rates[0]))
     status = np.where(infinite, "infinite", np.where(interior, "interior", "boundary"))
     if interior.any():
-        lam[interior], solved = _solve_mean_equation(classes, weights, xs[interior], x_min, x_max)
+        lam[interior], solved = _solve_mean_equation(classes, rows, xs[interior], x_min, x_max)
         rate[interior] = np.maximum(solved, 0.0)
     return RatePoint(*shaped(np.shape(x), xs, lam, rate, status))
 
@@ -146,27 +161,28 @@ def rate_I2(x: float) -> float:
     return _two_point_rate(x, 2.0)
 
 
-def rate_upper_bound(model: PortfolioModel, x, lam_grid: Sequence[float]):
+def rate_upper_bound(model: PortfolioModel, x):
     """Certified lower bound b on the tail decay rate, at x or elementwise
     over an array of x: P[M_n >= x] <= exp(-n b) at every n >= 1.
 
     Chernoff gives P[M_n >= x] <= exp(-n (lam x - Lambda_n(lam))) for
     every n and lam >= 0, and the finite-n CGF Lambda_n is linear in the
     density vector d(n) = counts(n) / n.  So sup_n Lambda_n is at most
-    the max of the mixture CGF over ``model.density_extremes()``, whose
-    convex hull holds every d(n) (the Gartner-Ellis bound with the
-    running sup of Lambda_n).  b is the max over the lambda grid of
-    lam x minus that max: every grid lambda is a valid Chernoff
-    parameter, so the grid only loosens the bound.  Strictly positive
-    for x > 0 whenever the boundedness/variance-floor assumptions hold
-    and the grid reaches small enough lambda.
+    the upper envelope M(lam) = max_k Lambda_{d_k}(lam) of the mixture
+    CGFs at the rows d_k of ``model.density_extremes()``, whose convex
+    hull holds every d(n) (the Gartner-Ellis bound with the running sup
+    of Lambda_n).  b is the Legendre transform of M, solved by the
+    solver of ``rate`` (``transform_from_weights`` with the stack of
+    extremes): inf above the largest reachable average, the closed-form
+    limit at it, and 0 for x <= 0, where the sup over lam >= 0 sits at
+    lam = 0.  Where M has a kink whose slopes straddle x the solve stops
+    once its bracket closes to round-off, and b = lam x - M(lam) at the lam
+    it stops at; any lam >= 0 is a valid Chernoff parameter, so a solver
+    error can only loosen b.  By Sion's minimax theorem b is the least
+    rate function over the hull of the d_k.
     """
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    if lam_grid.size == 0 or not np.all(lam_grid >= 0.0):
-        # a negative lambda bounds the lower tail, not the upper one
-        raise ValueError("the lambda grid must be nonempty and >= 0")
-    check_lambda(model.classes, lam_grid, x)
-    bar = np.max([mixture_cgf(model.classes, d, lam_grid).value
-                  for d in model.density_extremes()], axis=0)
-    # + 0.0 turns the -0.0 that a negative x makes at lambda = 0 into 0.0
-    return shaped(np.shape(x), (np.multiply.outer(x, lam_grid) - bar).max(axis=-1) + 0.0)[0]
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    b, up = np.zeros_like(xs), xs > 0.0
+    if up.any():
+        b[up] = transform_from_weights(model.classes, model.density_extremes(), xs[up]).rate
+    return shaped(np.shape(x), b)[0]

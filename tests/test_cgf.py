@@ -11,7 +11,7 @@ from lossdev import (
     empirical_cgf,
     limit_cgf,
 )
-from lossdev.cgf import mixture_cgf
+from lossdev.cgf import envelope_cgf, mixture_cgf
 
 
 def class_log_mgf(cls, lam):
@@ -196,3 +196,37 @@ class TestKernelAgainstFsum:
         lams = np.array([-2.0, 0.0, 2.0])
         np.testing.assert_allclose(class_log_mgf(unit_class, lams),
                                    np.log(np.cosh(lams)), rtol=1e-15, atol=0.0)
+
+
+class TestStackOfRows:
+    """One kernel call for several weight rows: a mixture per row, and the
+    upper envelope over them."""
+
+    ROWS = np.array([[1.0, 0.0], [0.5, 0.5], [0.25, 0.75]])
+
+    def test_rows_match_one_row_calls(self, unit_class, double_class):
+        classes, lams = (unit_class, double_class), np.linspace(-3.0, 3.0, 13)
+        stacked = mixture_cgf(classes, self.ROWS, lams)
+        for field in ("value", "d1", "d2"):
+            assert getattr(stacked, field).shape == (lams.size, len(self.ROWS))
+            for k, row in enumerate(self.ROWS):
+                np.testing.assert_allclose(getattr(stacked, field)[:, k],
+                                           getattr(mixture_cgf(classes, row, lams), field),
+                                           rtol=1e-15, atol=1e-15)
+
+    def test_envelope_takes_the_binding_row(self, unit_class, double_class):
+        classes, lams = (unit_class, double_class), np.array([-2.0, 0.5, 3.0])
+        env = envelope_cgf(classes, self.ROWS, lams)
+        stacked = mixture_cgf(classes, self.ROWS, lams)
+        np.testing.assert_array_equal(env.value, stacked.value.max(axis=1))
+        # log cosh 2 lam is the largest on both sides: the double class alone
+        assert np.all(env.value <= mixture_cgf(classes, [0.0, 1.0], lams).value + 1e-15)
+        scalar = envelope_cgf(classes, self.ROWS, 0.5)
+        assert np.ndim(scalar.value) == 0 and scalar.value == env.value[1]
+
+    def test_largest_curvature_binds_at_zero(self, unit_class):
+        """Every row's CGF rounds to about 0 at lam = 0; the envelope's
+        curvature there is the largest row's on both sides."""
+        claims = LossClass("claims", (-1000.0, 1.0), (1 / 1001, 1000 / 1001))
+        p = envelope_cgf((unit_class, claims), np.eye(2), np.zeros(1))
+        assert p.d2[0] == pytest.approx(claims.variance, rel=1e-12)

@@ -212,9 +212,19 @@ class TestDispatch:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert 0.0 < float(row[1]) < 0.14
 
-    def test_bound_below_the_mean_is_zero_not_minus_zero(self, round_robin_file, capsys):
-        assert dispatch(["bound", "--model", round_robin_file, "--x=-0.5"]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "-0.5,0"
+    def test_bound_below_the_mean_is_zero_not_minus_zero(self, round_robin_file, tmp_path,
+                                                          capsys):
+        # the log-MGF of {-1, 3} at lambda = 0 rounds to +1.1e-16
+        skew = tmp_path / "skew_round_robin.json"
+        skew.write_text(json.dumps({
+            "bounds": {"c0": 3, "c1": 1},
+            "classes": [{"name": "skew", "support": [-1, 3], "probs": [0.75, 0.25]},
+                        {"name": "double", "support": [-2, 2], "probs": [0.5, 0.5]}],
+            "regime": {"assigned": {"round_robin": {"weights": [1, 1]}}}}))
+        for path in (round_robin_file, str(skew)):
+            for x, row in (("-0.5", "-0.5,0"), ("0", "0,0")):
+                assert dispatch(["bound", "--model", path, f"--x={x}"]) == 0
+                assert capsys.readouterr().out.splitlines()[1] == row
 
     @pytest.mark.parametrize("a", [1e9, 1.41e146])
     def test_default_rate_grid_on_a_wide_support(self, tmp_path, capsys, a):
@@ -301,15 +311,6 @@ class TestExitCodes:
     def test_non_finite_threshold(self, unit_model_file, value, capsys):
         self._fails(["rate", "--model", unit_model_file, "--x", value], 2, capsys)
 
-    def test_no_lambda_points(self, unit_model_file, capsys):
-        self._fails(["bound", "--model", unit_model_file, "--x", "0.5", "--lambda-points", "0"],
-                    2, capsys)
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_lambda_max_not_positive(self, unit_model_file, value, capsys):
-        self._fails(["bound", "--model", unit_model_file, "--x", "0.5", "--lambda-max", value],
-                    2, capsys)
-
     @pytest.mark.parametrize("argv, code", [
         (["--max-n", "0"], 3),  # no block end at or below max-n
         (["--depth", "1", "--max-n", "1"], 3),
@@ -361,10 +362,10 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: class 'd' violates bound: |support| reaches 1e+200 > c0 = 1.0\n")
 
-    @pytest.mark.parametrize("sub", ["bound", "cgf"])
+    @pytest.mark.parametrize("sub", ["cgf"])
     def test_lambda_times_support_overflows(self, tmp_path, sub, capsys):
         argv = [sub, "--model", _two_point_file(tmp_path, 2.0, 2.0), "--lambda-max", "1e308"]
-        self._fails(argv + (["--x", "0.5"] if sub == "bound" else []), 3, capsys)
+        self._fails(argv, 3, capsys)
 
     def test_model_path_is_a_directory(self, tmp_path, capsys):
         self._fails(["exact", "--model", str(tmp_path), "--n", "10", "--x", "0.5"], 2, capsys)
@@ -516,6 +517,12 @@ def test_no_checkpoints_option(unit_model_file, capsys):
     """The bound takes its density extremes from the model."""
     assert dispatch(["bound", "--model", unit_model_file, "--x", "0.5",
                      "--checkpoints", "100"]) == 2
+
+
+@pytest.mark.parametrize("option", [["--lambda-max", "5"], ["--lambda-points", "9"]])
+def test_no_lambda_grid_options(unit_model_file, option, capsys):
+    """The bound solves for its lambda."""
+    assert dispatch(["bound", "--model", unit_model_file, "--x", "0.5", *option]) == 2
 
 
 def test_parser_built_once_and_calls_share_no_state(unit_model_file, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from lossdev import (
     BlockSchedule,
     LossClass,
     PortfolioModel,
+    RoundRobin,
+    build_counterexample,
     legendre_transform,
     limit_cgf,
     rate_I1,
@@ -17,10 +20,10 @@ from lossdev import (
     rate_upper_bound,
 )
 import lossdev.legendre
-from lossdev.cgf import mixture_cgf
+from lossdev.cgf import envelope_cgf, mixture_cgf
 from lossdev.exact import exact_log_tail_rate
 from lossdev.legendre import SOLVE_TOL, _two_point_rate, transform_from_weights
-from lossdev.model import Refused
+from lossdev.model import Refused, loads_model
 
 
 class TestLegendreTransform:
@@ -106,7 +109,24 @@ class TestClosedFormRates:
             assert np.all(second > 0)
 
 
-CLI_GRID = np.linspace(0.0, 20.0, 401)  # lossdev bound's default lambda grid
+# the grid lossdev bound once took its sup over: 401 lambdas on [0, 20]
+LAMBDA_GRID = np.linspace(0.0, 20.0, 401)
+SKEW = LossClass("skew", (-1.0, 3.0), (0.75, 0.25))
+OSCILLATING = {"growth-10": BlockSchedule(1, 10, (0, 1), accelerating=True),
+               "growth-3": BlockSchedule(1, 3, (0, 1))}
+
+
+def _grid_bound(model, x, grid=LAMBDA_GRID):
+    """max over the grid of lam x minus the envelope of the mixture CGFs
+    at the density extremes."""
+    bar = np.max([mixture_cgf(model.classes, d, grid).value
+                  for d in model.density_extremes()], axis=0)
+    return (np.multiply.outer(x, grid) - bar).max(axis=-1)
+
+
+def _claim_mix():
+    path = Path(__file__).resolve().parents[1] / "demos" / "claim_mix.json"
+    return loads_model(path.read_bytes())[0]
 
 
 class TestRateUpperBound:
@@ -115,24 +135,28 @@ class TestRateUpperBound:
         rule = BlockSchedule(a0=1, growth=10, order=(0, 1), accelerating=True)
         return PortfolioModel((unit_class, double_class), rule=rule)
 
+    @pytest.fixture
+    def kinked(self):
+        """Round-robin (1, 1) of {-1, 3} at (3/4, 1/4) with {+-2}: the
+        envelope of its two extremes has a kink at lambda ~ 0.4196, where
+        its slope jumps from 1.467 to 1.564."""
+        return PortfolioModel((SKEW, DOUBLE), rule=RoundRobin((1, 1)))
+
     def test_sandwiched_by_pure_rates(self, block_mix):
         """The densities reach both unit vectors, so the running sup of
-        the CGF is log cosh 2 lambda: the bound is the grid transform of
-        the double class alone, and so at most I2."""
-        grid = np.linspace(0.0, 5.0, 201)
-        j = rate_upper_bound(block_mix, 0.5, grid)
-        assert j == pytest.approx((0.5 * grid - np.log(np.cosh(2 * grid))).max(), abs=1e-12)
-        assert j <= rate_I2(0.5)
+        the CGF is log cosh 2 lambda: the bound is the transform of the
+        double class alone, I2."""
+        assert rate_upper_bound(block_mix, 0.5) == pytest.approx(rate_I2(0.5), abs=1e-12)
 
     @pytest.mark.parametrize("rule, bound, n, decay", [
-        (BlockSchedule(1, 3, (0, 1)), 0.038942, 265_720, 0.039076),
-        (BlockSchedule(1, 10, (0, 1), accelerating=True), 0.030659, 1_001_011, 0.031615),
+        (BlockSchedule(1, 3, (0, 1)), 0.0390542, 265_720, 0.039076),
+        (BlockSchedule(1, 10, (0, 1), accelerating=True), 0.0315839, 1_001_011, 0.031615),
     ], ids=["constant-ratio growth-3", "accelerating growth-10"])
     def test_below_the_exact_decay(self, rule, bound, n, decay):
         """Both schedules once got a bound above the exact decay rate from
         a max over three fixed n."""
         model = PortfolioModel((UNIT, DOUBLE), rule=rule)
-        b = rate_upper_bound(model, 0.5, CLI_GRID)
+        b = rate_upper_bound(model, 0.5)
         assert b == pytest.approx(bound, abs=1e-6)
         exact_decay = -exact_log_tail_rate(model, n, 0.5)
         assert exact_decay == pytest.approx(decay, abs=1e-6)
@@ -146,34 +170,92 @@ class TestRateUpperBound:
         """b <= -(1/n) log P[M_n >= x] at every block end up to 1e6."""
         rule = BlockSchedule(a0, growth, order, accelerating)
         model = PortfolioModel((UNIT, DOUBLE), rule=rule)
-        b = rate_upper_bound(model, x, CLI_GRID)
+        b = rate_upper_bound(model, x)
         for n in sorted({e for c in set(order) for e in rule.block_ends(c, 10**6)}):
             decay = -exact_log_tail_rate(model, n, x)
             assert b <= decay + 1e-9 * max(1.0, decay), (n, b, decay)
 
     def test_positive_for_positive_x(self, block_mix):
-        # fine grid near 0 so small x still sees its (small) maximizer
-        grid = np.concatenate([np.linspace(0.0, 0.5, 201),
-                               np.linspace(0.5, 5.0, 19)])
         for x in (0.01, 0.05, 0.2):
-            assert rate_upper_bound(block_mix, x, grid) > 0.0
+            assert rate_upper_bound(block_mix, x) > 0.0
 
     def test_single_class_matches_transform(self, unit_class, pure_unit):
-        from lossdev import RoundRobin
         model = PortfolioModel((unit_class,), rule=RoundRobin((1,)))
-        grid = np.linspace(0.0, 3.0, 601)
-        j = rate_upper_bound(model, 0.5, grid)
-        assert j == pytest.approx(legendre_transform(pure_unit, 0.5).rate, abs=1e-4)
+        j = rate_upper_bound(model, 0.5)
+        assert j == pytest.approx(legendre_transform(pure_unit, 0.5).rate, abs=1e-12)
 
-    def test_empty_grid(self, block_mix):
-        with pytest.raises(ValueError):
-            rate_upper_bound(block_mix, 0.5, [])
+    def test_counterexample_is_the_double_class_rate(self):
+        """Extremes (1, 0) and (0, 1): the envelope is log cosh 2 lambda
+        for lambda >= 0, so b = I2(x) inside, log 2 at the top x = 2, and
+        inf above it."""
+        model, _ = build_counterexample()
+        xs = np.linspace(0.0, 2.0, 202)[1:-1]
+        np.testing.assert_allclose(rate_upper_bound(model, xs),
+                                   [rate_I2(x) for x in xs], rtol=0.0, atol=1e-10)
+        assert rate_upper_bound(model, 2.0) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert rate_upper_bound(model, 2.5) == math.inf
 
-    def test_negative_lambda_refused(self, block_mix):
-        """lam < 0 bounds the lower tail: at x = -0.5 it would certify a
-        positive rate for P[M_n >= -0.5], which tends to 1."""
-        with pytest.raises(ValueError):
-            rate_upper_bound(block_mix, -0.5, [-1.0, 0.0, 1.0])
+    def test_infinite_above_the_largest_reachable_average(self):
+        """The growth-3 extremes are (1, 0) and (1/4, 3/4), so no average
+        reaches past 1/4 + 3/2 = 1.75."""
+        model = PortfolioModel((UNIT, DOUBLE), rule=OSCILLATING["growth-3"])
+        assert rate_upper_bound(model, 1.75) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert rate_upper_bound(model, 2.0) == math.inf
+
+    def test_at_most_the_rate_of_every_extreme(self, block_mix, kinked):
+        """To round-off: away from a kink b is the rate of the extreme whose
+        CGF binds, computed once in the envelope and once on its own."""
+        xs = np.linspace(0.05, 2.0, 40)
+        for model in (block_mix, kinked, _claim_mix()):
+            b = rate_upper_bound(model, xs)
+            for d in model.density_extremes():
+                assert np.all(b <= transform_from_weights(model.classes, d, xs).rate + 1e-15)
+
+    def test_zero_at_and_below_the_mean(self, kinked):
+        """The log-MGF of {-1, 3} at lambda = 0 rounds to +1.1e-16."""
+        b = rate_upper_bound(kinked, [-0.5, -0.0, 0.0])
+        assert [math.copysign(1.0, v) for v in b] == [1.0, 1.0, 1.0] and not b.any()
+
+    def test_solved_at_least_the_grid(self, block_mix, kinked):
+        """The sup over every lambda >= 0 is at least the sup over the grid,
+        at the thresholds of these tests and of the benchmark."""
+        cases = [(block_mix, [0.01, 0.05, 0.2, 0.5]),
+                 (kinked, np.linspace(0.05, 2.0, 40)),
+                 (_claim_mix(), np.linspace(0.0, 0.9, 51))]
+        for rule in OSCILLATING.values():
+            model = PortfolioModel((UNIT, DOUBLE), rule=rule)
+            cases.append((model, [0.5, 0.7]))
+            cases.append((model, np.linspace(0.05, 1.5, 30)))
+        for model, xs in cases:
+            assert np.all(rate_upper_bound(model, xs) >= _grid_bound(model, np.asarray(xs)))
+
+    def test_kinked_envelope(self, kinked):
+        """x in (1.467, 1.564) sits on the kink, where no lambda solves the
+        mean equation: the solve stops there, at least as high as a fine
+        grid, and below the exact decay at every n <= 300 (checked at the
+        kink and at every eighth x)."""
+        xs = np.linspace(0.05, 2.0, 40)
+        b = rate_upper_bound(kinked, xs)
+        on_kink = (1.467 < xs) & (xs < 1.564)
+        assert np.count_nonzero(on_kink) == 2
+        fine = _grid_bound(kinked, xs, np.linspace(1e-4, 5.0, 200_001))
+        assert np.all(b >= fine)
+        np.testing.assert_allclose(b, fine, rtol=0.0, atol=1e-6)
+        checked = on_kink | (np.arange(xs.size) % 8 == 0)
+        for n in range(1, 301):
+            for x, bound in zip(xs[checked], b[checked]):
+                assert bound <= -exact_log_tail_rate(kinked, n, x), (n, x)
+
+    def test_claim_mix(self):
+        """A premium of 1 against a claim of -1000 at probability 1/1001:
+        the maximizing lambda at x = 0.3 is about 0.02, below the grid's
+        first step, and b stays below the exact decay."""
+        model = _claim_mix()
+        xs = np.linspace(0.0, 0.9, 51)[1:]
+        assert np.all(rate_upper_bound(model, xs) > 0.0)
+        b = rate_upper_bound(model, 0.3)
+        for n in (10**3, 10**5):
+            assert b <= -exact_log_tail_rate(model, n, 0.3)
 
 
 class TestExpansion:
@@ -314,9 +396,9 @@ class TestSolverCost:
 
         def counted(*args):
             calls.append(1)
-            return mixture_cgf(*args)
+            return envelope_cgf(*args)
 
-        monkeypatch.setattr(lossdev.legendre, "mixture_cgf", counted)
+        monkeypatch.setattr(lossdev.legendre, "envelope_cgf", counted)
         rp = transform_from_weights(classes, weights, x)
         assert np.all(np.asarray(rp.status) == "interior")
         return len(calls)
