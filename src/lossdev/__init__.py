@@ -35,7 +35,6 @@ from .exact import (
     exact_log_tail,
     exact_log_tail_rate,
     exact_tail,
-    latticize,
 )
 from .mc import TiltingRangeError, sample_plain, sample_tilted
 from .moderate import (
@@ -69,7 +68,6 @@ __all__ = [
     "exact_log_tail",
     "exact_log_tail_rate",
     "exact_tail",
-    "latticize",
     "legendre_transform",
     "limit_cgf",
     "loads_model",

@@ -2,13 +2,14 @@
 stdout, and a JSON run manifest on stderr for reproducibility.
 
 Exit codes (``EXIT_CODES`` maps the exceptions): 0 success, 1 the model
-file fails validation (bytes that are not UTF-8, a c0 above about
-1.4e146), 2 usage error (bad arguments such as a negative ``--seed``, or
-a model path that is missing, a directory or unreadable), 3 computation
+file fails validation (bytes that are not UTF-8, a flag that is not
+JSON true or false, a c0 above about 1.4e146), 2 usage error (bad
+arguments such as a negative ``--seed``, or a model path that is
+missing, a directory or unreadable), 3 computation
 refused (any ``model.Refused``: threshold outside the tilting range,
 query in the CLT regime, arrays over the memory budget, a
 ``$LOSSDEV_MEMORY_BUDGET`` that is not a whole number, solver failure,
-supports without a common lattice step, n outside [1, 2**53], a ``cgf``
+support gaps without a common step, n outside [1, 2**53], a ``cgf``
 lambda grid whose product with a class span overflows, a weighted-model
 query such as ``rate`` on an assigned model, or a ``counterexample``
 with no block end at or below ``--max-n``).  Errors print one

@@ -2,13 +2,16 @@
 lattice: the oracle for every probabilistic claim at desk scale.
 
 ``exact_log_tail`` sets up the lattice of the sum first.  With g the
-step of the support values, to within LATTICE_TOL of each class's
-largest |value| whatever its scale, every class's points are its minimum
-plus distinct multiples of g, and the sum lies on the sum of the minima
-plus multiples of g * h, h the gcd of those multiples: g = 1 and h = 2
-for the {-1, +1} and {-2, +2} classes of the paper's counterexample.
-The supports are rounded onto it once, and the threshold is walked to
-the first lattice point that reaches it, where the tail is the same.
+common step of the gaps v - v_min within each class that has contracts,
+to within LATTICE_TOL of that class's span whatever its scale, every
+class's points are its minimum plus distinct multiples of g, and the sum
+lies on the sum of the minima, sum_c nu_c v_min,c, plus multiples of g:
+g = 2 for the {-1, +1} and {-2, +2} classes of the paper's
+counterexample, and g = 1 for a centered life contract {-q, 1 - q},
+whatever q.  Each lattice point is that sum of offsets and g k, rounded
+once; the supports are rounded onto the lattice once, and the threshold
+is walked to the first lattice point that reaches it, where the tail is
+the same.
 The FFT helper then takes only lattice steps: the exponentially tilted
 FFT of Keich (J. Comput. Biol. 12, 2005) tilts the class laws by the
 saddlepoint of the threshold, sends the product of their spectra, raised
@@ -50,7 +53,7 @@ import numpy as np
 
 from .model import LossClass, PortfolioModel, Refused, check_budget, reaches
 
-LATTICE_TOL = 1e-9  # times the largest |support value| of the class
+LATTICE_TOL = 1e-9  # times the span of the class
 # tilted mass a tail window may leave out or alias onto itself
 WINDOW_EPS = 1e-30
 # the tilt solve stops at |m(theta) - k| <= TILT_TOL * max(1, k) lattice steps
@@ -60,7 +63,8 @@ _LOG_UNDERFLOW = -746.0  # exp of anything lower is 0 in double precision
 
 
 class IncommensurableSupportError(Refused):
-    """Support points share no common lattice step; use Monte Carlo instead."""
+    """The support gaps v - v_min within the classes share no common step,
+    or two points of a class fall on one step; use Monte Carlo instead."""
 
 
 def _real_gcd(a: float, b: float, tol: float) -> float:
@@ -70,27 +74,27 @@ def _real_gcd(a: float, b: float, tol: float) -> float:
     return a
 
 
-def latticize(model: PortfolioModel) -> float:
-    """Largest step g such that every support point of every class is an
-    integer multiple of g within LATTICE_TOL times the largest |support
-    value| of its class."""
-    # (value, tolerance) for the points that are not 0 at their class's scale
-    points = []
-    for cls in model.classes:
-        tol = LATTICE_TOL * max(map(abs, cls.support))
-        points += [(v, tol) for v in cls.support if abs(v) > tol]
-    finest = min(tol for _, tol in points)
+def latticize(classes: list[LossClass]) -> float:
+    """Largest step g such that every gap v - v_min of every class is an
+    integer multiple of g within LATTICE_TOL times its class's span: the
+    gcd of the gaps, so their multiples of g share no common factor."""
+    # (gap, tolerance) for every point above its class's minimum
+    gaps = [(v - c.min_support, LATTICE_TOL * (c.max_support - c.min_support))
+            for c in classes for v in c.support[1:]]
+    finest = min(tol for _, tol in gaps)
     # Euclid stops well below the rejection threshold: the remainders of
     # incommensurable pairs decay indefinitely and must land under it
-    g = reduce(lambda a, b: _real_gcd(a, b, 1e-3 * finest), (abs(v) for v, _ in points))
+    g = reduce(lambda a, b: _real_gcd(a, b, 1e-3 * finest), (gap for gap, _ in gaps))
     if g <= finest:
-        raise IncommensurableSupportError(
-            "supports share no common lattice step at relative tolerance "
-            f"{LATTICE_TOL}; use the Monte Carlo estimator instead")
-    for v, tol in points:
-        if abs(v - round(v / g) * g) > tol:
-            raise IncommensurableSupportError(
-                f"support value {v} is not a multiple of step {g}")
+        raise IncommensurableSupportError("support gaps share no common step at relative "
+                                          f"tolerance {LATTICE_TOL}; use Monte Carlo instead")
+    # Euclid's remainders pile up the round-off of every gap, and the walk
+    # multiplies g by up to n * span: take g from the widest gap alone
+    widest = max(gap for gap, _ in gaps)
+    g = widest / round(widest / g)
+    for gap, tol in gaps:
+        if abs(gap - round(gap / g) * g) > tol:
+            raise IncommensurableSupportError(f"support gap {gap} is not a multiple of step {g}")
     return g
 
 
@@ -222,7 +226,13 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
             # the tail
             re = -2.0 * (p @ np.sin(np.outer(0.5 * shift[1:], omega)) ** 2)
             im = -(p @ np.sin(np.outer(shift[1:], omega)))
-            log_mod += 0.5 * nu * np.log1p(np.maximum(re * (2.0 + re) + im * im, -1.0))
+            # log |z_c|^2 from |z_c|^2 - 1 is accurate near 1; below |z_c| of
+            # about 1/2 it is taken from |z_c| itself, as near a spectral
+            # zero |z_c|^2 - 1 cancels to -1 and leaves sqrt(eps) of |z_c|
+            log_sq = np.log1p(np.maximum(re * (2.0 + re) + im * im, -1.0))
+            near0 = log_sq < -1.4
+            log_sq[near0] = 2.0 * np.log(np.hypot(1.0 + re[near0], im[near0]))
+            log_mod += 0.5 * nu * log_sq
             phase += nu * np.arctan2(im, 1.0 + re)
     live_freq = log_mod > _LOG_UNDERFLOW
     spectrum = np.zeros(omega.size, dtype=complex)
@@ -249,27 +259,28 @@ def exact_log_tail(model: PortfolioModel, n: int, x: float,
     of w = O(sqrt(n) * span) of the O(n * span) lattice points.
     """
     live = [(cls, int(nu)) for cls, nu in zip(model.classes, model.counts(n)) if nu > 0]
-    g = latticize(model)
-    # each class's points in steps of g, the one rounding of the supports
-    idx = [np.rint(np.asarray(cls.support) / g).astype(np.int64) for cls, _ in live]
-    if any((np.diff(i) == 0).any() for i in idx):
+    g = latticize([cls for cls, _ in live])
+    # each class's points in steps of g from its minimum, the one rounding of the supports
+    steps = [np.rint(np.subtract(c.support, c.min_support) / g).astype(np.int64) for c, _ in live]
+    if any((np.diff(s) == 0).any() for s in steps):
         raise IncommensurableSupportError("two points of a class on one lattice step")
-    h = math.gcd(*np.concatenate([i - i[0] for i in idx]).tolist())
-    steps = [(i - i[0]) // h for i in idx]
-    # the sum lies on the points (base + h k) g, k = 0..size-1
-    base = sum(nu * int(i[0]) for (_, nu), i in zip(live, idx))
+    # the sum lies on the points fsum(offsets) + g k, k = 0..size-1, each rounded once
+    offsets = [nu * cls.min_support for cls, nu in live]
     size = sum(nu * int(s[-1]) for (_, nu), s in zip(live, steps)) + 1
-    level = n * x
+
+    def reaches_point(k: int) -> bool:
+        return reaches(math.fsum([*offsets, g * k]), n * x, inclusive)
+
     # the edges first, as n * x may overflow and the walk takes single steps
-    if not reaches((base + h * (size - 1)) * g, level, inclusive):
+    if not reaches_point(size - 1):
         return -math.inf
-    if reaches(base * g, level, inclusive):
+    if reaches_point(0):
         return 0.0
     # the first lattice point that reaches the level
-    k = (math.floor(level / g) - base) // h
-    while reaches((base + h * (k - 1)) * g, level, inclusive):
+    k = math.floor((n * x - math.fsum(offsets)) / g)
+    while reaches_point(k - 1):
         k -= 1
-    while not reaches((base + h * k) * g, level, inclusive):
+    while not reaches_point(k):
         k += 1
     if k == size - 1:
         return float(sum(nu * math.log(cls.probs[-1]) for cls, nu in live))

@@ -422,9 +422,11 @@ def loads_model(data: str | bytes) -> tuple[PortfolioModel, AssumptionBounds]:
     Raises ModelError on bytes that are not UTF-8, on a malformed
     document, with the offending field, including a number that is not
     finite (JSON ``NaN``, ``Infinity`` or an overflowing literal such as
-    ``1e400``), or on the first class that breaks an assumption
-    (``check_assumptions``).  A class with ``"center": true`` gives raw
-    losses: its probability-weighted mean is subtracted from its support.
+    ``1e400``) and a ``center`` or ``accelerating`` flag that is not JSON
+    ``true`` or ``false``, or on the first class that breaks an
+    assumption (``check_assumptions``).  A class with ``"center": true``
+    gives raw losses: its probability-weighted mean is subtracted from its
+    support.
     """
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -439,6 +441,10 @@ def loads_model(data: str | bytes) -> tuple[PortfolioModel, AssumptionBounds]:
         if not isinstance(d[key], kind):
             raise ModelError(f"{where}.{key} is not a {kind.__name__}: {d[key]!r}")
         return d[key]
+
+    def flag(d, key, where):
+        # JSON true or false, absent meaning false: bool("false") is True
+        return need({key: False, **d}, key, where, bool)
 
     def number(v, where):
         try:
@@ -463,7 +469,7 @@ def loads_model(data: str | bytes) -> tuple[PortfolioModel, AssumptionBounds]:
         name = str(need(c, "name", f"classes[{i}]"))
         support = numbers(c, "support", f"classes[{i}]")
         probs = numbers(c, "probs", f"classes[{i}]")
-        if c.get("center", False):
+        if flag(c, "center", f"classes[{i}]"):
             try:
                 mean = math.fsum(v * p for v, p in zip(support, probs)) / math.fsum(probs)
             except (ArithmeticError, ValueError):  # no mean: LossClass refuses the probs
@@ -486,7 +492,7 @@ def loads_model(data: str | bytes) -> tuple[PortfolioModel, AssumptionBounds]:
                 a0=number(need(blk, "a0", "blocks"), "blocks.a0"),
                 growth=number(need(blk, "growth", "blocks"), "blocks.growth"),
                 order=numbers(blk, "order", "blocks"),
-                accelerating=bool(blk.get("accelerating", False)),
+                accelerating=flag(blk, "accelerating", "blocks"),
             ))
         else:
             raise ModelError("regime.assigned needs 'round_robin' or 'blocks'")

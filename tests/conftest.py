@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,17 @@ from lossdev import AssumptionBounds, LossClass, PortfolioModel, RoundRobin
 
 UNIT = LossClass("unit", (-1.0, 1.0), (0.5, 0.5))
 DOUBLE = LossClass("double", (-2.0, 2.0), (0.5, 0.5))
+
+
+# raw claims {0, 1000} at q = 1/(100 pi), centered, beside the unit class
+CLAIM_RAW = Path(__file__).resolve().parents[1] / "demos" / "claim_raw.json"
+
+
+def life_class(q: float) -> LossClass:
+    """A life contract that costs 1 with claim probability q, centered:
+    {-q, 1 - q}.  For most q its points share no lattice step, but its
+    gap, 1, does."""
+    return LossClass(f"life q={q:.6g}", (-q, 1.0 - q), (1.0 - q, q))
 
 
 @pytest.fixture

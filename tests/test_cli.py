@@ -336,6 +336,10 @@ class TestExitCodes:
             # no mean to subtract: the class refuses the probabilities
             "positive mass": (
                 {"name": "c", "support": [0, 2], "probs": [0, 0], "center": True}, weighted),
+            # bool("no") and bool("false") are True: only JSON true and false are flags
+            "classes[0].center is not a bool": ({**unit, "center": "no"}, weighted),
+            "blocks.accelerating is not a bool": (unit, {"assigned": {"blocks": {
+                "a0": 1, "growth": 10, "order": [0], "accelerating": "false"}}}),
             "one weight per class": (unit, {"weighted": {"weights": [0.5, 0.5]}}),
             "class index out of range": (
                 unit, {"assigned": {"round_robin": {"weights": [1, 1]}}}),
@@ -507,6 +511,16 @@ def test_claim_mix_file_fits_64mb(monkeypatch, capsys):
     assert dispatch(["exact", "--model", str(path), "--n", "1000000", "--x", "0.3"]) == 0
     log_rate = float(capsys.readouterr().out.splitlines()[1].split(",")[3])
     assert -1.21e-4 < log_rate < -1.19e-4
+
+
+def test_claim_raw_file_fits_64mb(monkeypatch, capsys):
+    """Raw claims {0, 1000} with "center": true, whose centered values
+    share no lattice step, at n = 1e6, as the CI step runs it."""
+    path = Path(__file__).resolve().parents[1] / "demos" / "claim_raw.json"
+    monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "64000000")
+    assert dispatch(["exact", "--model", str(path), "--n", "1000000", "--x", "0.3"]) == 0
+    log_rate = float(capsys.readouterr().out.splitlines()[1].split(",")[3])
+    assert -2.98e-5 < log_rate < -2.96e-5
 
 
 def test_no_threads_option(unit_model_file, capsys):

@@ -19,45 +19,51 @@ from lossdev import (
     exact_log_tail,
     exact_log_tail_rate,
     exact_tail,
-    latticize,
     rate_I1,
     sample_plain,
 )
 from lossdev.cgf import mixture_cgf
-from lossdev.exact import WINDOW_EPS
+from lossdev.exact import WINDOW_EPS, latticize
 from lossdev.legendre import transform_from_weights
-from lossdev.model import Refused, reaches
+from lossdev.model import Refused, loads_model, reaches
 
-from conftest import DOUBLE, UNIT, random_lattice_model
+from conftest import CLAIM_RAW, DOUBLE, UNIT, life_class, random_lattice_model
 from oracle import direct_log_pmf
 
 
+def _live(model, n):
+    """The classes with contracts among 1..n."""
+    return [c for c, nu in zip(model.classes, model.counts(n)) if nu > 0]
+
+
 class TestLatticize:
+    """The step is taken from the gaps v - v_min within the classes."""
+
     def test_integer_supports(self, rr_mix):
-        assert latticize(rr_mix) == pytest.approx(1.0)
+        assert latticize(_live(rr_mix, 2)) == pytest.approx(2.0)
 
     def test_rational_gcd(self):
         a = LossClass("a", (-0.5, 0.5), (0.5, 0.5))
         b = LossClass("b", (-0.75, 0.75), (0.5, 0.5))
-        model = PortfolioModel((a, b), weights=(0.5, 0.5))
-        assert latticize(model) == pytest.approx(0.25)
+        assert latticize([a, b]) == pytest.approx(0.5)
 
     def test_irrational_ratio_fails(self):
         a = LossClass("a", (-1.0, 1.0), (0.5, 0.5))
         b = LossClass("b", (-math.sqrt(2), math.sqrt(2)), (0.5, 0.5))
-        model = PortfolioModel((a, b), weights=(0.5, 0.5))
         with pytest.raises(IncommensurableSupportError):
-            latticize(model)
+            latticize([a, b])
 
-    # {-1e-10, +1e-10} is no 0 next to {-1, +1}, and a wide class, live
-    # or not, coarsens no other class's tolerance
+    # {-1e-10, +1e-10} keeps its step next to {-1, +1}, a wide class
+    # coarsens no other class's tolerance, and a class without contracts
+    # takes no part; g is the step of the values, and the gaps of {±a}
+    # are 2a
     @pytest.mark.parametrize("scale, weights, g", [(1e-10, (0.5, 0.5), 1e-10),
                                                    (1e9, (1.0, 0.0), 1.0),
                                                    (1e9, (0.5, 0.5), 1.0)])
     def test_each_class_on_its_own_scale(self, scale, weights, g):
         other = LossClass("other", (-scale, scale), (0.5, 0.5))
         model = PortfolioModel((UNIT, other), weights=weights)
-        assert latticize(model) == pytest.approx(g)
+        assert latticize(_live(model, 10)) == pytest.approx(2 * g)
 
     def test_a_wide_class_without_contracts_leaves_the_tail(self, pure_unit):
         wide = LossClass("wide", (-1e9, 1e9), (0.5, 0.5))
@@ -178,12 +184,12 @@ class TestDistributionInvariants:
         for _ in range(5):
             model, _ = random_lattice_model(rng)
             n = int(rng.integers(2, 60))
-            _, logp = direct_log_pmf(model, n)
+            *_, logp = direct_log_pmf(model, n)
             assert abs(np.exp(logp).sum() - 1.0) <= 1e-9 * n
 
     def test_symmetry_of_symmetric_classes(self, rr_mix):
         for n in (3, 10, 25):
-            masses = np.exp(direct_log_pmf(rr_mix, n)[1])
+            masses = np.exp(direct_log_pmf(rr_mix, n)[-1])
             m = masses[masses > 0]
             assert np.allclose(m, m[::-1], atol=1e-12)
             for x in (0.3, 0.7, 1.1):
@@ -230,9 +236,8 @@ class TestFftAgainstDirect:
 
     @staticmethod
     def _check_levels(model, n, levels, inclusive=True):
-        g = latticize(model)
-        offset, logp = direct_log_pmf(model, n)
-        points = (offset + np.arange(len(logp))) * g
+        offset, g, logp = direct_log_pmf(model, n)
+        points = offset + g * np.arange(len(logp))
         for x in levels:
             got = exact_log_tail(model, n, x, inclusive)
             # the points that reach the level are a suffix of the lattice
@@ -292,22 +297,13 @@ def test_memory_budget_covers_fft(monkeypatch):
         exact_tail(model, 1000, 0.5)
 
 
-def _sum_lattice_step(model, n):
-    """The step of the sum's own lattice: latticize's step g times the
-    gcd of every point's distance, in steps of g, from its class's
-    minimum, over the classes with contracts among 1..n."""
-    g = latticize(model)
-    live = [c for c, nu in zip(model.classes, model.counts(n)) if nu > 0]
-    return g * math.gcd(*(round((v - c.min_support) / g) for c in live for v in c.support))
-
-
 def _window_radius(model, n, x):
     """Half-width r of the documented tail window at the threshold x, in
     sum lattice steps: the smaller of Hoeffding's and Bernstein's radius,
     at the tilt that puts the mean of the sum on the first lattice point
     k to reach n x, from the Legendre solve.  The exact oracle adds the
     |m - k| its own solve stops at, at most 1e-9 k."""
-    step = _sum_lattice_step(model, n)
+    step = latticize(_live(model, n))
     counts = model.counts(n)
     lowest = float(counts @ [c.min_support for c in model.classes])
     k = int(np.argmax(reaches(lowest + step * np.arange(_lattice_size(model, n)), n * x)))
@@ -324,7 +320,7 @@ def _window_radius(model, n, x):
 
 def _lattice_size(model, n):
     """Points of the sum lattice from the lowest to the highest sum."""
-    step = _sum_lattice_step(model, n)
+    step = latticize(_live(model, n))
     spans = [round((c.max_support - c.min_support) / step) for c in model.classes]
     return int(model.counts(n) @ spans) + 1
 
@@ -343,48 +339,49 @@ class TestWindowAgainstDirect:
 
 
 SUM_LATTICES = {
-    # (model, g, h): the sum lies on its lowest value plus multiples of g * h
+    # (model, g * h): the support values lie on multiples of g, and the
+    # gaps within the classes on multiples of g * h, the step of the sum
     "offsets -1 and -3, h = 2": (
         PortfolioModel((UNIT, LossClass("m3", (-3.0, 1.0), (0.25, 0.75))),
-                       weights=(0.5, 0.5)), 1.0, 2),
+                       weights=(0.5, 0.5)), 2.0),
     "h = 3": (
         PortfolioModel((LossClass("a", (-1.0, 2.0), (2 / 3, 1 / 3)),
                         LossClass("b", (-2.0, 1.0), (1 / 3, 2 / 3))), weights=(0.5, 0.5)),
-        1.0, 3),
+        3.0),
     "g = 3, h = 1": (
         PortfolioModel((LossClass("a", (-3.0, 3.0), (0.5, 0.5)),
                         LossClass("b", (-6.0, 3.0), (1 / 3, 2 / 3))), weights=(0.5, 0.5)),
-        3.0, 1),
+        3.0),
     "one class with gcd 2, h = 1": (
         PortfolioModel((UNIT, LossClass("b", (-2.0, 1.0), (1 / 3, 2 / 3))),
-                       rule=RoundRobin((2, 1))), 1.0, 1),
+                       rule=RoundRobin((2, 1))), 1.0),
 }
 
 
 class TestSumLattice:
     """The FFT on the sum's own lattice against the direct log-space
-    convolution at every threshold index strictly between the edges,
-    on the lattice of the support values: on the sum lattice and off it,
-    where the threshold rounds up to the next sum lattice point."""
+    convolution at every lattice point strictly between the edges, and
+    halfway between neighbours, where the threshold rounds up to the next
+    lattice point."""
 
     @pytest.mark.parametrize("name", SUM_LATTICES)
     @pytest.mark.parametrize("n", [31, 200])
     def test_every_threshold(self, name, n):
-        model, g, h = SUM_LATTICES[name]
-        offset, logp = direct_log_pmf(model, n)
-        assert latticize(model) == g
-        assert math.gcd(*np.flatnonzero(np.isfinite(logp)).tolist()) == h
-        assert _sum_lattice_step(model, n) == g * h
+        model, step = SUM_LATTICES[name]
+        offset, g, logp = direct_log_pmf(model, n)
+        assert g == latticize(_live(model, n)) == step
+        # no sum skips a lattice point for good: the steps share no factor
+        assert math.gcd(*np.flatnonzero(np.isfinite(logp)).tolist()) == 1
         TestFftAgainstDirect._check_levels(
-            model, n, [(offset + k) * g / n for k in range(1, len(logp) - 1)])
+            model, n, [(offset + k * g) / n for k in np.arange(1, 2 * len(logp) - 2) / 2])
 
 
 def test_budget_holds_the_window_on_the_sum_lattice(monkeypatch, rr_mix):
     """{-1, +1} and {-2, +2} sums land on every second point: at n = 1000
     the window counted in those steps fits 50 000 bytes, one counted in
     unit steps would not."""
-    offset, logp = direct_log_pmf(rr_mix, 1000)
-    want = float(logsumexp(logp[500 - offset:]))
+    offset, g, logp = direct_log_pmf(rr_mix, 1000)
+    want = float(logsumexp(logp[round((500 - offset) / g):]))
     monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "50000")
     assert exact_log_tail(rr_mix, 1000, 0.5) == pytest.approx(want, rel=1e-9)
 
@@ -569,6 +566,92 @@ class TestClaimMix:
             if not upper:  # the complement is the informative number
                 got = math.log(-math.expm1(got))
             assert got == pytest.approx(want, rel=1e-10), (n, x)
+
+
+PI_LIFE, E_LIFE = life_class(1 / math.pi), life_class(1 / math.e)
+OFFSET_MODELS = {
+    f"{name} {how}": model
+    for name, life in (("1/pi", PI_LIFE), ("1/e", E_LIFE))
+    for how, model in (
+        ("alone", PortfolioModel((life,), weights=(1.0,))),
+        ("beside the unit class", PortfolioModel((UNIT, life), weights=(0.5, 0.5))),
+        ("round-robin with claims", PortfolioModel((CLAIMS, life), rule=RoundRobin((1, 1)))))
+}
+
+
+def _lattice(model, n):
+    """(offset, g, size): the sum lies on offset + g k, k = 0..size-1."""
+    counts = model.counts(n).tolist()
+    offset = math.fsum(nu * c.min_support for c, nu in zip(model.classes, counts))
+    return offset, latticize(_live(model, n)), _lattice_size(model, n)
+
+
+class TestOffsetLattice:
+    """Centered two-point classes {-q, 1 - q} with irrational q: their
+    values share no lattice step, their gaps do, and the sum lies on the
+    sum of the class minima plus whole steps."""
+
+    @pytest.mark.parametrize("name", OFFSET_MODELS)
+    def test_against_enumeration(self, name):
+        """At sums drawn from the contracts' own points, added in floats,
+        and half a step to either side of them."""
+        model = OFFSET_MODELS[name]
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 5, 8, 10):
+            g = latticize(_live(model, n))
+            contracts = [c for c, nu in zip(model.classes, model.counts(n)) for _ in range(nu)]
+            for _ in range(6):
+                total = sum(float(rng.choice(c.support)) for c in contracts)
+                for level in (total - g / 2, total, total + g / 2):
+                    for inclusive in (True, False):
+                        want = enumerate_tail(model, n, level / n, inclusive)
+                        got = exact_tail(model, n, level / n, inclusive)
+                        assert got == pytest.approx(want, rel=1e-12), (n, level, inclusive)
+
+    @pytest.mark.parametrize("name", OFFSET_MODELS)
+    def test_against_direct(self, name):
+        for n in (7, 60, 300):
+            # the bottom of {-q, 1 - q} alone is -q / (1 - q) > -0.47 times its top
+            TestFftAgainstDirect._check(OFFSET_MODELS[name], n,
+                                        (-0.4, -0.05, 0.0, 0.1, 0.5, 0.9, 1.0))
+
+    def test_claim_raw_demo(self):
+        model, _ = loads_model(CLAIM_RAW.read_bytes())
+        for n in (7, 300):
+            TestFftAgainstDirect._check_levels(model, n, (-0.5, -0.1, 0.0, 0.05, 0.3, 0.7))
+
+    @pytest.mark.parametrize("n", [1, 10, 10**4, 10**6, 10**8])
+    def test_one_step_inside_each_edge(self, n):
+        """With k ~ Bin(n, q) claims the sum is k - n q: P[S >= top - 1] =
+        q^n + n q^(n-1) (1 - q) and P[S >= bottom + 1] = 1 - (1 - q)^n."""
+        q = 1 / math.pi
+        model = PortfolioModel((PI_LIFE,), weights=(1.0,))
+        top, bottom = n * (1 - q), -n * q
+        top_want = (n - 1) * math.log(q) + math.log(q + n * (1 - q))
+        bottom_want = math.log1p(-((1 - q) ** n))
+        # each level inclusive, and one step further out strictly: the same events
+        for top_level, bottom_level, inclusive in ((top - 1, bottom + 1, True),
+                                                   (top - 2, bottom, False)):
+            got = exact_log_tail(model, n, top_level / n, inclusive)
+            assert got == pytest.approx(top_want, rel=1e-10, abs=1e-15)
+            got = exact_log_tail(model, n, bottom_level / n, inclusive)
+            assert got == pytest.approx(bottom_want, rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 9, 31, 1000, 10**5, 3 * 10**7])
+    def test_on_grid_thresholds(self, n):
+        """The tail at lattice point k, inclusive, is the strict tail at
+        point k - 1 and the tail at the threshold halfway between them:
+        the walk lands on point k from either side of the grid."""
+        model = OFFSET_MODELS["1/pi beside the unit class"]
+        offset, g, size = _lattice(model, n)
+        ks = {round(f * (size - 1)) for f in (0.2, 0.3, 0.4, 0.45, 0.5, 0.55, 0.6, 0.7, 0.8)}
+        ks |= {1, 2, 3, size - 3, size - 2, size - 1}
+        for k in sorted(k for k in ks if 1 <= k < size):
+            at, below = offset + g * k, offset + g * (k - 1)
+            got = exact_log_tail(model, n, at / n)
+            assert exact_log_tail(model, n, below / n, inclusive=False) == got, (n, k)
+            for inclusive in (True, False):
+                assert exact_log_tail(model, n, (at + below) / 2 / n, inclusive) == got, (n, k)
 
 
 ZERO_FOUR = LossClass("zero_four", (-2.0, 0.0, 1.0, 3.0), (0.3, 0.3, 0.3, 0.1))

@@ -13,6 +13,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from lossdev.cli import dispatch
+from lossdev.exact import enumerate_tail, exact_tail
 from lossdev.model import CENTER_TOL, loads_model
 
 
@@ -139,6 +140,33 @@ def test_centered_class(support, masses):
     assert len(cls.support) == len(support)
     shifts = [v - c for v, c in zip(sorted(support), cls.support)]
     assert max(shifts) - min(shifts) <= 1e-12 * max(map(abs, support))
+
+
+@settings(max_examples=100, deadline=None)
+@given(support=st.lists(st.integers(-50, 50), min_size=2, max_size=4, unique=True),
+       masses=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+       beside_unit=st.booleans(), n=st.integers(1, 6),
+       picks=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+       nudge=st.sampled_from([-0.5, 0.0, 0.5]))
+def test_centered_class_is_exact(support, masses, beside_unit, n, picks, nudge):
+    """A raw integer support with ``"center": true`` has values on no
+    common step, but gaps on one: ``exact`` takes it, alone or beside the
+    unit class, and agrees with enumeration at a sum of the contracts'
+    own points or half a step of the gaps beside it."""
+    masses = masses[:len(support)]
+    probs = [m / math.fsum(masses) for m in masses]
+    raw = {"name": "raw", "support": support, "probs": probs, "center": True}
+    model, _ = loads_model(json.dumps({
+        "bounds": {"c0": 100, "c1": 1e-6},
+        "classes": [UNIT, raw] if beside_unit else [raw],
+        "regime": {"weighted": {"weights": [0.5, 0.5] if beside_unit else [1.0]}}}))
+    contracts = [c for c, nu in zip(model.classes, model.counts(n)) for _ in range(nu)]
+    total = sum(c.support[i % len(c.support)] for c, i in zip(contracts, picks))
+    step = math.gcd(*(v - min(support) for v in support), *([2] if beside_unit else []))
+    x = (total + nudge * step) / n
+    for inclusive in (True, False):
+        want = enumerate_tail(model, n, x, inclusive)
+        assert exact_tail(model, n, x, inclusive) == pytest.approx(want, rel=1e-12)
 
 
 EDGE_SIZE = st.sampled_from([0, -1, 2**53, 2**53 + 1, 10**20])

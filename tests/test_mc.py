@@ -16,9 +16,9 @@ from lossdev import (
 )
 from lossdev import mc
 from lossdev.cgf import tilted_laws
-from lossdev.model import check_assumptions, reaches
+from lossdev.model import check_assumptions, loads_model, reaches
 
-from conftest import DOUBLE, UNIT, random_lattice_model
+from conftest import CLAIM_RAW, DOUBLE, UNIT, life_class, random_lattice_model
 
 
 def tilted_row(cls, lam):
@@ -326,14 +326,39 @@ def test_log_estimate_below_the_mean(pure_unit):
     assert abs(-math.expm1(est.log_estimate) - complement) <= 4 * est.std_error
 
 
+def test_claim_raw_against_the_exact_oracle(monkeypatch):
+    """The centered raw claims of ``demos/claim_raw.json`` up to n = 1e6,
+    where the oracle's window fits 64 MB."""
+    monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "64000000")
+    model, _ = loads_model(CLAIM_RAW.read_bytes())
+    for n in (10**3, 10**5, 10**6):
+        est = sample_tilted(model, n, 0.3, 1000, seed=n)
+        log_p = exact_log_tail(model, n, 0.3)
+        z = math.expm1(est.log_estimate - log_p) / math.exp(est.log_std_error - log_p)
+        assert abs(z) < 4.5, (n, z)
+
+
+def _with_life_class(model, q):
+    """``model`` with a centered life contract {-q, 1 - q} added: a
+    quarter of the weight, or a round-robin run of one."""
+    classes = (*model.classes, life_class(q))
+    if model.is_weighted:
+        return PortfolioModel(classes, weights=(*(0.75 * w for w in model.weights), 0.25))
+    return PortfolioModel(classes, rule=RoundRobin((*model.rule.weights, 1)))
+
+
 def test_coverage_against_the_exact_oracle():
     """Seeded random lattice models and thresholds on both sides of the
     mean: the z-scores of the pair average against ``exact_log_tail``
-    look standard normal."""
+    look standard normal.  Every other model holds a life contract whose
+    values share no lattice step, with q = 1/pi or 1/e, where the oracle
+    puts the class's minimum in the offset of the sum."""
     rng = np.random.default_rng(2024)
     zs = []
     while len(zs) < 80:
         model, _ = random_lattice_model(rng)
+        if len(zs) % 2:
+            model = _with_life_class(model, (1 / math.pi, 1 / math.e)[len(zs) // 2 % 2])
         n = int(rng.integers(2, 300))
         w = model.counts(n) / n
         lo = sum(wi * c.min_support for c, wi in zip(model.classes, w))

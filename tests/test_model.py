@@ -272,6 +272,21 @@ class TestLoadModel:
         model, _ = loads_model(json.dumps(doc))
         assert model.classes[1].support == (-2.5, 7.5)
 
+    @pytest.mark.parametrize("field, value", [("center", "no"), ("center", "false"),
+                                              ("center", 1), ("center", None),
+                                              ("accelerating", "false"), ("accelerating", 0)])
+    def test_flags_are_booleans(self, field, value):
+        """bool("false") is True: a flag that is not JSON true or false is
+        refused with its field, not read as one or the other."""
+        doc = json.loads(json.dumps(VALID_DOC))
+        if field == "center":
+            doc["classes"][1]["center"] = value
+        else:
+            doc["regime"] = {"assigned": {"blocks": {"a0": 1, "growth": 10, "order": [0, 1],
+                                                     "accelerating": value}}}
+        with pytest.raises(ModelError, match=rf"\.{field} is not a bool"):
+            loads_model(json.dumps(doc))
+
     def test_parse_error_reports_line(self):
         with pytest.raises(ModelError, match="line"):
             loads_model("{not json")
