@@ -19,6 +19,13 @@ The model file is read once, as bytes: the manifest hashes them and
 Each CSV row is rendered from one format template built from the first
 row's types: floats with 17 significant digits (``{:.17g}``, so an
 infinite rate is the literal ``inf``), everything else with ``str``.
+
+Building the parser and ``validate`` use only the pure-Python
+``model`` layer.  Each subcommand calls its numerical layer through
+the module object the package registered for it (``exact.exact_log_tail``,
+not a name bound here), and the layer, with numpy, loads on that first
+call: ``validate`` and ``--help`` load no numpy, and a function replaced
+on a layer module is the one the CLI calls.
 """
 
 from __future__ import annotations
@@ -32,17 +39,8 @@ import re
 import sys
 import time
 
-import numpy as np
-
-from . import __version__
-from .cgf import check_lambda, empirical_cgf, limit_cgf
-from .counterexample import (DEFAULT_MAX_N, build_counterexample, schedule_depth_end,
-                             subsequence_rates)
-from .exact import exact_log_tail
-from .legendre import legendre_transform, rate_upper_bound
-from .mc import DEFAULT_SEED, sample_plain, sample_tilted
-from .model import MAX_COUNT, ModelError, Refused, loads_model
-from .moderate import MdQuery, md_log_prob_prediction, md_threshold
+from . import __version__, cgf, counterexample, exact, legendre, mc, moderate
+from .model import DEFAULT_MAX_N, DEFAULT_SEED, MAX_COUNT, ModelError, Refused, loads_model
 
 # exit code of each exception a subcommand may end with; 2 is also the
 # code argparse gives a usage error
@@ -96,23 +94,25 @@ def _cmd_validate(args, model, bounds) -> int:
 
 
 def _cmd_cgf(args, model, bounds) -> int:
-    check_lambda(model.classes, (args.lambda_min, args.lambda_max))
+    import numpy as np
+    cgf.check_lambda(model.classes, (args.lambda_min, args.lambda_max))
     grid = np.linspace(args.lambda_min, args.lambda_max, args.points)
-    p = (limit_cgf(model, grid) if model.is_weighted
-         else empirical_cgf(model, args.n, grid))
+    p = (cgf.limit_cgf(model, grid) if model.is_weighted
+         else cgf.empirical_cgf(model, args.n, grid))
     emit_curve(zip(*(v.tolist() for v in (p.lam, p.value, p.d1, p.d2))),
                ["lambda", "value", "d1", "d2"], sys.stdout)
     return 0
 
 
-def _x_grid(args) -> np.ndarray:
+def _x_grid(args):
+    import numpy as np
     if args.x is not None:
         return np.array([args.x])
     return np.linspace(args.x_min, args.x_max, args.points)
 
 
 def _cmd_rate(args, model, bounds) -> int:
-    rp = legendre_transform(model, _x_grid(args))
+    rp = legendre.legendre_transform(model, _x_grid(args))
     emit_curve(zip(*(v.tolist() for v in (rp.x, rp.lambda_star, rp.rate, rp.status))),
                ["x", "lambda_star", "rate", "status"], sys.stdout)
     return 0
@@ -120,13 +120,13 @@ def _cmd_rate(args, model, bounds) -> int:
 
 def _cmd_bound(args, model, bounds) -> int:
     xs = _x_grid(args)
-    bound = rate_upper_bound(model, xs)
+    bound = legendre.rate_upper_bound(model, xs)
     emit_curve(zip(xs.tolist(), bound.tolist()), ["x", "decay_rate_lower_bound"], sys.stdout)
     return 0
 
 
 def _cmd_exact(args, model, bounds) -> int:
-    lt = exact_log_tail(model, args.n, args.x)
+    lt = exact.exact_log_tail(model, args.n, args.x)
     emit_curve([(args.n, args.x, math.exp(lt), lt / args.n)],
                ["n", "x", "tail_probability", "log_rate"], sys.stdout)
     return 0
@@ -134,9 +134,9 @@ def _cmd_exact(args, model, bounds) -> int:
 
 def _cmd_mc(args, model, bounds) -> int:
     if args.tilted:
-        est = sample_tilted(model, args.n, args.x, args.samples, args.seed)
+        est = mc.sample_tilted(model, args.n, args.x, args.samples, args.seed)
     else:
-        est = sample_plain(model, args.n, args.x, args.samples, args.seed)
+        est = mc.sample_plain(model, args.n, args.x, args.samples, args.seed)
     emit_curve([(est.estimate, est.std_error, est.method, est.lam,
                  est.log_estimate, est.log_std_error)],
                ["estimate", "std_error", "method", "lambda_star", "log_estimate",
@@ -145,9 +145,9 @@ def _cmd_mc(args, model, bounds) -> int:
 
 
 def _cmd_mdp(args, model, bounds) -> int:
-    q = MdQuery(args.c, args.alpha, args.n)
-    th = md_threshold(q, model, bounds)
-    pred = md_log_prob_prediction(q)
+    q = moderate.MdQuery(args.c, args.alpha, args.n)
+    th = moderate.md_threshold(q, model, bounds)
+    pred = moderate.md_log_prob_prediction(q)
     emit_curve([(q.n, q.alpha, q.c, th.exact, th.lower, th.upper,
                  pred.leading, pred.correction_scale)],
                ["n", "alpha", "c", "threshold_exact", "threshold_lower",
@@ -157,9 +157,11 @@ def _cmd_mdp(args, model, bounds) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    model, _ = build_counterexample(growth=args.growth, depth=args.depth, a0=args.a0)
-    max_n = schedule_depth_end(model.rule, args.depth, cap=args.max_n)
-    r1, r2 = (subsequence_rates(model, args.x, which, max_n=max_n) for which in (1, 2))
+    model, _ = counterexample.build_counterexample(growth=args.growth, depth=args.depth,
+                                                   a0=args.a0)
+    max_n = counterexample.schedule_depth_end(model.rule, args.depth, cap=args.max_n)
+    r1, r2 = (counterexample.subsequence_rates(model, args.x, which, max_n=max_n)
+              for which in (1, 2))
     rows = [(f"class{which}_ends", p.n, p.density_unit, p.log_rate)
             for which, rep in ((1, r1), (2, r2)) for p in rep.points]
     emit_curve(rows, ["section", "n", "density_class1", "log_rate"], sys.stdout)

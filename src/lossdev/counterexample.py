@@ -19,6 +19,7 @@ from .legendre import rate_I1, rate_I2
 from .model import (
     AssumptionBounds,
     BlockSchedule,
+    DEFAULT_MAX_N,
     MAX_COUNT,
     LossClass,
     MemoryBudgetError,
@@ -29,8 +30,6 @@ from .model import (
 UNIT = LossClass("unit", (-1.0, 1.0), (0.5, 0.5))
 DOUBLE = LossClass("double", (-2.0, 2.0), (0.5, 0.5))
 BOUNDS = AssumptionBounds(c0=2.0, c1=1.0)
-
-DEFAULT_MAX_N = 5_000_000
 
 
 def build_counterexample(growth: int = 10, depth: int = 6,

@@ -59,6 +59,7 @@ WINDOW_EPS = 1e-30
 # the tilt solve stops at |m(theta) - k| <= TILT_TOL * max(1, k) lattice steps
 TILT_TOL = 1e-9
 MAX_ITER = 200
+GUARD_AFTER = 8  # evaluations of plain Newton before rtsafe's guard applies
 _LOG_UNDERFLOW = -746.0  # exp of anything lower is 0 in double precision
 
 
@@ -154,8 +155,14 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
     is close to linear in theta at both ends, each step closing one side
     of a bracket; a step that leaves the bracket, or is not finite because
     the mean rounded onto an end, is replaced by bisection once both sides
-    are closed and by doubling theta while one is open.  It stops at
-    |m - k| <= TILT_TOL * max(1, k) and refuses after MAX_ITER steps.
+    are closed and by doubling theta while one is open.  After GUARD_AFTER
+    evaluations, once both sides are closed, so is a Newton step longer
+    than half the Newton step before the last, the guard of rtsafe
+    (Numerical Recipes, 9.4): near an end of the lattice the tilted laws
+    round, the slope can be off by orders of magnitude, and Newton then
+    creeps by steps of 1e-9; with the guard the bracket halves at least
+    every third evaluation.  It stops at |m - k| <= TILT_TOL *
+    max(1, k) and refuses after MAX_ITER steps.
     This is `legendre._solve_mean_equation`'s algorithm in scalar form, on
     the sum's lattice rather than a grid of x; a fix to one belongs in
     both.
@@ -183,7 +190,10 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
                for (cls, nu), pts in zip(live, (s.tolist() for s in steps))]
     odds = k / (size - 1 - k)
     theta, lo, hi = 0.0, -math.inf, math.inf
-    for _ in range(MAX_ITER):
+    # sizes of the last two steps, while they were Newton's in a closed
+    # bracket and the guard applied
+    last = older = math.inf
+    for i in range(MAX_ITER):
         laws, log_norm, below, above, var = _tilted_laws(classes, theta)
         gap = below - k
         if abs(gap) <= TILT_TOL * max(1, k):
@@ -193,7 +203,11 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
         ratio = odds * above / below if below > 0.0 else math.inf
         slope = var / below + var / above if 0.0 < ratio < math.inf else 0.0
         step = theta + math.log(ratio) / slope if slope > 0.0 else math.nan
-        if not lo < step < hi:
+        guard = i >= GUARD_AFTER
+        if lo < step < hi and (not guard or abs(step - theta) <= 0.5 * older):
+            closed = guard and -math.inf < lo and hi < math.inf
+            last, older = abs(step - theta) if closed else math.inf, last
+        else:
             # the first evaluation, at theta = 0, closes one side
             if hi == math.inf:
                 step = max(2.0 * lo, 1.0)
@@ -201,6 +215,7 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
                 step = min(2.0 * hi, -1.0)
             else:
                 step = 0.5 * (lo + hi)
+            last = older = math.inf
         theta = step
     else:
         raise Refused(f"no tilt after {MAX_ITER} iterations at lattice point {k} of {size}")

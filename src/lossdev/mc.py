@@ -33,9 +33,7 @@ import numpy as np
 
 from .cgf import tilted_laws
 from .legendre import transform_from_weights
-from .model import PortfolioModel, Refused, check_budget, reaches
-
-DEFAULT_SEED = 20250411
+from .model import DEFAULT_SEED, PortfolioModel, Refused, check_budget, reaches
 
 # doubles per replicate held at once besides the widest class's draws:
 # the two groups' sums and, per side of the pair step, the first counted

@@ -5,6 +5,17 @@ centered loss from one of finitely many loss classes.  The class of
 contract k is given either asymptotically (weights per class) or by an
 explicit assignment rule (round-robin cycle or a block schedule whose
 class densities oscillate).
+
+This is the package's data layer, and it computes in Python floats:
+validating a class of a few points takes a few comparisons and sums, and
+numpy's cost per call exceeds that arithmetic.  So importing the package
+and ``lossdev validate`` load no numpy.  numpy is imported only inside
+the functions that return arrays (the ``counts`` methods, ``densities``,
+``density_extremes``, ``apportion`` and ``density_profile``), which only
+the numerical layers call.  Sums of probabilities and weights run from
+left to right, as numpy sums fewer than 8 values; from 8 values on
+numpy sums pairwise, so such a class may renormalize 1 ulp apart from
+an array sum.
 """
 
 from __future__ import annotations
@@ -13,8 +24,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import add, mul
 
 PROB_SUM_TOL = 1e-12
 CENTER_TOL = 1e-10  # times the largest |support value|
@@ -23,6 +34,8 @@ CENTER_TOL = 1e-10  # times the largest |support value|
 THRESHOLD_RTOL = 1e-12
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
 MEMORY_BUDGET_ENV = "LOSSDEV_MEMORY_BUDGET"
+DEFAULT_SEED = 20250411  # of mc's sampling stream
+DEFAULT_MAX_N = 5_000_000  # the largest block end counterexample evaluates
 
 
 class ModelError(ValueError):
@@ -76,6 +89,13 @@ def reaches(total, level: float, inclusive: bool = True):
     return total >= level - slack if inclusive else total > level + slack
 
 
+def _sum(values) -> float:
+    """The sum of floats from left to right: ``sum`` compensates its
+    rounding from Python 3.12 on, and a renormalization should give the
+    same bits on every version."""
+    return reduce(add, values, 0.0)
+
+
 def _whole(v) -> bool:
     """v is a whole number a double holds exactly (|v| <= MAX_COUNT)."""
     return math.isfinite(v) and v == int(v) and abs(v) <= MAX_COUNT
@@ -100,45 +120,42 @@ class LossClass:
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
             raise ModelError(f"class {self.name!r}: support/probs length mismatch or empty")
-        sup = np.asarray(self.support, dtype=float)
-        pr = np.asarray(self.probs, dtype=float)
-        if not (np.isfinite(sup).all() and np.isfinite(pr).all()):
+        sup, pr = [float(v) for v in self.support], [float(p) for p in self.probs]
+        if not all(map(math.isfinite, sup + pr)):
             raise ModelError(f"class {self.name!r}: support and probs must be finite")
         # before the sum, which overflows on probabilities near the
         # largest double
-        if np.any((pr < 0) | (pr > 1)):
+        if not all(0.0 <= p <= 1.0 for p in pr):
             raise ModelError(f"class {self.name!r}: probability outside [0, 1]")
-        keep = pr > 0
-        sup, pr = sup[keep], pr[keep]
-        if sup.size == 0:
+        kept = [(v, p) for v, p in zip(sup, pr) if p > 0.0]
+        if not kept:
             raise ModelError(f"class {self.name!r}: no support points with positive mass")
-        if len(set(sup.tolist())) != sup.size:
+        if len({v for v, _ in kept}) != len(kept):
             raise ModelError(f"class {self.name!r}: duplicate support values")
-        s = float(pr.sum())
+        s = _sum(p for _, p in kept)
         if abs(s - 1.0) > PROB_SUM_TOL:
             raise ModelError(f"class {self.name!r}: probabilities sum to {s!r}, not 1")
-        pr = pr / s
-        order = np.argsort(sup)
-        sup, pr = sup[order], pr[order]
-        mean = float(sup @ pr)
+        # the values are distinct, so the sort never compares probabilities
+        kept.sort()
+        object.__setattr__(self, "support", tuple(v for v, _ in kept))
+        object.__setattr__(self, "probs", tuple(p / s for _, p in kept))
         # relative to the support: centering leaves a mean of the order
         # of the rounding of its largest value
-        if abs(mean) > CENTER_TOL * float(np.abs(sup).max()):
+        mean = self.mean
+        if abs(mean) > CENTER_TOL * max(map(abs, self.support)):
             raise ModelError(f"class {self.name!r}: mean {mean!r} is not 0 "
                              '(a model file may set "center": true)')
-        if sup.size < 2:  # distinct points with positive mass have positive variance
+        if len(kept) < 2:  # distinct points with positive mass have positive variance
             raise ModelError(f"class {self.name!r}: zero variance")
-        object.__setattr__(self, "support", tuple(sup.tolist()))
-        object.__setattr__(self, "probs", tuple(pr.tolist()))
 
     @property
     def mean(self) -> float:
-        return float(np.dot(self.support, self.probs))
+        return math.fsum(map(mul, self.support, self.probs))
 
     @property
     def variance(self) -> float:
-        sup = np.asarray(self.support)
-        return float(((sup - self.mean) ** 2) @ np.asarray(self.probs))
+        m = self.mean
+        return math.fsum((v - m) ** 2 * p for v, p in zip(self.support, self.probs))
 
     @property
     def max_support(self) -> float:
@@ -195,6 +212,7 @@ class RoundRobin:
         return len(self.weights)
 
     def counts(self, n: int) -> np.ndarray:
+        import numpy as np
         check_size(n)
         w = np.asarray(self.weights, dtype=np.int64)
         ends = np.cumsum(w)
@@ -203,6 +221,7 @@ class RoundRobin:
 
     def density_extremes(self) -> np.ndarray:
         """Prefix densities at the ends of the nonzero runs, the last w / L."""
+        import numpy as np
         w = np.asarray(self.weights, dtype=float)
         prefix = np.tril(np.broadcast_to(w, (w.size, w.size)))[w > 0]
         return prefix / prefix.sum(axis=1, keepdims=True)
@@ -270,6 +289,7 @@ class BlockSchedule:
                 if c == cls and e - s + 1 == self.block_length(j)]
 
     def counts(self, n: int) -> np.ndarray:
+        import numpy as np
         check_size(n)
         out = np.zeros(self.n_classes, dtype=np.int64)
         for s, e, c in self.blocks_upto(n):
@@ -279,6 +299,7 @@ class BlockSchedule:
     def density_extremes(self) -> np.ndarray:
         """The unit vectors of the classes in ``order`` for accelerating
         blocks; otherwise the densities at the first len(order) block ends."""
+        import numpy as np
         eye = np.eye(self.n_classes)
         if self.accelerating:
             return eye[sorted(set(self.order))]
@@ -306,10 +327,11 @@ class PortfolioModel:
         if self.weights is not None:
             if len(self.weights) != len(self.classes):
                 raise ModelError("one weight per class required")
-            w = np.asarray(self.weights, dtype=float)
-            if not np.isfinite(w).all() or np.any(w < 0) or abs(w.sum() - 1.0) > PROB_SUM_TOL:
+            w = [float(v) for v in self.weights]
+            total = _sum(w)
+            if not all(0.0 <= v < math.inf for v in w) or abs(total - 1.0) > PROB_SUM_TOL:
                 raise ModelError("weights must be finite, nonnegative and sum to 1")
-            object.__setattr__(self, "weights", tuple((w / w.sum()).tolist()))
+            object.__setattr__(self, "weights", tuple(v / total for v in w))
         else:
             if self.rule.n_classes > len(self.classes):
                 raise ModelError("assignment rule refers to a class index out of range")
@@ -325,6 +347,7 @@ class PortfolioModel:
         apportionment (ties broken by class index), which is consistent with
         any assignment whose densities converge to the weights.
         """
+        import numpy as np
         check_size(n)
         if self.rule is not None:
             out = self.rule.counts(n)
@@ -334,6 +357,7 @@ class PortfolioModel:
         return apportion(np.asarray(self.weights), n)
 
     def densities(self) -> np.ndarray:
+        import numpy as np
         if self.weights is None:
             raise ModelError("densities are defined for weighted models only")
         return np.asarray(self.weights, dtype=float)
@@ -343,6 +367,7 @@ class PortfolioModel:
         every n >= 1: the rule's own extremes, or for a weighted model the
         unit vectors of its positive-weight classes, the face
         apportionment never leaves."""
+        import numpy as np
         if self.rule is None:
             return np.eye(len(self.classes))[np.asarray(self.weights) > 0]
         ext = self.rule.density_extremes()
@@ -351,6 +376,7 @@ class PortfolioModel:
 
 def apportion(weights: np.ndarray, n: int) -> np.ndarray:
     """Largest-remainder apportionment of n slots to ``weights``."""
+    import numpy as np
     quota = weights * n
     out = np.floor(quota).astype(np.int64)
     rem = n - int(out.sum())
@@ -389,6 +415,7 @@ def density_profile(rule: AssignmentRule, n_max: int) -> DensityProfile:
     running extremes, from the class of each contract: the cycle run its
     slot falls in (a search among the run ends) or its block.  O(n_max)
     whatever the cycle length."""
+    import numpy as np
     if n_max < 1:
         raise ModelError("n_max must be >= 1")
     if isinstance(rule, RoundRobin):

@@ -1,13 +1,20 @@
-"""Slow reference for the exact tail: the law of the portfolio sum by
-direct convolution in log space, one contract at a time, on the lattice
-``exact_log_tail`` sets up: each class's minimum as an offset and one
-step g from the gaps within the classes."""
+"""Slow references for the tests.
+
+``direct_log_pmf`` is the reference for the exact tail: the law of the
+portfolio sum by direct convolution in log space, one contract at a
+time, on the lattice ``exact_log_tail`` sets up: each class's minimum as
+an offset and one step g from the gaps within the classes.
+
+``numpy_loss_class`` is the reference for ``LossClass`` validation: the
+same checks in numpy arrays, as the model layer ran them before it moved
+to Python floats."""
 
 import math
 
 import numpy as np
 
 from lossdev.exact import latticize
+from lossdev.model import CENTER_TOL, PROB_SUM_TOL, ModelError
 
 
 def direct_log_pmf(model, n):
@@ -28,3 +35,35 @@ def direct_log_pmf(model, n):
                 np.logaddexp(new[s:s + len(logp)], logp + lp, out=new[s:s + len(logp)])
             logp = new
     return math.fsum(nu * cls.min_support for cls, nu in live), g, logp
+
+
+def numpy_loss_class(name, support, probs):
+    """(support, probs) of ``LossClass(name, support, probs)``, validated
+    and renormalized in numpy arrays, or the ModelError it raises."""
+    if len(support) != len(probs) or not support:
+        raise ModelError(f"class {name!r}: support/probs length mismatch or empty")
+    sup = np.asarray(support, dtype=float)
+    pr = np.asarray(probs, dtype=float)
+    if not (np.isfinite(sup).all() and np.isfinite(pr).all()):
+        raise ModelError(f"class {name!r}: support and probs must be finite")
+    if np.any((pr < 0) | (pr > 1)):
+        raise ModelError(f"class {name!r}: probability outside [0, 1]")
+    keep = pr > 0
+    sup, pr = sup[keep], pr[keep]
+    if sup.size == 0:
+        raise ModelError(f"class {name!r}: no support points with positive mass")
+    if len(set(sup.tolist())) != sup.size:
+        raise ModelError(f"class {name!r}: duplicate support values")
+    s = float(pr.sum())
+    if abs(s - 1.0) > PROB_SUM_TOL:
+        raise ModelError(f"class {name!r}: probabilities sum to {s!r}, not 1")
+    pr = pr / s
+    order = np.argsort(sup)
+    sup, pr = sup[order], pr[order]
+    mean = float(sup @ pr)
+    if abs(mean) > CENTER_TOL * float(np.abs(sup).max()):
+        raise ModelError(f"class {name!r}: mean {mean!r} is not 0 "
+                         '(a model file may set "center": true)')
+    if sup.size < 2:
+        raise ModelError(f"class {name!r}: zero variance")
+    return tuple(sup.tolist()), tuple(pr.tolist())

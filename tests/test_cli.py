@@ -474,15 +474,15 @@ def test_tilted_below_the_mean_estimates_the_complement(unit_model_file, capsys)
 
 
 def test_exact_runs_the_oracle_once(unit_model_file, tmp_path, monkeypatch, capsys):
-    import lossdev.cli
+    import lossdev.exact
     calls = []
-    real = lossdev.cli.exact_log_tail
+    real = lossdev.exact.exact_log_tail
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lossdev.cli, "exact_log_tail", counted)
+    monkeypatch.setattr(lossdev.exact, "exact_log_tail", counted)
     # the lattice tolerance is relative: {-1e-10, +1e-10} is the unit
     # class scaled, with the same tail at the scaled threshold
     tiny = _two_point_file(tmp_path, 1e-10, 1e-10)

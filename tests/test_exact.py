@@ -699,6 +699,21 @@ class TestTiltSolve:
                 assert bottom == pytest.approx(math.log1p(-0.3**n), rel=1e-10)
                 assert math.copysign(1.0, bottom) == (1.0 if bottom == 0.0 else -1.0)
 
+    def test_creeping_newton_bisects(self):
+        """Steps [0, 5] at (0.9647, 0.0353) once and [0, 1] at (0.999765,
+        2.35e-4) three times, on step e, at lattice point 7 of 9.  Near the
+        top the tilted laws round and the slope is ten orders too steep:
+        Newton crept by 1.8e-9 a step and refused after 200 evaluations,
+        until a Newton step longer than half the one before the last
+        bisected instead."""
+        g = math.e
+        a = LossClass("a", (-0.1765 * g, 4.8235 * g), (0.9647, 0.0353))
+        b = LossClass("b", (-2.35e-4 * g, 0.999765 * g), (0.999765, 2.35e-4))
+        model = PortfolioModel((a, b), weights=(0.25, 0.75))
+        assert model.counts(4).tolist() == [1, 3]
+        x = (a.min_support + 3 * b.min_support + 6.5 * g) / 4
+        assert exact_tail(model, 4, x) == pytest.approx(enumerate_tail(model, 4, x), rel=1e-12)
+
     def test_refuses_without_convergence(self, monkeypatch, pure_unit):
         monkeypatch.setattr("lossdev.exact.MAX_ITER", 1)
         with pytest.raises(Refused, match="no tilt"):

@@ -413,6 +413,25 @@ class TestSolverCost:
         xs = np.linspace(lo, hi, 302)[1:-1]
         assert self._calls(monkeypatch, classes, weights, xs) <= 7
 
+    def test_creeping_newton_bisects(self, monkeypatch):
+        """A point of mass 1.8e-13 at the bottom of a class: near the top
+        of the range Newton crept and took 145 kernel calls at x = 95% of
+        the range, until a Newton step longer than half the one before the
+        last bisected instead; it takes at most 18 now."""
+        def centered(name, points, probs):
+            mean = math.fsum(v * p for v, p in zip(points, probs))
+            return LossClass(name, tuple(v - mean for v in points), probs)
+
+        classes = (centered("a", (0, 6), (0.9953, 0.0047)),
+                   centered("b", (0, 3, 5, 7), (1.8e-13, 0.4373, 0.2552, 0.3075 - 1.8e-13)),
+                   centered("c", (0, 1), (0.4124, 0.5876)))
+        weights = (4 / 9, 1 / 9, 4 / 9)
+        lo, hi = _range(classes, weights)
+        for t in np.linspace(0.94, 0.96, 21):
+            x = np.array([lo + t * (hi - lo)])
+            assert self._calls(monkeypatch, classes, weights, x) <= 20
+            _assert_stationary(classes, weights, x, transform_from_weights(classes, weights, x))
+
     def test_support_of_1e9(self, monkeypatch):
         big = LossClass("big", (-1e9, 1e9), (0.5, 0.5))
         assert self._calls(monkeypatch, (big,), (1.0,), 0.9) <= 2

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from lossdev import (
     loads_model,
 )
 from lossdev.model import ModelError, apportion
+
+from oracle import numpy_loss_class
 
 
 class TestLossClass:
@@ -49,6 +52,55 @@ class TestLossClass:
     def test_moments(self, unit_class):
         assert unit_class.mean == 0.0
         assert unit_class.variance == 1.0
+
+
+@st.composite
+def loss_class_args(draw):
+    """(name, support, probs) of 1-7 points: centered classes, raw ones,
+    and ones with a probability outside [0, 1], a point that is not
+    finite or a duplicate point."""
+    k = draw(st.integers(1, 7))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    total = math.fsum(weights)
+    # off by up to twice the tolerance of the sum: both sides of the check
+    probs = [w / total * (1.0 + draw(st.floats(-2e-12, 2e-12))) if total > 0 else w
+             for w in weights]
+    kind = draw(st.sampled_from(["centered", "raw", "probability", "not finite", "duplicate"]))
+    if kind == "centered" and total > 0:
+        mean = math.fsum(v * p for v, p in zip(values, probs))
+        values = [v - mean for v in values]
+    elif kind == "probability":
+        probs[draw(st.integers(0, k - 1))] = draw(st.sampled_from([-1e-300, -0.5, 1.5, 1e308]))
+    elif kind == "not finite":
+        target = draw(st.sampled_from([values, probs]))
+        target[draw(st.integers(0, k - 1))] = draw(st.sampled_from([math.nan, math.inf,
+                                                                    -math.inf]))
+    elif kind == "duplicate" and k > 1:
+        values[1] = values[0]
+    return "c", tuple(values), tuple(probs)
+
+
+def _outcome(build, args):
+    try:
+        support, probs = build(*args)
+    except ModelError as exc:
+        # the mean is summed another way: the message names it to the last digit
+        return re.sub(r"mean \S+ is", "mean is", str(exc))
+    return [v.hex() for v in support], [p.hex() for p in probs]
+
+
+@settings(max_examples=500, deadline=None)
+@given(loss_class_args())
+def test_loss_class_matches_the_numpy_reference(args):
+    """The loader validates in Python floats: up to 7 points it keeps every
+    support and probability bit and every ModelError of the numpy form,
+    whose sum of fewer than 8 values runs left to right."""
+    def build(*a):
+        cls = LossClass(*a)
+        return cls.support, cls.probs
+
+    assert _outcome(build, args) == _outcome(numpy_loss_class, args)
 
 
 class TestAssumptionBounds:
