@@ -39,6 +39,11 @@ from .model import (
     loads_model,
 )
 
+# the public names of the model layer: those imported above, taken before
+# the lazy layers are bound, as looking into one would execute it
+_MODEL_NAMES = [name for name, value in globals().items()
+                if getattr(value, "__module__", None) == f"{__name__}.model"]
+
 
 def _lazy(name: str):
     """The submodule ``name``, registered to execute on first attribute access."""
@@ -83,35 +88,4 @@ def __dir__():
     return sorted({*globals(), *_LAYER_OF})
 
 
-__all__ = [
-    "AssumptionBounds",
-    "BlockSchedule",
-    "CltRegimeError",
-    "IncommensurableSupportError",
-    "LossClass",
-    "MdQuery",
-    "MemoryBudgetError",
-    "PortfolioModel",
-    "RoundRobin",
-    "TiltingRangeError",
-    "build_counterexample",
-    "check_assumptions",
-    "density_profile",
-    "empirical_cgf",
-    "enumerate_tail",
-    "exact_log_tail",
-    "exact_log_tail_rate",
-    "exact_tail",
-    "legendre_transform",
-    "limit_cgf",
-    "loads_model",
-    "md_log_prob_prediction",
-    "md_threshold",
-    "rate_I1",
-    "rate_I2",
-    "rate_upper_bound",
-    "sample_plain",
-    "sample_tilted",
-    "subsequence_rates",
-    "variance_sum",
-]
+__all__ = sorted([*_MODEL_NAMES, *_LAYER_OF])

@@ -1,19 +1,30 @@
 """Mixture cumulant generating functions with analytic first and second
-derivatives, and the exponentially tilted class laws, all from one array
-kernel over a lambda array and a padded (classes x support) matrix.
+derivatives, from one array kernel over a lambda array and a padded
+(classes x support) matrix, and the package's one point tilt.
 MGF sums are evaluated with the max exponent shifted out, so tilts up to
-|lambda| ~ 700 / c0 are safe; derivatives and tilted probabilities come
-from the same shifted weights, never from differencing.
+|lambda| ~ 700 / c0 are safe; derivatives come from the same shifted
+weights, never from differencing.  ``legendre`` solves on the kernel
+over grids of x; ``point_tilt`` solves for a single target, as ``exact``
+and ``mc`` need, in Python floats: on a class of a few points numpy's
+cost per call, and a grid solve's bookkeeping, exceed the arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
 from .model import LossClass, PortfolioModel, Refused
+
+# the point tilt stops at |m(theta) - target| <= TILT_TOL times the
+# distance from the target to the nearer end of the range
+TILT_TOL = 1e-11
+MAX_ITER = 200
+GUARD_AFTER = 8  # evaluations of plain Newton before rtsafe's guard applies
 
 
 @dataclass(frozen=True)
@@ -45,14 +56,6 @@ def _class_matrix(classes: tuple[LossClass, ...]) -> tuple[np.ndarray, np.ndarra
     return support, logp
 
 
-def _shifted_weights(classes, lam: np.ndarray):
-    """Support matrix, max exponent ``top`` and weights exp(lam v + log p - top)."""
-    support, logp = _class_matrix(tuple(classes))
-    expo = lam[..., None, None] * support + logp
-    top = expo.max(axis=-1)
-    return support, top, np.exp(expo - top[..., None])
-
-
 def check_lambda(classes, lam) -> None:
     """Refuse lambdas whose product with a class span (the kernel's lam * (v - v'))
     or 2 (a grid from -lam to lam) overflows; run where a user's lambda grid enters."""
@@ -69,7 +72,10 @@ def mixture_cgf(classes, weights, lam) -> CgfPoint:
     the same per-class sums: value, d1 and d2 then gain a last axis of
     length k."""
     lam = np.asarray(lam, dtype=float)
-    support, top, w = _shifted_weights(classes, lam)
+    support, logp = _class_matrix(tuple(classes))
+    expo = lam[..., None, None] * support + logp
+    top = expo.max(axis=-1)
+    w = np.exp(expo - top[..., None])
     s = w.sum(axis=-1)
     mean = (w * support).sum(axis=-1) / s
     var = (w * (support - mean[..., None]) ** 2).sum(axis=-1) / s
@@ -96,20 +102,12 @@ def envelope_cgf(classes, rows: np.ndarray, lam) -> CgfPoint:
     return CgfPoint(*shaped(p.lam.shape, p.lam, *mixed))
 
 
-def tilted_laws(classes, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per class log phi_i(lam), and the tilted probabilities
-    p_j exp(lam v_j - log phi_i(lam)) in the rows of ``_class_matrix``."""
-    _, top, w = _shifted_weights(classes, np.asarray(lam, dtype=float))
-    s = w.sum(axis=-1)
-    return top + np.log(s), w / s[:, None]
-
-
 def limit_cgf(model: PortfolioModel, lam) -> CgfPoint:
     """Limit CGF of a weighted model: sum_i d_i log phi_i(lam)."""
     if not model.is_weighted:
         raise Refused(
             "limit_cgf needs a weighted model; use empirical_cgf for assigned ones")
-    return mixture_cgf(model.classes, model.densities(), lam)
+    return mixture_cgf(model.classes, model.weights, lam)
 
 
 def empirical_cgf(model: PortfolioModel, n: int, lam) -> CgfPoint:
@@ -121,3 +119,113 @@ def empirical_cgf(model: PortfolioModel, n: int, lam) -> CgfPoint:
     """
     counts = model.counts(n)
     return mixture_cgf(model.classes, counts / n, lam)
+
+
+def _point_classes(classes) -> list[tuple]:
+    """Per class (probs, shifts, nu) as (probs, shifts up from the bottom,
+    shifts down from the top, its exact fsum(probs) - 1, nu)."""
+    return [(probs, shifts, [shifts[-1] - s for s in shifts],
+             math.fsum([*probs, -1.0]), nu) for probs, shifts, nu in classes]
+
+
+def _tilted_laws(classes: list[tuple], theta: float
+                 ) -> tuple[list[list[float]], float, float, float, float]:
+    """The class laws of ``_point_classes`` tilted by theta, and of the
+    sum: log_norm, its tilted mean counted up from its bottom and down
+    from its top, so that its distance to the nearer end keeps its
+    relative accuracy, and its tilted variance.
+
+    log M_c(theta) = theta * ref + log(1 + excess), ref the top of the
+    class for theta > 0 and its bottom otherwise, so the exponents
+    theta * (s - ref) are <= 0.  1 + excess is never rounded, since
+    log_norm takes nu_c times its error: it is off + sum_j p_j
+    expm1(theta (s_j - ref)) through log1p, or, below 1/2, where that
+    sum cancels as the ref point carries almost no mass, the positive
+    sum_j p_j exp(theta (s_j - ref)).  (In this form the kernel's finite
+    differences of its value missed its second derivative at +-3.5.)"""
+    laws, log_norm, below, above, var = [], 0.0, 0.0, 0.0, 0.0
+    for probs, shift, back, off, nu in classes:
+        ref = back[0] if theta > 0.0 else 0
+        expo = [theta * (s - ref) for s in shift]
+        # exp, not expm1 + 1, which loses the relative accuracy of a small weight
+        weights = list(map(math.exp, expo))
+        excess = off + sum(map(mul, probs, map(math.expm1, expo)))
+        if excess < -0.5:
+            total = sum(map(mul, probs, weights))
+            log_total = math.log(total)
+        else:
+            total, log_total = 1.0 + excess, math.log1p(excess)
+        law = [p * w / total for p, w in zip(probs, weights)]
+        mean = sum(map(mul, law, shift))
+        log_norm += nu * (theta * ref + log_total)
+        below += nu * mean
+        above += nu * sum(map(mul, law, back))
+        var += nu * sum([q * (s - mean) ** 2 for q, s in zip(law, shift)])
+        laws.append(law)
+    return laws, log_norm, below, above, var
+
+
+def point_tilt(classes, target: float, rest: float
+               ) -> tuple[float, list[list[float]], float, float, float]:
+    """The tilt theta that puts the tilted mean m(theta) of a sum of
+    independent contracts at ``target``, with the class laws tilted by
+    it, log_norm = sum_c nu_c log M_c(theta), the miss |m(theta) -
+    target| and the tilted variance.  Per class ``classes`` holds
+    (probs, shifts, nu): its points above its minimum, ascending from 0,
+    in units where a tilt of 1 is moderate (lattice steps, or the widest
+    span), and its count.  The target, strictly inside the range of the
+    sum, comes counted up from its bottom and, as ``rest``, down from its
+    top, sum_c nu_c max(shifts_c), so that it keeps its relative accuracy
+    near either end, as the tilted mean does.
+
+    ``legendre``'s grid solve at a single point: Newton from theta = 0 on
+    the logit z = log(m / (top - m)), close to linear in theta at both
+    ends, each step closing one side of a bracket; a step that leaves
+    the bracket, or is not finite because the mean rounded onto an end,
+    is replaced by bisection once both sides are closed and by doubling
+    theta from 1 while one is open.  After GUARD_AFTER evaluations, once
+    both sides are closed, so is a Newton step longer than half the one
+    before the last, the guard of rtsafe (Numerical Recipes, 9.4): near
+    an end the tilted laws round, the slope can be off by orders of
+    magnitude, and Newton would creep.  It stops at |m - target| <=
+    TILT_TOL min(target, rest), or where the bracket has closed to
+    round-off, as the mean may round coarser than that; the caller allows
+    for the miss.  It refuses after MAX_ITER evaluations.
+    """
+    classes = _point_classes(classes)
+    odds, tol = target / rest, TILT_TOL * min(target, rest)
+    theta, lo, hi = 0.0, -math.inf, math.inf
+    # sizes of the last two steps, while they were Newton's in a closed
+    # bracket and the guard applied
+    last = older = math.inf
+    for i in range(MAX_ITER):
+        laws, log_norm, below, above, var = _tilted_laws(classes, theta)
+        # m - target, from the end nearer the target
+        gap = below - target if target <= rest else rest - above
+        if abs(gap) <= tol:
+            break
+        lo, hi = (lo, theta) if gap > 0.0 else (theta, hi)
+        # exp(z(solution) - z(theta)), and dz/dtheta = V / m + V / (top - m)
+        ratio = odds * above / below if below > 0.0 else math.inf
+        slope = var / below + var / above if 0.0 < ratio < math.inf else 0.0
+        step = theta + math.log(ratio) / slope if slope > 0.0 else math.nan
+        guard = i >= GUARD_AFTER
+        if lo < step < hi and (not guard or abs(step - theta) <= 0.5 * older):
+            closed = guard and -math.inf < lo and hi < math.inf
+            last, older = abs(step - theta) if closed else math.inf, last
+        else:
+            # the first evaluation, at theta = 0, closes one side
+            if hi == math.inf:
+                step = max(2.0 * lo, 1.0)
+            elif lo == -math.inf:
+                step = min(2.0 * hi, -1.0)
+            else:
+                step = 0.5 * (lo + hi)
+                if not lo < step < hi:
+                    break  # closed to round-off
+            last = older = math.inf
+        theta = step
+    else:
+        raise Refused(f"no tilt after {MAX_ITER} iterations toward a mean of {target} "
+                      f"on [0, {target + rest}]")
+    return theta, laws, log_norm, abs(gap), var

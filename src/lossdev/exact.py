@@ -22,20 +22,12 @@ Hoeffding's bound, O(sqrt(n) * span), and Bernstein's, which takes the
 tilted variance instead of span^2 / 4 per contract: for a premium of 1
 against a claim of -1000 at 1/1001 it is some 20 times narrower.
 
-The helper solves for the tilt itself, by a scalar Newton on the sum's
-lattice whose iterates form the tilted class laws the spectra and the
-window then use, log M_c(theta) = theta * ref + log1p(excess) with
-1 + excess never rounded.  It does not call the Legendre solve, which
-works in units of x, on a vectorized CGF kernel, and cost as much as the
-FFT on a small query; and since the window is taken about both the
-threshold and the tilted mean, a tilt that misses the threshold by the
-solve's tolerance costs only that much more window.  Forming log_norm
-here matters too: on the paper's unit/double schedules up to n = 1.1e6
-the worst relative error in log P is 2.9e-11, where taking log_norm -
-theta * k = -n * rate from the Legendre solve raised it to 9.8e-11,
-against the tests' 1e-10.  Moving the CGF kernel to this expm1/log1p
-form instead made finite differences of its value miss its second
-derivative at lambda = +-3.5.
+The helper takes its tilt per lattice step, and the tilted class laws,
+from ``cgf.point_tilt`` on the sum's lattice, with no Legendre solve and
+no CGF kernel call.  Forming log_norm on the lattice matters: on the
+paper's unit/double schedules up to n = 1.1e6 the worst relative error
+in log P is 2.9e-11, where taking log_norm - theta * k = -n * rate from
+the Legendre solve raised it to 9.8e-11, against the tests' 1e-10.
 
 The slow reference the tests check it against lives with them
 (``tests/oracle.py``): the law of the sum by direct convolution in log
@@ -47,19 +39,15 @@ from __future__ import annotations
 import itertools
 import math
 from functools import reduce
-from operator import mul
 
 import numpy as np
 
+from .cgf import point_tilt
 from .model import LossClass, PortfolioModel, Refused, check_budget, reaches
 
 LATTICE_TOL = 1e-9  # times the span of the class
 # tilted mass a tail window may leave out or alias onto itself
 WINDOW_EPS = 1e-30
-# the tilt solve stops at |m(theta) - k| <= TILT_TOL * max(1, k) lattice steps
-TILT_TOL = 1e-9
-MAX_ITER = 200
-GUARD_AFTER = 8  # evaluations of plain Newton before rtsafe's guard applies
 _LOG_UNDERFLOW = -746.0  # exp of anything lower is 0 in double precision
 
 
@@ -113,61 +101,14 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _tilted_laws(classes: list[tuple], theta: float
-                 ) -> tuple[list[list[float]], float, float, float, float]:
-    """The class laws tilted by theta per lattice step, and of the sum:
-    log_norm = sum_c nu_c log M_c(theta), its tilted mean counted up from
-    its bottom and down from its top, and its tilted variance.  Each class
-    comes as (probs, its points in steps up from its bottom and down from
-    its top, its exact fsum(probs) - 1, nu).
-
-    log M_c(theta) = theta * ref + log1p(excess), ref the top of the class
-    for theta > 0 and its bottom otherwise: the exponents theta * (s - ref)
-    are <= 0, and 1 + excess is never rounded, since log_norm takes nu_c
-    times its error.  The mean is counted from both ends so that its
-    distance to the nearer one keeps its relative accuracy.  Python
-    floats, not arrays: on a class of a few points numpy's cost per call
-    exceeds the arithmetic, and on a wide one the spectra cost more."""
-    laws, log_norm, below, above, var = [], 0.0, 0.0, 0.0, 0.0
-    for probs, shift, back, off, nu in classes:
-        ref = back[0] if theta > 0.0 else 0
-        expo = [theta * (s - ref) for s in shift]
-        excess = off + sum(map(mul, probs, map(math.expm1, expo)))
-        # exp, not expm1 + 1, which loses the relative accuracy of a small weight
-        law = [p * w / (1.0 + excess) for p, w in zip(probs, map(math.exp, expo))]
-        mean = sum(map(mul, law, shift))
-        log_norm += nu * (theta * ref + math.log1p(excess))
-        below += nu * mean
-        above += nu * sum(map(mul, law, back))
-        var += nu * sum([q * (s - mean) ** 2 for q, s in zip(law, shift)])
-        laws.append(law)
-    return laws, log_norm, below, above, var
-
-
 def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarray],
                          k: int, size: int) -> float:
     """log P[S >= k] for 0 < k < size - 1, S the sum on its own lattice
     0..size-1, by the exponentially tilted FFT on a window.  ``steps``
     holds each live class's points in lattice steps from its minimum.
 
-    The tilt theta per step puts the tilted mean m(theta) of the sum at k:
-    Newton from theta = 0 on its logit z = log(m / (size - 1 - m)), which
-    is close to linear in theta at both ends, each step closing one side
-    of a bracket; a step that leaves the bracket, or is not finite because
-    the mean rounded onto an end, is replaced by bisection once both sides
-    are closed and by doubling theta while one is open.  After GUARD_AFTER
-    evaluations, once both sides are closed, so is a Newton step longer
-    than half the Newton step before the last, the guard of rtsafe
-    (Numerical Recipes, 9.4): near an end of the lattice the tilted laws
-    round, the slope can be off by orders of magnitude, and Newton then
-    creeps by steps of 1e-9; with the guard the bracket halves at least
-    every third evaluation.  It stops at |m - k| <= TILT_TOL *
-    max(1, k) and refuses after MAX_ITER steps.
-    This is `legendre._solve_mean_equation`'s algorithm in scalar form, on
-    the sum's lattice rather than a grid of x; a fix to one belongs in
-    both.
-
-    Under the tilt the sum has pmf q with mean m, and P[S = j] = q_j
+    Under the tilt theta per step from ``cgf.point_tilt`` the sum has pmf
+    q with mean m, at k up to the miss |m - k|, and P[S = j] = q_j
     exp(log_norm - theta j).  All but WINDOW_EPS of q lies within R steps
     of m, R the smaller of two rigorous bounds, with L = log(2 /
     WINDOW_EPS): Hoeffding's (JASA 58, 1963), sqrt(L sum_c nu_c span_c^2 /
@@ -181,50 +122,19 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
     weighted by exp(-theta (j - k)) <= 1, so FFT round-off in the far
     tails of q is never amplified, and the aliased and the omitted mass
     (each below WINDOW_EPS) add at most that much to the sum.  The class
-    spectra z_c come in closed form from the last iterate's tilted laws,
+    spectra z_c come in closed form from the tilted laws,
     and their product in log-polar form, sum_c nu_c (log|z_c|, arg z_c),
     exponentiated only where it does not underflow: cheaper than complex
     powers.
     """
-    classes = [(cls.probs, pts, [pts[-1] - v for v in pts], math.fsum([*cls.probs, -1.0]), nu)
-               for (cls, nu), pts in zip(live, (s.tolist() for s in steps))]
-    odds = k / (size - 1 - k)
-    theta, lo, hi = 0.0, -math.inf, math.inf
-    # sizes of the last two steps, while they were Newton's in a closed
-    # bracket and the guard applied
-    last = older = math.inf
-    for i in range(MAX_ITER):
-        laws, log_norm, below, above, var = _tilted_laws(classes, theta)
-        gap = below - k
-        if abs(gap) <= TILT_TOL * max(1, k):
-            break
-        lo, hi = (lo, theta) if gap > 0.0 else (theta, hi)
-        # exp(z(solution) - z(theta)), and dz/dtheta = V / m + V / (size - 1 - m)
-        ratio = odds * above / below if below > 0.0 else math.inf
-        slope = var / below + var / above if 0.0 < ratio < math.inf else 0.0
-        step = theta + math.log(ratio) / slope if slope > 0.0 else math.nan
-        guard = i >= GUARD_AFTER
-        if lo < step < hi and (not guard or abs(step - theta) <= 0.5 * older):
-            closed = guard and -math.inf < lo and hi < math.inf
-            last, older = abs(step - theta) if closed else math.inf, last
-        else:
-            # the first evaluation, at theta = 0, closes one side
-            if hi == math.inf:
-                step = max(2.0 * lo, 1.0)
-            elif lo == -math.inf:
-                step = min(2.0 * hi, -1.0)
-            else:
-                step = 0.5 * (lo + hi)
-            last = older = math.inf
-        theta = step
-    else:
-        raise Refused(f"no tilt after {MAX_ITER} iterations at lattice point {k} of {size}")
+    theta, laws, log_norm, miss, var = point_tilt(
+        [(cls.probs, s.tolist(), nu) for (cls, nu), s in zip(live, steps)], k, size - 1 - k)
     log_2_eps = math.log(2.0 / WINDOW_EPS)
     hoeffding = math.sqrt(0.5 * log_2_eps * sum(nu * int(s[-1]) ** 2
                                                  for (_, nu), s in zip(live, steps)))
     third = max(int(s[-1]) for s in steps) * log_2_eps / 3.0
     bernstein = third + math.sqrt(third * third + 2.0 * var * log_2_eps)
-    r = math.ceil(min(hoeffding, bernstein) + abs(gap))
+    r = math.ceil(min(hoeffding, bernstein) + miss)
     length = _fft_length(min(size, 2 * r + 1))
     # omega, the log-modulus and phase sums, the complex spectrum, one
     # class's sines and its real and imaginary parts, and the inverse

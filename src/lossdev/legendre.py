@@ -1,6 +1,9 @@
 """Fenchel-Legendre transforms of mixture CGFs, closed-form rate
 functions for the symmetric two-point classes, and the certified
 tail-decay lower bound for assigned (density-oscillating) models.
+
+Its grid solve serves ``rate``, ``bound`` and ``legendre_transform``; a
+single threshold, as in ``exact`` and ``mc``, goes to ``cgf.point_tilt``.
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ def legendre_transform(model: PortfolioModel, x: float) -> RatePoint:
     if not model.is_weighted:
         raise Refused("legendre_transform needs a weighted model; "
                       "use bound for assigned ones")
-    return transform_from_weights(model.classes, model.densities(), x)
+    return transform_from_weights(model.classes, model.weights, x)
 
 
 def _two_point_rate(x: float, a: float) -> float:

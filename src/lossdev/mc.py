@@ -18,10 +18,10 @@ the counted b_j for one a_i are a suffix of the sorted b, so one
 ``searchsorted`` and one log-space suffix sum give g_A(a_i) for every i
 in O(N log N), and likewise g_B.
 
-The tilted probabilities p_j exp(lambda* v_j - log phi_c(lambda*)) and
-the normalizer sum_c nu_c log phi_c(lambda*) come from one evaluation of
-the CGF kernel (``cgf.tilted_laws``); a support point whose tilted mass
-underflows stays in place with probability 0.
+The tilt, the tilted probabilities p_j exp(lambda* v_j - log phi_c(lambda*))
+and the normalizer sum_c nu_c log phi_c(lambda*) come from
+``cgf.point_tilt``; a support point whose tilted mass underflows stays
+in place with probability 0.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import tilted_laws
-from .legendre import transform_from_weights
+from .cgf import point_tilt
 from .model import DEFAULT_SEED, PortfolioModel, Refused, check_budget, reaches
 
 # doubles per replicate held at once besides the widest class's draws:
@@ -181,7 +180,9 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
 
     The tilt is the Legendre maximizer of the finite-n empirical CGF
     (not the limit CGF), so it is optimal for the actual n even when the
-    class densities oscillate.  The live contracts are split into groups
+    class densities oscillate; a threshold within 1e-12 of the scale of
+    the reachable range from one of its edges raises
+    ``TiltingRangeError``.  The live contracts are split into groups
     A and B (``_split``), and N = ``n_samples`` tilted sums of each are
     drawn from one Philox stream, A first.  With
     f(s) = 1{S_n >= n x} exp(-lam* s + sum_c nu_c log phi_c(lam*)), the
@@ -201,18 +202,26 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
     finite where the estimate underflows to 0.
     """
     counts = model.counts(n)
-    rp = transform_from_weights(model.classes, counts / n, x)
-    if rp.status != "interior":
-        raise TiltingRangeError(
-            f"x={x} has status {rp.status!r}; use sample_plain or the exact oracle")
-    lam = rp.lambda_star
-    log_phi, tilted = tilted_laws(model.classes, lam)
-    log_norm = float((log_phi * counts).sum())
-    probs, spread = [], np.zeros(len(counts))
-    for c, (cls, row) in enumerate(zip(model.classes, tilted)):
-        v, p = np.asarray(cls.support), row[:len(cls.support)]
-        probs.append(p)
-        spread[c] = counts[c] * (p @ (v - p @ v) ** 2)
+    live = [(cls, int(nu)) for cls, nu in zip(model.classes, counts) if nu > 0]
+    bottom = math.fsum([nu * cls.min_support for cls, nu in live])
+    top = math.fsum([nu * cls.max_support for cls, nu in live])
+    edge_tol = 1e-12 * max(-bottom, top)  # every class is centered
+    if not bottom + edge_tol < n * x < top - edge_tol:
+        raise TiltingRangeError(f"x={x} is not inside the reachable range "
+                                f"[{bottom / n}, {top / n}]; use sample_plain or the exact oracle")
+    # the points above each class's minimum in units of the widest span,
+    # where doubling the tilt from 1 is scale-free
+    width = max(cls.max_support - cls.min_support for cls, _ in live)
+    theta, laws, log_norm, _, _ = point_tilt(
+        [(cls.probs, [(v - cls.min_support) / width for v in cls.support], nu)
+         for cls, nu in live], (n * x - bottom) / width, (top - n * x) / width)
+    lam = theta / width
+    log_norm += lam * bottom
+    laws = iter(laws)
+    # a class with no contracts keeps its own law: it is never drawn
+    probs = [np.array(next(laws) if nu else cls.probs) for cls, nu in zip(model.classes, counts)]
+    spread = np.array([nu * (p @ np.subtract(cls.support, p @ cls.support) ** 2)
+                       for cls, nu, p in zip(model.classes, counts, probs)])
     check_budget(n_samples * (PAIR_DOUBLES + max(map(len, probs))), "sample and pair arrays")
     rng = _rng(seed)
     below = lam < 0.0

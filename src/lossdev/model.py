@@ -10,7 +10,7 @@ This is the package's data layer, and it computes in Python floats:
 validating a class of a few points takes a few comparisons and sums, and
 numpy's cost per call exceeds that arithmetic.  So importing the package
 and ``lossdev validate`` load no numpy.  numpy is imported only inside
-the functions that return arrays (the ``counts`` methods, ``densities``,
+the functions that return arrays (the ``counts`` methods,
 ``density_extremes``, ``apportion`` and ``density_profile``), which only
 the numerical layers call.  Sums of probabilities and weights run from
 left to right, as numpy sums fewer than 8 values; from 8 values on
@@ -355,12 +355,6 @@ class PortfolioModel:
                 out = np.concatenate([out, np.zeros(len(self.classes) - len(out), np.int64)])
             return out
         return apportion(np.asarray(self.weights), n)
-
-    def densities(self) -> np.ndarray:
-        import numpy as np
-        if self.weights is None:
-            raise ModelError("densities are defined for weighted models only")
-        return np.asarray(self.weights, dtype=float)
 
     def density_extremes(self) -> np.ndarray:
         """A (k x classes) array whose convex hull holds counts(n) / n for

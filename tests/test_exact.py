@@ -21,6 +21,7 @@ from lossdev import (
     exact_tail,
     rate_I1,
     sample_plain,
+    sample_tilted,
 )
 from lossdev.cgf import mixture_cgf
 from lossdev.exact import WINDOW_EPS, latticize
@@ -29,6 +30,13 @@ from lossdev.model import Refused, loads_model, reaches
 
 from conftest import CLAIM_RAW, DOUBLE, UNIT, life_class, random_lattice_model
 from oracle import direct_log_pmf
+
+
+def _centered(name, points, probs):
+    """The class of ``points`` shifted by their mean, as a model file's
+    ``"center": true`` asks."""
+    mean = math.fsum(v * p for v, p in zip(points, probs))
+    return LossClass(name, tuple(v - mean for v in points), probs)
 
 
 def _live(model, n):
@@ -658,7 +666,8 @@ ZERO_FOUR = LossClass("zero_four", (-2.0, 0.0, 1.0, 3.0), (0.3, 0.3, 0.3, 0.1))
 
 
 class TestTiltSolve:
-    """The oracle solves for its tilt on the sum's own lattice."""
+    """The oracle takes its tilt from the point tilt on the sum's own
+    lattice, as the tilted sampler does on its classes' spans."""
 
     def test_no_cgf_kernel_or_legendre_call(self, monkeypatch, eq_mix):
         calls = []
@@ -676,6 +685,7 @@ class TestTiltSolve:
                         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         for n, x in ((10, 0.3), (1000, -0.2), (100_000, 0.5)):
             assert exact_log_tail(eq_mix, n, x) < 0.0
+            assert sample_tilted(eq_mix, n, x, 10).lam != 0.0
         assert calls == []
         # the counters see the calls there are
         import lossdev.legendre
@@ -715,9 +725,57 @@ class TestTiltSolve:
         assert exact_tail(model, 4, x) == pytest.approx(enumerate_tail(model, 4, x), rel=1e-12)
 
     def test_refuses_without_convergence(self, monkeypatch, pure_unit):
-        monkeypatch.setattr("lossdev.exact.MAX_ITER", 1)
+        monkeypatch.setattr("lossdev.cgf.MAX_ITER", 1)
         with pytest.raises(Refused, match="no tilt"):
             exact_log_tail(pure_unit, 100, 0.5)
+
+    def test_stops_where_the_bracket_closes(self, monkeypatch, eq_mix):
+        """With no tolerance met, the tilt stops where its bracket has
+        closed to round-off, and the window's |m - k| covers the miss."""
+        want = [exact_log_tail(eq_mix, n, x) for n, x in ((10, 0.3), (1000, -0.2), (7, 0.9))]
+        monkeypatch.setattr("lossdev.cgf.TILT_TOL", -1.0)
+        got = [exact_log_tail(eq_mix, n, x) for n, x in ((10, 0.3), (1000, -0.2), (7, 0.9))]
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_reference_end_of_almost_no_mass(self):
+        """Round-robin (2, 4) of {-0.000156, 0.999844} and a centered
+        {0, 3.5} whose top carries 7.07e-32: tilted toward the top,
+        1 + excess of the second class is about 1e-15, and formed as
+        1 - (1 - 1e-15) it raised ZeroDivisionError."""
+        a = LossClass("a", (-0.000156, 0.999844), (0.999844, 1.56e-4))
+        b = _centered("b", (0.0, 3.5), (1 - 7.07e-32, 7.07e-32))
+        model = PortfolioModel((a, b), rule=RoundRobin((2, 4)))
+        want = math.log(enumerate_tail(model, 6, 0.23795))
+        assert exact_log_tail(model, 6, 0.23795) == pytest.approx(want, rel=1e-10)
+
+    def test_bottom_of_almost_no_mass(self):
+        """{-6e, -2e, 0}, centered, at (1.3e-20, 7.8e-11, 1 - ...) and
+        n = 101, at x = -8.2347: tilted toward the bottom, 1 + excess
+        cancelled, and every lattice point raised ZeroDivisionError.  The
+        tail is 1 but for P[S < k], which is compared."""
+        cls = _centered("c", (-6 * math.e, -2 * math.e, 0.0),
+                        (1.3e-20, 7.8e-11, 1 - 1.3e-20 - 7.8e-11))
+        model = PortfolioModel((cls,), weights=(1.0,))
+        offset, g, logp = direct_log_pmf(model, 101)
+        logp -= logsumexp(logp)
+        for k in range(1, logp.size - 1):
+            assert exact_log_tail(model, 101, (offset + g * k) / 101) <= 0.0
+        k = math.ceil((101 * -8.2347 - offset) / g)
+        got = exact_log_tail(model, 101, -8.2347)
+        assert -math.expm1(got) == pytest.approx(math.exp(logsumexp(logp[:k])), rel=1e-10,
+                                                 abs=1e-300)
+
+    @pytest.mark.parametrize("k", [380, 392, 393, 394, 400])
+    def test_coarsely_rounded_mean(self, k):
+        """{-2, 0, 6}, centered, at (0.0375, 0.9625 - 1.62e-10, 1.62e-10)
+        and n = 208: near lattice point 393 of 833 the tilted mean jumped
+        by 8e-5 steps, coarser than the tolerance, and the tilt refused."""
+        cls = _centered("d", (-2.0, 0.0, 6.0), (0.0375, 0.9625 - 1.62e-10, 1.62e-10))
+        model = PortfolioModel((cls,), weights=(1.0,))
+        offset, g, logp = direct_log_pmf(model, 208)
+        assert logp.size == 833
+        got = exact_log_tail(model, 208, (offset + g * k) / 208)
+        assert got == pytest.approx(logsumexp(logp[k:]), rel=1e-10)
 
 
 def test_no_runtime_warning_at_spectral_zeros(pure_unit, eq_mix):

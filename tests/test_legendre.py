@@ -289,7 +289,7 @@ def test_transform_from_weights_respects_zero_weight(unit_class, double_class):
 
 def _random_weighted(seed, max_classes=4):
     model, _ = random_general_model(np.random.default_rng(seed), max_classes)
-    return model.classes, model.densities()
+    return model.classes, model.weights
 
 
 def _range(classes, weights):

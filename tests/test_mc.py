@@ -9,24 +9,33 @@ from lossdev import (
     PortfolioModel,
     RoundRobin,
     TiltingRangeError,
+    empirical_cgf,
     exact_log_tail,
     exact_tail,
     sample_plain,
     sample_tilted,
 )
-from lossdev import mc
-from lossdev.cgf import tilted_laws
+from lossdev import cgf, mc
+from lossdev.cgf import mixture_cgf
+from lossdev.legendre import transform_from_weights
 from lossdev.model import check_assumptions, loads_model, reaches
 
 from conftest import CLAIM_RAW, DOUBLE, UNIT, life_class, random_lattice_model
 
 
 def tilted_row(cls, lam):
-    """The kernel's tilted probabilities of one class, on its support."""
-    return tilted_laws((cls,), lam)[1][0, :len(cls.support)]
+    """The point tilt's probabilities of one class tilted by lam, on its
+    support, in units of its span as ``sample_tilted`` takes them."""
+    span = cls.max_support - cls.min_support
+    shifts = [(v - cls.min_support) / span for v in cls.support]
+    laws = cgf._tilted_laws(cgf._point_classes([(cls.probs, shifts, 1)]), lam * span)[0]
+    return np.array(laws[0])
 
 
 class TestTiltedClass:
+    """The tilted class laws of ``cgf.point_tilt``, which ``exact`` and
+    ``mc`` share."""
+
     def test_tilt_probability(self, unit_class):
         t = tilted_row(unit_class, 1.0)
         p_up = math.e / (math.e + math.exp(-1.0))
@@ -46,6 +55,55 @@ class TestTiltedClass:
         t = tilted_row(double_class, -2.3)
         assert t.shape == (2,) and t.sum() == pytest.approx(1.0, rel=1e-15)
         assert tilted_row(WIDE_CLASSES["two-point"], 1.0).tolist() == [0.0, 1.0]
+
+
+class TestPointTilt:
+    """The sampler's tilt, from ``cgf.point_tilt``, against the Legendre
+    grid solve, which it no longer calls, at thresholds a tenth, half and
+    nine tenths of the way from the mean to either edge."""
+
+    @staticmethod
+    def _check(model, n):
+        counts = model.counts(n)
+        lo = math.fsum(nu * c.min_support for c, nu in zip(model.classes, counts)) / n
+        hi = math.fsum(nu * c.max_support for c, nu in zip(model.classes, counts)) / n
+        for x in (f * edge for f in (0.1, 0.5, 0.9) for edge in (lo, hi)):
+            want = transform_from_weights(model.classes, counts / n, x).lambda_star
+            assert sample_tilted(model, n, x, 2).lam == pytest.approx(want, rel=1e-8), (n, x)
+
+    def test_random_lattice_models(self):
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            model, _ = random_lattice_model(rng)
+            self._check(model, int(rng.integers(1, 500)))
+
+    def test_no_lattice(self):
+        """A life contract at q = 1/pi beside the unit and double classes:
+        no common step."""
+        model = PortfolioModel((UNIT, DOUBLE, life_class(1 / math.pi)), weights=(0.3, 0.2, 0.5))
+        for n in (7, 1000):
+            self._check(model, n)
+
+    def test_target_near_the_top_of_a_wide_range(self):
+        """A claim of -1e8 at 1e-12 beside a small class: the range's scale
+        is 5e7 and x lies within 0.06 of its top.  The Legendre solve
+        stops at |Lambda' - x| <= 5e-3 there, at lambda 0 for x = 0.001
+        and with a tilted mean 3% off at x = 0.06; the point tilt counts
+        the target down from the top and puts the mean on it."""
+        claim = LossClass("claim", (-1e8, 1e-4 / (1 - 1e-12)), (1e-12, 1 - 1e-12))
+        small = LossClass("small", (-0.25, 0.125), (1 / 3, 2 / 3))
+        model = PortfolioModel((claim, small), weights=(0.5, 0.5))
+        for x in (0.001, 0.01, 0.03, 0.06):
+            lam = sample_tilted(model, 1000, x, 10).lam
+            assert empirical_cgf(model, 1000, lam).d1 == pytest.approx(x, rel=1e-12)
+
+    def test_support_of_1e9(self):
+        """On {-1e9, 1e9} the tilt is atanh(x / 1e9) / 1e9."""
+        model = PortfolioModel((LossClass("big", (-1e9, 1e9), (0.5, 0.5)),), weights=(1.0,))
+        self._check(model, 10)
+        for f in (-0.9, 0.1, 0.5):
+            lam = sample_tilted(model, 10, f * 1e9, 2).lam
+            assert lam == pytest.approx(math.atanh(f) / 1e9, rel=1e-12)
 
 
 class TestSamplePlain:
@@ -180,7 +238,7 @@ def _recorded_draws(monkeypatch):
 
 def _log_norm(model, n, lam):
     """sum_c nu_c log phi_c(lam), the log of the likelihood weight's scale."""
-    return float((tilted_laws(model.classes, lam)[0] * model.counts(n)).sum())
+    return float(mixture_cgf(model.classes, model.counts(n), lam).value)
 
 
 def _pair_values(model, n, x, est, a, b):
