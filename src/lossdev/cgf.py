@@ -1,12 +1,12 @@
 """Mixture cumulant generating functions with analytic first and second
 derivatives, from one array kernel over a lambda array and a padded
-(classes x support) matrix, and the package's one point tilt.
+(support x classes) matrix, and the package's one tilt rule.
 MGF sums are evaluated with the max exponent shifted out, so tilts up to
 |lambda| ~ 700 / c0 are safe; derivatives come from the same shifted
-weights, never from differencing.  ``legendre`` solves on the kernel
-over grids of x; ``point_tilt`` solves for a single target, as ``exact``
-and ``mc`` need, in Python floats: on a class of a few points numpy's
-cost per call, and a grid solve's bookkeeping, exceed the arithmetic.
+weights, never from differencing.  ``point_tilt`` solves for a single
+target, as ``exact`` and ``mc`` need, in Python floats, where numpy's cost
+per call would exceed the arithmetic; ``legendre`` runs its rule on the
+kernel over grids of x.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import LossClass, PortfolioModel, Refused
 
-# the point tilt stops at |m(theta) - target| <= TILT_TOL times the
+# a tilt solve stops at |m(theta) - target| <= TILT_TOL times the
 # distance from the target to the nearer end of the range
 TILT_TOL = 1e-11
 MAX_ITER = 200
@@ -29,13 +29,16 @@ GUARD_AFTER = 8  # evaluations of plain Newton before rtsafe's guard applies
 
 @dataclass(frozen=True)
 class CgfPoint:
-    """A CGF and its first two derivatives at ``lam``: arrays of the shape
-    of ``lam``, or Python floats for a scalar ``lam``."""
+    """A CGF and its first two derivatives at ``lam``, and d1, the tilted
+    mean, counted up from the bottom of the range and down from its top:
+    arrays of the shape of ``lam``, or Python floats for a scalar ``lam``."""
 
     lam: float
     value: float
     d1: float
     d2: float
+    below: float
+    above: float
 
 
 def shaped(shape, *arrays) -> list:
@@ -44,16 +47,21 @@ def shaped(shape, *arrays) -> list:
 
 
 @lru_cache(maxsize=64)
-def _class_matrix(classes: tuple[LossClass, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Support values and log-probabilities as (classes x support)
-    matrices, rows padded with value 0 and log-probability -inf."""
+def _class_matrix(classes: tuple[LossClass, ...]) -> tuple[np.ndarray, ...]:
+    """Support values, log-probabilities, and the values counted up from
+    their class's bottom and down from its top, as (support x classes)
+    matrices, columns padded with value 0 (inside every centered class's
+    range) and log-probability -inf.  Support first: the kernel's sums
+    over it add whole slabs, far cheaper than sums over a short last axis."""
     width = max(len(cls.support) for cls in classes)
     pad = [(0.0,) * (width - len(cls.support)) for cls in classes]
-    support = np.array([cls.support + p for cls, p in zip(classes, pad)])
-    probs = np.array([cls.probs + p for cls, p in zip(classes, pad)])
+    support = np.array([cls.support + p for cls, p in zip(classes, pad)]).T.copy()
+    probs = np.array([cls.probs + p for cls, p in zip(classes, pad)]).T
     logp = np.log(probs, out=np.full(probs.shape, -np.inf), where=probs > 0.0)
-    support.flags.writeable = logp.flags.writeable = False
-    return support, logp
+    out = support, logp, support - support[0], support.max(axis=0) - support
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def check_lambda(classes, lam) -> None:
@@ -67,29 +75,32 @@ def check_lambda(classes, lam) -> None:
 def mixture_cgf(classes, weights, lam) -> CgfPoint:
     """Weighted mixture CGF sum_i w_i log phi_i(lam) and its derivatives
     at every lambda of ``lam``: per class the shifted log-sum of
-    exp(lam v_j + log p_j), its tilted mean and its tilted variance.
+    exp(lam v_j + log p_j), its tilted mean, counted from the class's
+    bottom and from its top, and its tilted variance.
     A stack of weight rows (k x classes) gives one mixture per row from
-    the same per-class sums: value, d1 and d2 then gain a last axis of
-    length k."""
+    the same per-class sums: all but lam then gain a last axis of length k."""
     lam = np.asarray(lam, dtype=float)
-    support, logp = _class_matrix(tuple(classes))
-    expo = lam[..., None, None] * support + logp
-    top = expo.max(axis=-1)
-    w = np.exp(expo - top[..., None])
-    s = w.sum(axis=-1)
-    mean = (w * support).sum(axis=-1) / s
-    var = (w * (support - mean[..., None]) ** 2).sum(axis=-1) / s
-    per_class = (top + np.log(s), mean, var)
+    # the kernel's arrays are (support, *lam.shape, classes)
+    at = (slice(None),) + (None,) * lam.ndim
+    support, logp, up, down = (a[at] for a in _class_matrix(tuple(classes)))
+    expo = lam[..., None] * support + logp
+    top = expo.max(axis=0)
+    w = np.exp(expo - top)
+    s = w.sum(axis=0)
+    mean = (w * support).sum(axis=0) / s
+    var = (w * (support - mean) ** 2).sum(axis=0) / s
+    per_class = np.stack([top + np.log(s), mean, var, (w * up).sum(axis=0) / s,
+                          (w * down).sum(axis=0) / s])
     if np.ndim(weights) == 2:
-        return CgfPoint(lam, *(c @ np.transpose(weights) for c in per_class))
-    mixed = ((c * weights).sum(axis=-1) for c in per_class)
-    return CgfPoint(*shaped(lam.shape, lam, *mixed))
+        return CgfPoint(lam, *(per_class @ np.transpose(weights)))
+    return CgfPoint(*shaped(lam.shape, lam, *(per_class * weights).sum(axis=-1)))
 
 
 def envelope_cgf(classes, rows: np.ndarray, lam) -> CgfPoint:
     """Upper envelope max_k of the mixture CGFs of the weight rows ``rows``
     (k x classes) from one kernel call: its value, and the derivatives of
-    the row that attains it, one-sided at a kink where two rows cross.
+    the row that attains it, one-sided at a kink where two rows cross,
+    its mean counted from the least row bottom and the largest row top.
     One row is its mixture CGF."""
     if len(rows) == 1:
         return mixture_cgf(classes, rows[0], lam)
@@ -98,7 +109,11 @@ def envelope_cgf(classes, rows: np.ndarray, lam) -> CgfPoint:
     # to rounding: on both sides the row of largest curvature binds
     binds = np.where(p.lam[..., None] == 0.0, p.d2, p.value)
     top = binds.argmax(axis=-1)[..., None]
-    mixed = (np.take_along_axis(c, top, axis=-1)[..., 0] for c in (p.value, p.d1, p.d2))
+    support = _class_matrix(tuple(classes))[0]
+    bottoms, tops = rows @ support[0], rows @ support.max(axis=0)
+    fields = (p.value, p.d1, p.d2, p.below + (bottoms - bottoms.min()),
+              p.above + (tops.max() - tops))
+    mixed = (np.take_along_axis(c, top, axis=-1)[..., 0] for c in fields)
     return CgfPoint(*shaped(p.lam.shape, p.lam, *mixed))
 
 
@@ -178,19 +193,21 @@ def point_tilt(classes, target: float, rest: float
     top, sum_c nu_c max(shifts_c), so that it keeps its relative accuracy
     near either end, as the tilted mean does.
 
-    ``legendre``'s grid solve at a single point: Newton from theta = 0 on
-    the logit z = log(m / (top - m)), close to linear in theta at both
-    ends, each step closing one side of a bracket; a step that leaves
-    the bracket, or is not finite because the mean rounded onto an end,
-    is replaced by bisection once both sides are closed and by doubling
-    theta from 1 while one is open.  After GUARD_AFTER evaluations, once
-    both sides are closed, so is a Newton step longer than half the one
-    before the last, the guard of rtsafe (Numerical Recipes, 9.4): near
-    an end the tilted laws round, the slope can be off by orders of
-    magnitude, and Newton would creep.  It stops at |m - target| <=
-    TILT_TOL min(target, rest), or where the bracket has closed to
-    round-off, as the mean may round coarser than that; the caller allows
-    for the miss.  It refuses after MAX_ITER evaluations.
+    The package's one tilt rule, which ``legendre``'s grid solve runs on
+    arrays: Newton from theta = 0 on the logit z = log(m / (top - m)),
+    close to linear in theta at both ends (exactly linear for a
+    symmetric two-point class), each step closing one side of a bracket;
+    a step that leaves the bracket, or is not finite because the mean
+    rounded onto an end, is replaced by bisection once both sides are
+    closed and by doubling theta from 1 while one is open.  After
+    GUARD_AFTER evaluations, once both sides are closed, so is a Newton
+    step longer than half the one before the last, the guard of rtsafe
+    (Numerical Recipes, 9.4): near an end the tilted laws round, the
+    slope can be off by orders of magnitude, and Newton would creep.  It
+    stops at |m - target| <= TILT_TOL min(target, rest), the gap measured
+    from the nearer end, or where the bracket has closed to round-off, as
+    the mean may round coarser than that; the caller allows for the miss.
+    It refuses after MAX_ITER evaluations.
     """
     classes = _point_classes(classes)
     odds, tol = target / rest, TILT_TOL * min(target, rest)

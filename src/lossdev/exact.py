@@ -168,10 +168,14 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
     # multiply and sum, not a dot product: BLAS threads a long dot
     # product, which stalls for milliseconds on a few cores
     part = float((q[j % length] * np.exp(-theta * (j - k))).sum())
-    if upper:
-        return min(log_norm - theta * k + math.log(part), 0.0)
-    # + 0.0 turns the -0.0 of a lower mass that underflows into 0.0
-    return math.log1p(-math.exp(log_norm - theta * k) * part) + 0.0
+    lower = math.exp(log_norm - theta * k) * part
+    # round-off can outweigh the sum of a depleted window: refuse, not a wrong tail
+    if part > 0.0 and (upper or lower < 1.0):
+        # + 0.0 turns the -0.0 of a lower mass that underflows into 0.0
+        return (min(log_norm - theta * k + math.log(part), 0.0) if upper
+                else math.log1p(-lower) + 0.0)
+    raise Refused(f"the FFT's round-off outweighs the tilted window sum {part!r} "
+                  f"at lattice point {k} of {size}")
 
 
 def exact_log_tail(model: PortfolioModel, n: int, x: float,

@@ -2,8 +2,9 @@
 functions for the symmetric two-point classes, and the certified
 tail-decay lower bound for assigned (density-oscillating) models.
 
-Its grid solve serves ``rate``, ``bound`` and ``legendre_transform``; a
-single threshold, as in ``exact`` and ``mc``, goes to ``cgf.point_tilt``.
+Its grid solve, the rule of ``cgf.point_tilt`` run on arrays, serves
+``rate``, ``bound`` and ``legendre_transform``; a single threshold, as in
+``exact`` and ``mc``, goes to ``cgf.point_tilt`` itself.
 """
 
 from __future__ import annotations
@@ -13,15 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cgf
 from .cgf import envelope_cgf, shaped
 from .model import PortfolioModel, Refused
 
-SOLVE_TOL = 1e-10
-MAX_ITER = 200
-# evaluations of plain Newton before rtsafe's guard applies: no bench solve
-# takes more than 8, and the guard's bookkeeping, a few array operations
-# per iterate, costs a 150-point grid about 9% of its solve
-GUARD_AFTER = 8
 MAX_LAMBDA = 1e9  # the solve refuses a lambda whose |lambda| times the range's scale passes this
 
 
@@ -47,78 +43,60 @@ def _solve_mean_equation(classes, rows: np.ndarray, x: np.ndarray, x_min: float,
     1-d array inside (x_min, x_max), the range of Lambda':
     (lambda, lambda x - Lambda(lambda)).
 
-    Newton runs on the logit of the tilted mean,
-    z(lam) = log(Lambda' - x_min) - log(x_max - Lambda'), which is close
-    to linear in lam at both ends (exactly linear for a symmetric
-    two-point class), so it starts from the one scalar kernel call at
-    lam = 0.  Each evaluation closes one side of a bracket [lo, hi]; a
-    Newton step that leaves it, or is not finite because the mean
-    rounded onto an end, is replaced by bisection once both ends are
-    closed and by doubling lam while one is open.  After GUARD_AFTER
-    evaluations, once both ends are closed, so is a Newton step longer
-    than half the Newton step before the last, the guard of rtsafe
-    (Numerical Recipes, 9.4), so that a slope that rounding has made too
-    steep cannot make Newton creep.  The scale
-    s = max(-x_min, x_max) sets the units: an open end sits at
-    +-MAX_LAMBDA / s, and a point stops when |Lambda' - x| <= SOLVE_TOL s,
-    since Lambda' is not resolved more finely than the rounding of
-    values of size s, or when its bracket has closed to round-off: a
-    kink of the envelope, where Lambda' jumps over x.  Each kernel call
-    covers only the points still open, and every row."""
-    scale = max(-x_min, x_max)  # > 0: every class is centered
-    tol, limit = SOLVE_TOL * scale, MAX_LAMBDA / scale
-    ends = np.empty((3, x.size))
-    ends[0], ends[1], ends[2] = x, x_min, x_max
-    odds = (x - x_min) / (x_max - x)  # exp(z) at the solution
+    This is ``cgf.point_tilt``'s solve, with its constants, on the
+    kernel's tilted mean counted from the ends of the range, x counted up
+    from x_min and down from x_max, and tilts in units of the span
+    x_max - x_min.  It differs in three ways.  It runs on arrays: each
+    kernel call covers only the points still open, and every row.  A
+    bracket closed to round-off holds a kink of an envelope, where
+    Lambda' jumps over x and no lambda solves the equation: the point
+    stops there.  And an open side of a bracket sits at +-MAX_LAMBDA / s,
+    s = max(-x_min, x_max) the range's scale: a Newton step past it is
+    replaced by doubling, and doubling that reaches it is refused."""
+    span, target, rest = x_max - x_min, x - x_min, x_max - x
+    limit = MAX_LAMBDA / max(-x_min, x_max)  # an open side of a bracket
     lam, rate, idx = np.zeros_like(x), np.zeros_like(x), np.arange(x.size)
-    lo, hi, at = np.full_like(x, -limit), np.full_like(x, limit), np.zeros_like(x)
-    # the size of the last step and half that of the one before, while
-    # they were Newton's in a closed bracket and the guard applied
-    last, half = np.full_like(x, np.inf), np.full_like(x, np.inf)
-    p = envelope_cgf(classes, rows, np.zeros(1))
-    for i in range(MAX_ITER):
-        gaps = p.d1 - ends  # Lambda' - x, Lambda' - x_min, Lambda' - x_max
-        dist = np.abs(gaps)
-        above = gaps[0] > 0.0
-        lo, hi = np.where(above, lo, at), np.where(above, at, hi)
+    lo, hi = np.full_like(x, -limit), np.full_like(x, limit)
+    last, older = np.full_like(x, np.inf), np.full_like(x, np.inf)  # as in point_tilt
+    at, p = np.zeros_like(x), envelope_cgf(classes, rows, np.zeros(1))
+    for i in range(cgf.MAX_ITER):
+        # Lambda' - x, from the end nearer x
+        gap = np.where(target <= rest, p.below - target, rest - p.above)
+        done = np.abs(gap) <= cgf.TILT_TOL * np.minimum(target, rest)
+        lo, hi = np.where(gap > 0.0, lo, at), np.where(gap > 0.0, at, hi)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # not finite where the mean rounded onto an end; the bracket rejects it
-            newton = np.log(odds * dist[2] / dist[1]) / (p.d2 / dist[1:]).sum(axis=0)
+            newton = (np.log(target / rest * p.above / p.below)
+                      / (p.d2 / p.below + p.d2 / p.above))
         step = at + newton
-        done = dist[0] <= tol
         inside = done | ((lo < step) & (step < hi))
-        guard = i >= GUARD_AFTER
+        guard = i >= cgf.GUARD_AFTER
         if guard:
             size = np.abs(newton)
-            inside &= done | (size <= half)
-        if np.count_nonzero(inside) < inside.size:
-            # the first evaluation, at lam = 0, closes one end; double from lam s = 1
-            grow = np.where(hi == limit, np.maximum(2.0 * lo, 1.0 / scale),
-                            np.minimum(2.0 * hi, -1.0 / scale))
+            inside &= done | (size <= 0.5 * older)
+        if not inside.all():
+            half_open = (lo == -limit) | (hi == limit)
+            grow = np.where(hi == limit, np.maximum(2.0 * lo, 1.0 / span),
+                            np.minimum(2.0 * hi, -1.0 / span))
             mid = 0.5 * (lo + hi)
-            step = np.where(inside, step,
-                            np.where((lo == -limit) | (hi == limit), grow, mid))
-            # a bracket closed to round-off holds a kink of an envelope, where
-            # Lambda' jumps over x: no lam solves the equation, the sup is there
-            done |= ~((lo < mid) & (mid < hi))
+            step = np.where(inside, step, np.where(half_open, grow, mid))
+            done |= ~(half_open | ((lo < mid) & (mid < hi)))
             far = np.where(done, 0.0, np.abs(step))
             if far.max() >= limit:
-                raise Refused(f"could not bracket lambda for x={ends[0][np.argmax(far)]}")
+                raise Refused(f"could not bracket lambda for x={x[idx[np.argmax(far)]]}")
         if guard:
             closed = (-limit < lo) & (hi < limit)
-            last, half = (np.where(inside & closed, size, np.inf),
-                          np.where(inside, 0.5 * last, np.inf))
+            last, older = np.where(inside & closed, size, np.inf), np.where(inside, last, np.inf)
         finished = np.count_nonzero(done)
         if finished:
-            lam[idx[done]], rate[idx[done]] = at[done], (at * ends[0] - p.value)[done]
+            lam[idx[done]], rate[idx[done]] = at[done], (at * x[idx] - p.value)[done]
             if finished == idx.size:
                 return lam, rate
-            idx, odds, lo, hi, step, last, half = (
-                v[~done] for v in (idx, odds, lo, hi, step, last, half))
-            ends = ends[:, ~done]
+            idx, target, rest, lo, hi, step, last, older = (
+                v[~done] for v in (idx, target, rest, lo, hi, step, last, older))
         at = step
         p = envelope_cgf(classes, rows, at)
-    raise Refused(f"no convergence after {MAX_ITER} iterations at x={ends[0][0]}")
+    raise Refused(f"no convergence after {cgf.MAX_ITER} iterations at x={x[idx[0]]}")
 
 
 def transform_from_weights(classes, weights, x) -> RatePoint:
@@ -136,7 +114,7 @@ def transform_from_weights(classes, weights, x) -> RatePoint:
     limits = [[-sum(w * math.log(c.probs[end]) for c, w in zip(classes, row) if w > 0.0)
                for row in rows] for end in (0, -1)]
     x_min, x_max = min(reach[0]), max(reach[1])
-    edge_tol = 1e-12 * max(-x_min, x_max)  # on the solver's scale: every class is centered
+    edge_tol = 1e-12 * max(-x_min, x_max)  # every class is centered, so this is > 0
     infinite = ~((x_min - edge_tol <= xs) & (xs <= x_max + edge_tol))  # NaN too
     upper = np.abs(xs - x_max) <= edge_tol
     interior = ~(infinite | upper | (np.abs(xs - x_min) <= edge_tol))

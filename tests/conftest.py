@@ -12,6 +12,17 @@ DOUBLE = LossClass("double", (-2.0, 2.0), (0.5, 0.5))
 # raw claims {0, 1000} at q = 1/(100 pi), centered, beside the unit class
 CLAIM_RAW = Path(__file__).resolve().parents[1] / "demos" / "claim_raw.json"
 
+# a model whose exact tail at n = 71, x = DEPLETED_X has a tilted window
+# sum that the FFT's round-off makes negative; the true log P is -106.728
+DEPLETED_WINDOW = {
+    "bounds": {"c0": 3.0000000000044507, "c1": 1e-40},
+    "classes": [{"name": "a",
+                 "support": [-1.9999999999955493, 4.4506620611173275e-12, 3.0000000000044507],
+                 "probs": [2.2253171305571605e-12, 0.9999999999977747, 4.016154213368066e-25]},
+                {"name": "b", "support": [-1.0, 0.0], "probs": [5.71019605430263e-26, 1.0]}],
+    "regime": {"assigned": {"round_robin": {"weights": [1, 2]}}}}
+DEPLETED_X = 0.04911520404628589
+
 
 def life_class(q: float) -> LossClass:
     """A life contract that costs 1 with claim probability q, centered:

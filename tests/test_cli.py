@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import DEPLETED_WINDOW, DEPLETED_X
 from lossdev.cgf import empirical_cgf, limit_cgf
 from lossdev.cli import EXIT_CODES, _fmt, dispatch, emit_curve
 from lossdev.exact import IncommensurableSupportError
@@ -279,8 +280,14 @@ class TestExitCodes:
         self._fails(["rate", "--model", round_robin_file, "--x", "0.5"], 3, capsys)
 
     def test_solver_error(self, unit_model_file, monkeypatch, capsys):
-        monkeypatch.setattr("lossdev.legendre.MAX_ITER", 0)
+        monkeypatch.setattr("lossdev.cgf.MAX_ITER", 0)
         self._fails(["rate", "--model", unit_model_file, "--x", "0.5"], 3, capsys)
+
+    def test_depleted_window(self, tmp_path, capsys):
+        path = tmp_path / "depleted.json"
+        path.write_text(json.dumps(DEPLETED_WINDOW))
+        self._fails(["exact", "--model", str(path), "--n", "71", "--x", repr(DEPLETED_X)], 3,
+                    capsys)
 
     def test_incommensurable_supports(self, tmp_path, capsys):
         root2 = 2 ** 0.5

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import warnings
@@ -28,7 +29,8 @@ from lossdev.exact import WINDOW_EPS, latticize
 from lossdev.legendre import transform_from_weights
 from lossdev.model import Refused, loads_model, reaches
 
-from conftest import CLAIM_RAW, DOUBLE, UNIT, life_class, random_lattice_model
+from conftest import (CLAIM_RAW, DEPLETED_WINDOW, DEPLETED_X, DOUBLE, UNIT, life_class,
+                      random_lattice_model)
 from oracle import direct_log_pmf
 
 
@@ -776,6 +778,17 @@ class TestTiltSolve:
         assert logp.size == 833
         got = exact_log_tail(model, 208, (offset + g * k) / 208)
         assert got == pytest.approx(logsumexp(logp[k:]), rel=1e-10)
+
+    def test_window_sum_below_round_off_refuses(self):
+        """Two classes whose points off the lattice of the rest carry
+        masses down to 4e-25: at lattice point 99 of 168 the tilted window
+        sum rounds to -9.2e-16, and taking its log raised ValueError."""
+        model, _ = loads_model(json.dumps(DEPLETED_WINDOW))
+        offset, g, logp = direct_log_pmf(model, 71)
+        k = math.ceil((71 * DEPLETED_X - offset) / g)
+        assert float(logsumexp(logp[k:])) == pytest.approx(-106.728, abs=1e-3)
+        with pytest.raises(Refused, match="round-off outweighs"):
+            exact_log_tail(model, 71, DEPLETED_X)
 
 
 def test_no_runtime_warning_at_spectral_zeros(pure_unit, eq_mix):

@@ -20,9 +20,9 @@ from lossdev import (
     rate_upper_bound,
 )
 import lossdev.legendre
-from lossdev.cgf import envelope_cgf, mixture_cgf
+from lossdev.cgf import TILT_TOL, envelope_cgf, mixture_cgf, point_tilt
 from lossdev.exact import exact_log_tail_rate
-from lossdev.legendre import SOLVE_TOL, _two_point_rate, transform_from_weights
+from lossdev.legendre import MAX_LAMBDA, _two_point_rate, transform_from_weights
 from lossdev.model import Refused, loads_model
 
 
@@ -299,13 +299,15 @@ def _range(classes, weights):
 
 
 def _assert_stationary(classes, weights, xs, rp):
-    """|Lambda'(lambda*) - x| within the solver's tolerance
-    SOLVE_TOL max(-x_min, x_max) at every interior point of ``rp``."""
+    """|Lambda'(lambda*) - x| <= TILT_TOL min(x - x_min, x_max - x), the
+    gap measured from the end nearer x, at every interior point of ``rp``."""
     inside = np.asarray(rp.status) == "interior"
     lam, xs = np.atleast_1d(rp.lambda_star)[inside], xs[inside]
-    resid = np.abs(mixture_cgf(classes, weights, lam).d1 - xs)
+    p = mixture_cgf(classes, weights, lam)
     lo, hi = _range(classes, weights)
-    assert np.all(resid <= SOLVE_TOL * max(-lo, hi))
+    target, rest = xs - lo, hi - xs
+    gap = np.where(target <= rest, p.below - target, rest - p.above)
+    assert np.all(np.abs(gap) <= TILT_TOL * np.minimum(target, rest))
 
 
 class TestBatchedTransform:
@@ -436,6 +438,24 @@ class TestSolverCost:
         big = LossClass("big", (-1e9, 1e9), (0.5, 0.5))
         assert self._calls(monkeypatch, (big,), (1.0,), 0.9) <= 2
 
+    @pytest.mark.parametrize("x, bound", [(1.5, 0.3121963592315126),
+                                          (1.55, 0.33317724048106745)])
+    def test_on_a_kink_of_the_envelope(self, monkeypatch, x, bound):
+        """The kinked fixture of TestRateUpperBound at two x on its kink,
+        where no lambda solves the mean equation: the solve bisects until
+        its bracket closes to round-off, in at most 53 kernel calls, and
+        the bound it stops at is pinned to 1e-12."""
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return envelope_cgf(*args)
+
+        monkeypatch.setattr(lossdev.legendre, "envelope_cgf", counted)
+        model = PortfolioModel((SKEW, DOUBLE), rule=RoundRobin((1, 1)))
+        assert rate_upper_bound(model, x) == pytest.approx(bound, rel=0.0, abs=1e-12)
+        assert len(calls) <= 53
+
 
 def test_large_support_converges_to_its_rounding():
     """The stopping rule scales with the range: Lambda' of {-1e9, 1e9} is
@@ -513,3 +533,91 @@ def test_skewed_mixtures_near_the_edges():
         assert np.all(rp.status == "interior")
         assert np.all(np.isfinite(rp.rate) & (rp.rate >= 0.0))
         _assert_stationary(classes, weights, xs, rp)
+
+
+def _point_tilt_lambda(classes, weights, x):
+    """lambda* at x from ``cgf.point_tilt``, the weights taken as counts
+    and the shifts in units of the range's span."""
+    lo, hi = _range(classes, weights)
+    span = hi - lo
+    tilt = [(c.probs, [(v - c.min_support) / span for v in c.support], w)
+            for c, w in zip(classes, weights)]
+    return point_tilt(tilt, float(x - lo) / span, float(hi - x) / span)[0] / span
+
+
+def _wide_mixture(rng):
+    """1-3 centered classes of 2-5 points under random weights, masses
+    log-uniform down to 1e-30, and in half the models a claim of -10^3 to
+    -10^9 at 1e-30 to 1e-12 that makes the range wide."""
+    classes = []
+    for i in range(int(rng.integers(1, 4))):
+        size = int(rng.integers(2, 6))
+        sup = np.sort(rng.uniform(-1, 1, size))
+        pr = 10.0 ** rng.uniform(-30, 0, size)
+        pr /= pr.sum()
+        classes.append(LossClass(f"c{i}", tuple((sup - sup @ pr).tolist()), tuple(pr.tolist())))
+    if rng.random() < 0.5:
+        mass = 10.0 ** rng.uniform(-30, -12)
+        sup = np.array([-(10.0 ** rng.uniform(3, 9)), 0.0])
+        pr = np.array([mass, 1.0 - mass])
+        classes.append(LossClass("claim", tuple((sup - sup @ pr).tolist()), tuple(pr.tolist())))
+    return tuple(classes), tuple(rng.dirichlet(np.ones(len(classes))).tolist())
+
+
+class TestAgreesWithPointTilt:
+    """The grid solve runs the rule of ``cgf.point_tilt`` on arrays: both
+    put lambda* in the same place, also where the range is wide and the
+    threshold is near one of its ends."""
+
+    def test_random_models_near_both_ends(self):
+        """Each x alone, as the grid solve refuses a whole grid once
+        doubling reaches its lambda limit, MAX_LAMBDA / max(-x_min, x_max):
+        so only where |lambda*| is past half that limit."""
+        rng = np.random.default_rng(21)
+        compared = 0
+        for _ in range(60):
+            classes, weights = (_wide_mixture if rng.random() < 0.5 else _skewed_mixture)(rng)
+            lo, hi = _range(classes, weights)
+            offsets = (hi - lo) * np.logspace(-11, -1, 11)
+            for x in np.concatenate([lo + offsets, hi - offsets]):
+                want = _point_tilt_lambda(classes, weights, x)
+                try:
+                    rp = transform_from_weights(classes, weights, x)
+                except Refused:
+                    assert abs(want) * max(-lo, hi) > MAX_LAMBDA / 2, (classes, weights, x)
+                    continue
+                assert rp.status == "interior"
+                assert rp.lambda_star == pytest.approx(want, rel=1e-8), (classes, weights, x)
+                compared += 1
+        assert compared >= 0.9 * 60 * 22
+
+    @pytest.mark.parametrize("x", [0.001, 0.03, 0.06])
+    def test_wide_claim_against_a_40_digit_root(self, x):
+        """demos/wide_claim.json: a claim of -1e8 at 1e-12 beside {-0.25,
+        0.125} at (1/3, 2/3), so that max(-x_min, x_max) = 5e7.  A stop at
+        |Lambda' - x| <= 1e-10 of that put lambda* at 0 for x = 0.001 and
+        understated the rate by 1.4% and 2.0% at x = 0.03 and 0.06."""
+        mpmath = pytest.importorskip("mpmath")
+        path = Path(__file__).resolve().parents[1] / "demos" / "wide_claim.json"
+        model, _ = loads_model(path.read_text())
+        rp = legendre_transform(model, x)
+        with mpmath.workdps(40):
+            laws = [([mpmath.mpf(v) for v in c.support], [mpmath.mpf(p) for p in c.probs],
+                     mpmath.mpf(w)) for c, w in zip(model.classes, model.weights)]
+
+            def cgf(lam, slope):
+                total = mpmath.mpf(0)
+                for sup, probs, w in laws:
+                    terms = [p * mpmath.exp(lam * v) for v, p in zip(sup, probs)]
+                    total += w * (mpmath.fsum(t * v for t, v in zip(terms, sup)) / mpmath.fsum(terms)
+                                  if slope else mpmath.log(mpmath.fsum(terms)))
+                return total
+
+            lo, hi = mpmath.mpf(0), mpmath.mpf(100)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if cgf(mid, True) < x else (lo, mid)
+            rate = lo * mpmath.mpf(x) - cgf(lo, False)
+            assert rp.status == "interior"
+            assert rp.lambda_star == pytest.approx(float(lo), rel=1e-9)
+            assert rp.rate == pytest.approx(float(rate), rel=1e-11)

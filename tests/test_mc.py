@@ -86,10 +86,10 @@ class TestPointTilt:
 
     def test_target_near_the_top_of_a_wide_range(self):
         """A claim of -1e8 at 1e-12 beside a small class: the range's scale
-        is 5e7 and x lies within 0.06 of its top.  The Legendre solve
-        stops at |Lambda' - x| <= 5e-3 there, at lambda 0 for x = 0.001
-        and with a tilted mean 3% off at x = 0.06; the point tilt counts
-        the target down from the top and puts the mean on it."""
+        is 5e7 and x lies within 0.06 of its top.  A stop at |Lambda' - x|
+        <= 1e-10 of that scale would end at lambda 0 for x = 0.001; the
+        point tilt counts the target down from the top and puts the mean
+        on it."""
         claim = LossClass("claim", (-1e8, 1e-4 / (1 - 1e-12)), (1e-12, 1 - 1e-12))
         small = LossClass("small", (-0.25, 0.125), (1 / 3, 2 / 3))
         model = PortfolioModel((claim, small), weights=(0.5, 0.5))
