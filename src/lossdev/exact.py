@@ -87,7 +87,7 @@ def latticize(classes: list[LossClass]) -> float:
     return g
 
 
-def _fft_length(n: int) -> int:
+def fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n; numpy's FFT is slow on lengths with
     large prime factors."""
     best = 1 << (n - 1).bit_length()
@@ -101,49 +101,53 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarray],
-                         k: int, size: int) -> float:
-    """log P[S >= k] for 0 < k < size - 1, S the sum on its own lattice
-    0..size-1, by the exponentially tilted FFT on a window.  ``steps``
-    holds each live class's points in lattice steps from its minimum.
+def lattice_steps(classes: list[LossClass]) -> tuple[float, list[np.ndarray]]:
+    """The step g of ``latticize`` and each class's points in steps of g
+    from its minimum, the one rounding of the supports; two points of a
+    class on one step are refused."""
+    g = latticize(classes)
+    steps = [np.rint(np.subtract(c.support, c.min_support) / g).astype(np.int64) for c in classes]
+    if any((np.diff(s) == 0).any() for s in steps):
+        raise IncommensurableSupportError("two points of a class on one lattice step")
+    return g, steps
 
-    Under the tilt theta per step from ``cgf.point_tilt`` the sum has pmf
-    q with mean m, at k up to the miss |m - k|, and P[S = j] = q_j
-    exp(log_norm - theta j).  All but WINDOW_EPS of q lies within R steps
-    of m, R the smaller of two rigorous bounds, with L = log(2 /
-    WINDOW_EPS): Hoeffding's (JASA 58, 1963), sqrt(L sum_c nu_c span_c^2 /
-    2), and Bernstein's (Bennett, JASA 57, 1962), bL/3 + sqrt((bL/3)^2 +
-    2 V L), V = sum_c nu_c Var_theta(X_c) the tilted variance and b the
-    largest class span, all in steps.  The window's radius r = R + |m -
-    k| holds that mass about k too, so any theta the solve stops at is
-    safe; the FFT runs on min(size, 2r + 1) points.  For theta > 0 the
-    tail sums q_j over k <= j <= k + r; otherwise the sum runs over
-    k - r <= j < k and the tail is log1p(-P[S < k]).  Either way q_j is
-    weighted by exp(-theta (j - k)) <= 1, so FFT round-off in the far
-    tails of q is never amplified, and the aliased and the omitted mass
-    (each below WINDOW_EPS) add at most that much to the sum.  The class
-    spectra z_c come in closed form from the tilted laws,
-    and their product in log-polar form, sum_c nu_c (log|z_c|, arg z_c),
-    exponentiated only where it does not underflow: cheaper than complex
-    powers.
-    """
-    theta, laws, log_norm, miss, var = point_tilt(
-        [(cls.probs, s.tolist(), nu) for (cls, nu), s in zip(live, steps)], k, size - 1 - k)
+
+def window_radius(spans: list[tuple[int, int]], var: float) -> float:
+    """R such that all but WINDOW_EPS of the mass of a sum of independent
+    lattice contracts lies within R steps of its mean: the smaller of two
+    rigorous bounds, with L = log(2 / WINDOW_EPS), Hoeffding's (JASA 58,
+    1963), sqrt(L sum_c nu_c span_c^2 / 2), and Bernstein's (Bennett,
+    JASA 57, 1962), bL/3 + sqrt((bL/3)^2 + 2 V L), V the variance of the
+    sum and b the largest class span.  ``spans`` holds (nu_c, span_c) per
+    class, spans and V in steps."""
     log_2_eps = math.log(2.0 / WINDOW_EPS)
-    hoeffding = math.sqrt(0.5 * log_2_eps * sum(nu * int(s[-1]) ** 2
-                                                 for (_, nu), s in zip(live, steps)))
-    third = max(int(s[-1]) for s in steps) * log_2_eps / 3.0
-    bernstein = third + math.sqrt(third * third + 2.0 * var * log_2_eps)
-    r = math.ceil(min(hoeffding, bernstein) + miss)
-    length = _fft_length(min(size, 2 * r + 1))
+    hoeffding = math.sqrt(0.5 * log_2_eps * sum(nu * span ** 2 for nu, span in spans))
+    third = max(span for _, span in spans) * log_2_eps / 3.0
+    return min(hoeffding, third + math.sqrt(third * third + 2.0 * var * log_2_eps))
+
+
+def lattice_pmf(terms: list[tuple[int, np.ndarray, list[float]]], length: int) -> np.ndarray:
+    """The pmf of a sum of independent lattice contracts, counted from
+    the sum of the first points of their classes, aliased onto
+    0..length-1, by one inverse FFT.  ``terms`` holds per class (nu,
+    shifts, law): its count, its points in steps from its first point,
+    shifts[0] = 0, in any order, and their probabilities.
+
+    The class spectra z_c come in closed form from the laws, and their
+    product in log-polar form, sum_c nu_c (log|z_c|, arg z_c),
+    exponentiated only where it does not underflow: cheaper than complex
+    powers.  Each arg z_c is rounded relative to its size and weighs
+    nu_c times in the sum, so a first point near the class's mean, where
+    arg z_c stays small while |z_c| is near 1, keeps the pmf closest to
+    the exact one.  The arrays count against the memory budget."""
     # omega, the log-modulus and phase sums, the complex spectrum, one
     # class's sines and its real and imaginary parts, and the inverse
-    check_budget((7 + 2 * max(map(len, steps))) * (length // 2 + 1) + length,
+    check_budget((7 + 2 * max(len(s) for _, s, _ in terms)) * (length // 2 + 1) + length,
                  "lattice arrays")
     omega = (2.0 * math.pi / length) * np.arange(length // 2 + 1)
     log_mod, phase = np.zeros(omega.size), np.zeros(omega.size)
     with np.errstate(divide="ignore"):  # log 0 at exact spectral zeros
-        for (_, nu), shift, law in zip(live, steps, laws):
+        for nu, shift, law in terms:
             p = np.array(law[1:])
             # z_c - 1 = sum_j p_j (exp(-i omega s_j) - 1), s_0 = 0 adding
             # nothing, keeps its relative accuracy near z_c = 1, where an
@@ -162,7 +166,38 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
     live_freq = log_mod > _LOG_UNDERFLOW
     spectrum = np.zeros(omega.size, dtype=complex)
     spectrum[live_freq] = np.exp(log_mod[live_freq] + 1j * phase[live_freq])
-    q = np.fft.irfft(spectrum, length)
+    return np.fft.irfft(spectrum, length)
+
+
+def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarray],
+                         k: int, size: int) -> float:
+    """log P[S >= k] for 0 < k < size - 1, S the sum on its own lattice
+    0..size-1, by the exponentially tilted FFT on a window.  ``steps``
+    holds each live class's points in lattice steps from its minimum.
+
+    Under the tilt theta per step from ``cgf.point_tilt`` the sum has pmf
+    q with mean m, at k up to the miss |m - k|, and P[S = j] = q_j
+    exp(log_norm - theta j).  All but WINDOW_EPS of q lies within R
+    steps of m, R from ``window_radius`` on the tilted variance.  The
+    window's radius r = R + |m - k| holds that mass about k too, so any
+    theta the solve stops at is safe; ``lattice_pmf`` takes q from the
+    tilted class laws on min(size, 2r + 1) points.  For theta > 0 the
+    tail sums q_j over k <= j <= k + r; otherwise the sum runs over
+    k - r <= j < k and the tail is log1p(-P[S < k]).  Either way q_j is
+    weighted by exp(-theta (j - k)) <= 1, so FFT round-off in the far
+    tails of q is never amplified, and the aliased and the omitted mass
+    (each below WINDOW_EPS) add at most that much to the sum.  Each class
+    spectrum is taken about the class's minimum, not, as ``mc`` takes it,
+    about the point nearest its mean: the round-off has no bound yet, and
+    the refusal of a depleted window rests on where it lands; about the
+    mean the tests' depleted model gives log P = -106.84 for -106.73.
+    """
+    theta, laws, log_norm, miss, var = point_tilt(
+        [(cls.probs, s.tolist(), nu) for (cls, nu), s in zip(live, steps)], k, size - 1 - k)
+    r = math.ceil(window_radius([(nu, int(s[-1])) for (_, nu), s in zip(live, steps)], var)
+                  + miss)
+    length = fft_length(min(size, 2 * r + 1))
+    q = lattice_pmf([(nu, s, law) for (_, nu), s, law in zip(live, steps, laws)], length)
     upper = theta > 0.0
     j = np.arange(k, min(k + r + 1, size)) if upper else np.arange(max(k - r, 0), k)
     # multiply and sum, not a dot product: BLAS threads a long dot
@@ -188,11 +223,7 @@ def exact_log_tail(model: PortfolioModel, n: int, x: float,
     of w = O(sqrt(n) * span) of the O(n * span) lattice points.
     """
     live = [(cls, int(nu)) for cls, nu in zip(model.classes, model.counts(n)) if nu > 0]
-    g = latticize([cls for cls, _ in live])
-    # each class's points in steps of g from its minimum, the one rounding of the supports
-    steps = [np.rint(np.subtract(c.support, c.min_support) / g).astype(np.int64) for c, _ in live]
-    if any((np.diff(s) == 0).any() for s in steps):
-        raise IncommensurableSupportError("two points of a class on one lattice step")
+    g, steps = lattice_steps([cls for cls, _ in live])
     # the sum lies on the points fsum(offsets) + g k, k = 0..size-1, each rounded once
     offsets = [nu * cls.min_support for cls, nu in live]
     size = sum(nu * int(s[-1]) for (_, nu), s in zip(live, steps)) + 1

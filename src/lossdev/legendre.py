@@ -18,7 +18,7 @@ from . import cgf
 from .cgf import envelope_cgf, shaped
 from .model import PortfolioModel, Refused
 
-MAX_LAMBDA = 1e9  # the solve refuses a lambda whose |lambda| times the range's scale passes this
+MAX_LAMBDA = 1e9  # the solve refuses a lambda whose |lambda| times the scale of its end passes this
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class RatePoint:
 
 
 def _solve_mean_equation(classes, rows: np.ndarray, x: np.ndarray, x_min: float,
-                         x_max: float) -> tuple[np.ndarray, np.ndarray]:
+                         x_max: float, scales: tuple[float, float]
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Solve Lambda'(lam) = x, Lambda the upper envelope of the mixture
     CGFs of the weight rows (one row: its mixture CGF), for each x of a
     1-d array inside (x_min, x_max), the range of Lambda':
@@ -50,13 +51,16 @@ def _solve_mean_equation(classes, rows: np.ndarray, x: np.ndarray, x_min: float,
     kernel call covers only the points still open, and every row.  A
     bracket closed to round-off holds a kink of an envelope, where
     Lambda' jumps over x and no lambda solves the equation: the point
-    stops there.  And an open side of a bracket sits at +-MAX_LAMBDA / s,
-    s = max(-x_min, x_max) the range's scale: a Newton step past it is
-    replaced by doubling, and doubling that reaches it is refused."""
+    stops there.  And an open side of a bracket sits at -MAX_LAMBDA / s_min
+    or MAX_LAMBDA / s_max, ``scales`` = (s_min, s_max) the sums of the
+    magnitudes of the terms that make x_min and x_max, as the tilted mass
+    gathers on the points that make the end on lambda's side, or the span
+    where those terms are all 0: a Newton step past it is replaced by
+    doubling, and doubling that reaches it is refused."""
     span, target, rest = x_max - x_min, x - x_min, x_max - x
-    limit = MAX_LAMBDA / max(-x_min, x_max)  # an open side of a bracket
+    down, up = (MAX_LAMBDA / (s or span) for s in scales)  # the open sides of a bracket
     lam, rate, idx = np.zeros_like(x), np.zeros_like(x), np.arange(x.size)
-    lo, hi = np.full_like(x, -limit), np.full_like(x, limit)
+    lo, hi = np.full_like(x, -down), np.full_like(x, up)
     last, older = np.full_like(x, np.inf), np.full_like(x, np.inf)  # as in point_tilt
     at, p = np.zeros_like(x), envelope_cgf(classes, rows, np.zeros(1))
     for i in range(cgf.MAX_ITER):
@@ -75,17 +79,17 @@ def _solve_mean_equation(classes, rows: np.ndarray, x: np.ndarray, x_min: float,
             size = np.abs(newton)
             inside &= done | (size <= 0.5 * older)
         if not inside.all():
-            half_open = (lo == -limit) | (hi == limit)
-            grow = np.where(hi == limit, np.maximum(2.0 * lo, 1.0 / span),
+            half_open = (lo == -down) | (hi == up)
+            grow = np.where(hi == up, np.maximum(2.0 * lo, 1.0 / span),
                             np.minimum(2.0 * hi, -1.0 / span))
             mid = 0.5 * (lo + hi)
             step = np.where(inside, step, np.where(half_open, grow, mid))
             done |= ~(half_open | ((lo < mid) & (mid < hi)))
-            far = np.where(done, 0.0, np.abs(step))
-            if far.max() >= limit:
+            far = np.where(done, 0.0, np.abs(step) / np.where(step > 0.0, up, down))
+            if far.max() >= 1.0:
                 raise Refused(f"could not bracket lambda for x={x[idx[np.argmax(far)]]}")
         if guard:
-            closed = (-limit < lo) & (hi < limit)
+            closed = (-down < lo) & (hi < up)
             last, older = np.where(inside & closed, size, np.inf), np.where(inside, last, np.inf)
         finished = np.count_nonzero(done)
         if finished:
@@ -107,26 +111,33 @@ def transform_from_weights(classes, weights, x) -> RatePoint:
     largest row top."""
     rows = np.atleast_2d(np.asarray(weights, dtype=float))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    # per support end (bottom, top) and row: the row's average there, and
-    # the closed-form limit of the transform as lambda -> -+inf
+    # per support end (bottom, top) and row: the row's average there, the
+    # sum of the magnitudes of its terms, and the closed-form limit of the
+    # transform as lambda -> -+inf
     reach = [[float(sum(w * c.support[end] for c, w in zip(classes, row))) for row in rows]
              for end in (0, -1)]
+    scales = [[sum(w * abs(c.support[end]) for c, w in zip(classes, row)) for row in rows]
+              for end in (0, -1)]
     limits = [[-sum(w * math.log(c.probs[end]) for c, w in zip(classes, row) if w > 0.0)
                for row in rows] for end in (0, -1)]
-    x_min, x_max = min(reach[0]), max(reach[1])
-    edge_tol = 1e-12 * max(-x_min, x_max)  # every class is centered, so this is > 0
-    infinite = ~((x_min - edge_tol <= xs) & (xs <= x_max + edge_tol))  # NaN too
-    upper = np.abs(xs - x_max) <= edge_tol
-    interior = ~(infinite | upper | (np.abs(xs - x_min) <= edge_tol))
+    # each end of the range, and the scale of the row that makes it, whose
+    # 1e-12 is the end's tolerance: 0 for an end summed from zeros alone
+    (x_min, lo_scale), (x_max, hi_scale) = (
+        pick(zip(reach[i], scales[i]), key=lambda e: e[0]) for i, pick in enumerate((min, max)))
+    lo_tol, hi_tol = 1e-12 * lo_scale, 1e-12 * hi_scale
+    infinite = ~((x_min - lo_tol <= xs) & (xs <= x_max + hi_tol))  # NaN too
+    upper = np.abs(xs - x_max) <= hi_tol
+    interior = ~(infinite | upper | (np.abs(xs - x_min) <= lo_tol))
     # at an edge the sup is attained only as lambda -> +-inf: the least
     # limit over the rows that reach it, as every other row's tends to inf
-    edge_rates = [min(r for e, r in zip(reach[i], limits[i]) if abs(e - edge) <= edge_tol)
-                  for i, edge in enumerate((x_min, x_max))]
+    edge_rates = [min(r for e, r in zip(reach[i], limits[i]) if abs(e - edge) <= tol)
+                  for i, (edge, tol) in enumerate(((x_min, lo_tol), (x_max, hi_tol)))]
     lam = np.where(upper | (xs > x_max), np.inf, -np.inf)
     rate = np.where(infinite, np.inf, np.where(upper, edge_rates[1], edge_rates[0]))
     status = np.where(infinite, "infinite", np.where(interior, "interior", "boundary"))
     if interior.any():
-        lam[interior], solved = _solve_mean_equation(classes, rows, xs[interior], x_min, x_max)
+        lam[interior], solved = _solve_mean_equation(classes, rows, xs[interior], x_min, x_max,
+                                                     (lo_scale, hi_scale))
         rate[interior] = np.maximum(solved, 0.0)
     return RatePoint(*shaped(np.shape(x), xs, lam, rate, status))
 

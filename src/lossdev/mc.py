@@ -3,15 +3,20 @@
 Sampling is reproducible: a counter-based Philox stream keyed by the
 seed drives every draw, and replicates are generated in one vectorized
 pass, so repeated runs are bit-identical.  Because the estimators depend
-on the portfolio sum only, each class contributes through the
-multinomial counts of its support points; a run of nu iid contracts is
-sampled as one multinomial draw instead of nu categorical draws.
+on the portfolio sum only, the nu iid contracts of a class are drawn as
+one sum.  On ``exact``'s lattice the sum is one lattice variable whose
+law is the class spectrum raised to nu, the tilted-FFT construction of
+``exact`` (Keich, J. Comput. Biol. 12, 2005): where its window holds at
+most as many points as there are replicates, one uniform per replicate
+draws the sum from that law.  Any other class draws the multinomial
+counts of its support points.
 
 The tilted estimator splits the portfolio into two independent groups
 of contracts, A and B, draws N tilted sums a_i of A and N tilted sums
 b_j of B, and averages the likelihood-weighted indicator f(a_i + b_j)
 over all N^2 pairs.  That average is unbiased, since every a_i is
-independent of every b_j, and its variance is that of a two-sample
+independent of every b_j, up to the distance of the drawn class-sum laws
+from the exact ones (``_sum_law``), and its variance is that of a two-sample
 U-statistic: about (Var g_A + Var g_B) / N, g_A(a) = E f(a + B) the
 projection on A (Hoeffding 1948).  Both projections come from sorting:
 the counted b_j for one a_i are a suffix of the sorted b, so one
@@ -32,6 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgf import point_tilt
+from .exact import (IncommensurableSupportError, fft_length, lattice_pmf, lattice_steps,
+                    window_radius)
 from .model import DEFAULT_SEED, PortfolioModel, Refused, check_budget, reaches
 
 # doubles per replicate held at once besides the widest class's draws:
@@ -72,19 +79,74 @@ def _log(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
+def _sum_law(cls, nu: int, probs: np.ndarray, n_samples: int):
+    """(first, g, cdf) for the sum of ``nu`` contracts of class ``cls``
+    drawn by ``probs``: it is nu v_min + g (first + i) with probability
+    (cdf[i] - cdf[i - 1]) / cdf[-1].  None where the class's points lie
+    on no lattice of ``exact`` (``lattice_steps`` refuses them), or where
+    the window holds more than ``n_samples`` points: the law then costs
+    more than the multinomial draws it replaces (5.0 against 0.5 ms for
+    10^6 contracts of {-2, 0, 1, 3}, a window of 43200 points, and N =
+    2000).
+
+    T, the sum in steps of g from nu v_min, has mean nu m and variance
+    nu V under ``probs``; all but WINDOW_EPS of it lies within R =
+    ``window_radius`` of nu m, so within r = R + |nu m - c| of c, nu m
+    rounded.  ``lattice_pmf`` gives its law aliased onto a transform at
+    least min(size, 2r + 1) long, size = nu span + 1 the values T can
+    take, and the window is the transform's length of values about c,
+    moved inside 0..size-1.  Its law is the exact one but for at most
+    WINDOW_EPS left out and as much aliased, and the FFT's round-off,
+    whose negatives count as 0.  The class's spectrum is taken about its
+    point s nearest m, where its phase stays small: about its minimum, a
+    law with its mass on one far point lost 1e-12 of total variation to
+    the round-off of the phase, times nu."""
+    try:
+        g, (steps,) = lattice_steps([cls])
+    except IncommensurableSupportError:
+        return None
+    span = int(steps[-1])
+    mean = float(probs @ steps)
+    var = float(probs @ (steps - mean) ** 2)
+    center = round(nu * mean)
+    r = math.ceil(window_radius([(nu, span)], nu * var) + abs(nu * mean - center))
+    size = nu * span + 1
+    points = min(size, 2 * r + 1)
+    if points > n_samples:
+        return None
+    length = fft_length(points)
+    first = min(max(center - length // 2, 0), max(size - length, 0))
+    ref = int(np.argmin(np.abs(steps - mean)))
+    order = np.r_[ref, :ref, ref + 1:steps.size]
+    q = lattice_pmf([(nu, steps[order] - steps[ref], probs[order])], length)
+    window = np.arange(first, min(first + length, size)) - nu * int(steps[ref])
+    return first, g, np.maximum(q[window % length], 0.0).cumsum()
+
+
 def _sample_sums(classes, counts: np.ndarray, n_samples: int,
                  rng: np.random.Generator,
                  class_probs: list[np.ndarray]) -> np.ndarray:
     """Sums of ``counts[c]`` contracts of each class c for each replicate,
-    via per-class multinomials; zeros for no contracts."""
+    zeros for no contracts.  A class whose sum has a law on a window of
+    at most ``n_samples`` points (``_sum_law``) takes one uniform per
+    replicate, inverted through the window's cumulative sums (Devroye,
+    Non-Uniform Random Variate Generation, 1986, III.2); any other takes
+    a multinomial of its support points, whose cost grows with their
+    number."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     sums = np.zeros(n_samples)
     for cls, nu, probs in zip(classes, counts, class_probs):
         if nu == 0:
             continue
-        draws = rng.multinomial(int(nu), probs, size=n_samples)
-        sums += draws @ np.asarray(cls.support)
+        law = _sum_law(cls, int(nu), probs, n_samples)
+        if law is None:
+            draws = rng.multinomial(int(nu), probs, size=n_samples)
+            sums += draws @ np.asarray(cls.support)
+        else:
+            first, g, cdf = law
+            t = first + np.searchsorted(cdf, rng.random(n_samples) * cdf[-1], side="right")
+            sums += nu * cls.min_support + g * t
     return sums
 
 
@@ -187,7 +249,8 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
     drawn from one Philox stream, A first.  With
     f(s) = 1{S_n >= n x} exp(-lam* s + sum_c nu_c log phi_c(lam*)), the
     estimate is the mean of f(a_i + b_j) over all N^2 pairs, which is
-    unbiased, and the standard error is sqrt((var g_A + var g_B) / N)
+    unbiased up to the drawn class-sum laws (``_sample_sums``), and the
+    standard error is sqrt((var g_A + var g_B) / N)
     from the sample variances of the projections
     g_A(a_i) = (1/N) sum_j f(a_i + b_j) and g_B(b_j), the two-sample
     U-statistic variance, slightly conservative.  With one contract B is

@@ -397,6 +397,18 @@ class TestExitCodes:
         self._fails(["mc", "--model", mix_model_file, "--n", "10", "--x", "0.5",
                      "--samples", str(2**53)], 3, capsys)
 
+    def test_sum_law_over_the_memory_budget(self, unit_model_file, monkeypatch, capsys):
+        """10^5 unit contracts hold their sum on a window of 3750 lattice
+        points: 3750 plain replicates fit 190000 bytes, the window's
+        spectrum and its inverse do not."""
+        argv = ["mc", "--model", unit_model_file, "--n", "100000", "--x", "0.01",
+                "--samples", "3750"]
+        monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "190000")
+        assert dispatch(argv) == 3
+        assert capsys.readouterr().err.startswith("error: lattice arrays of 24386 doubles")
+        monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "200000")
+        assert dispatch(argv) == 0
+
     def test_memory_budget_not_a_whole_number(self, unit_model_file, monkeypatch, capsys):
         monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "2GB")
         self._fails(["exact", "--model", unit_model_file, "--n", "10", "--x", "0.5"], 3, capsys)

@@ -571,8 +571,9 @@ class TestAgreesWithPointTilt:
 
     def test_random_models_near_both_ends(self):
         """Each x alone, as the grid solve refuses a whole grid once
-        doubling reaches its lambda limit, MAX_LAMBDA / max(-x_min, x_max):
-        so only where |lambda*| is past half that limit."""
+        doubling reaches its lambda limit on lambda*'s side, MAX_LAMBDA /
+        x_max or MAX_LAMBDA / -x_min (the span where that end is 0): so
+        only where |lambda*| is past half that limit."""
         rng = np.random.default_rng(21)
         compared = 0
         for _ in range(60):
@@ -584,7 +585,8 @@ class TestAgreesWithPointTilt:
                 try:
                     rp = transform_from_weights(classes, weights, x)
                 except Refused:
-                    assert abs(want) * max(-lo, hi) > MAX_LAMBDA / 2, (classes, weights, x)
+                    scale = (hi if want > 0 else -lo) or hi - lo
+                    assert abs(want) * scale > MAX_LAMBDA / 2, (classes, weights, x)
                     continue
                 assert rp.status == "interior"
                 assert rp.lambda_star == pytest.approx(want, rel=1e-8), (classes, weights, x)
@@ -621,3 +623,17 @@ class TestAgreesWithPointTilt:
             assert rp.status == "interior"
             assert rp.lambda_star == pytest.approx(float(lo), rel=1e-9)
             assert rp.rate == pytest.approx(float(rate), rel=1e-11)
+
+
+def test_wide_claim_next_to_the_top_is_interior():
+    """demos/wide_claim.json at x = x_max - 4e-5.  One edge tolerance of
+    1e-12 max(-x_min, x_max) = 5e-5 called it the top and gave the edge
+    rate 0.202733; each end's tolerance comes from the terms that make it,
+    here 6.25e-14, and the rate is that of ``cgf.point_tilt``'s lambda*."""
+    path = Path(__file__).resolve().parents[1] / "demos" / "wide_claim.json"
+    model, _ = loads_model(path.read_text())
+    x = _range(model.classes, model.weights)[1] - 4e-5
+    rp = legendre_transform(model, x)
+    lam = _point_tilt_lambda(model.classes, model.weights, x)
+    assert rp.status == "interior"
+    assert abs(rp.rate - (lam * x - mixture_cgf(model.classes, model.weights, lam).value)) <= 1e-10

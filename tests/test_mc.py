@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import chi2
 
 from lossdev import (
     AssumptionBounds,
@@ -10,6 +12,7 @@ from lossdev import (
     RoundRobin,
     TiltingRangeError,
     empirical_cgf,
+    enumerate_tail,
     exact_log_tail,
     exact_tail,
     sample_plain,
@@ -17,10 +20,12 @@ from lossdev import (
 )
 from lossdev import cgf, mc
 from lossdev.cgf import mixture_cgf
+from lossdev.exact import WINDOW_EPS
 from lossdev.legendre import transform_from_weights
 from lossdev.model import check_assumptions, loads_model, reaches
 
 from conftest import CLAIM_RAW, DOUBLE, UNIT, life_class, random_lattice_model
+from oracle import direct_log_pmf
 
 
 def tilted_row(cls, lam):
@@ -328,12 +333,18 @@ class TestPairAverage:
         single_se = f.std(ddof=1) / math.sqrt(s.size)
         assert est.std_error * 3.0 <= single_se
 
-    def test_no_counted_pair(self, pure_unit):
-        """Seed 43 draws no 10-contract sum of 10 at 3 replicates per group."""
+    def test_no_counted_pair(self, pure_unit, monkeypatch):
+        """Seed 43 draws no 10-contract sum of 10, or of -10, at 3
+        replicates per group of 5 contracts."""
+        calls = _recorded_draws(monkeypatch)
         above = sample_tilted(pure_unit, 10, 0.9, 3, seed=43)
+        (_, a), (_, b) = calls
+        assert a.max() + b.max() < 10.0  # the precondition: no counted pair
         assert (above.estimate, above.std_error) == (0.0, math.inf)
         assert (above.log_estimate, above.log_std_error) == (-math.inf, math.inf)
         below = sample_tilted(pure_unit, 10, -0.9, 3, seed=43)
+        (_, a), (_, b) = calls[2:]
+        assert a.min() + b.min() > -10.0
         assert (below.estimate, below.std_error, below.log_estimate) == (1.0, math.inf, 0.0)
         assert math.copysign(1.0, below.log_estimate) == 1.0
 
@@ -431,3 +442,96 @@ def test_coverage_against_the_exact_oracle():
     zs = np.array(zs)
     assert np.abs(zs).max() < 4.5
     assert abs(zs.mean()) < 0.35 and 0.7 < zs.std() < 1.3
+
+
+def _random_lattice_class(rng):
+    """A centered class of 2-7 points, 1-3 steps of 0.25, 1/3 or 1 apart,
+    with masses log-uniform down to 1e-30."""
+    size = int(rng.integers(2, 8))
+    steps = np.concatenate([[0], np.cumsum(rng.integers(1, 4, size - 1))])
+    probs = 10.0 ** rng.uniform(-30, 0, size)
+    probs /= probs.sum()
+    support = steps * float(rng.choice([0.25, 1 / 3, 1.0]))
+    return LossClass("c", tuple((support - support @ probs).tolist()), tuple(probs.tolist()))
+
+
+class TestSumLaw:
+    """The law of a class's sum, which a class on a lattice draws by one
+    uniform per replicate, against the direct convolution of
+    ``tests/oracle.py``."""
+
+    def test_against_direct_convolution(self):
+        rng = np.random.default_rng(22)
+        narrower = 0
+        for _ in range(16):
+            cls = _random_lattice_class(rng)
+            nu = int(rng.integers(1, 301))
+            offset, g, logp = direct_log_pmf(PortfolioModel((cls,), weights=(1.0,)), nu)
+            # a window of any size: P[the sum = nu v_min + g (first + i)] = q[i]
+            first, step, cdf = mc._sum_law(cls, nu, np.asarray(cls.probs), 10**9)
+            assert (step, nu * cls.min_support) == (g, offset)
+            q = np.diff(cdf, prepend=0.0) / cdf[-1]
+            p = np.exp(logp)
+            window = p[first:first + q.size]
+            left_out = p[:first].sum() + p[first + q.size:].sum()
+            assert 0.5 * (np.abs(q - window).sum() + left_out) <= 1e-12, (cls, nu)
+            if q.size < p.size:
+                narrower += 1
+                assert left_out <= WINDOW_EPS, (cls, nu)
+        assert narrower >= 4
+
+    def test_chi_square_of_a_tilted_five_point_class(self):
+        """10^5 sums of 200 contracts of a five-point class under a tilt,
+        binned where the oracle expects at least 5 each: the chi-square
+        statistic is not extreme."""
+        cls = LossClass("five", (-1.0, -0.5, 0.0, 0.5, 1.5), (0.15, 0.25, 0.35, 0.1, 0.15))
+        nu, theta, draws = 200, 0.3, 10**5
+        steps = np.array([0, 1, 2, 3, 5])
+        tilted = np.array(cls.probs) * np.exp(theta * steps)
+        tilted /= tilted.sum()
+        _, g, logp = direct_log_pmf(PortfolioModel((cls,), weights=(1.0,)), nu)
+        logp = logp + theta * np.arange(logp.size)
+        want = draws * np.exp(logp - logsumexp(logp))
+        sums = mc._sample_sums((cls,), np.array([nu]), draws, mc._rng(3), [tilted])
+        t = np.rint((sums - nu * cls.min_support) / g).astype(int)
+        assert t.min() >= 0 and t.max() < logp.size
+        got = np.bincount(t, minlength=logp.size).astype(float)
+        # the outermost bins take the tails where fewer than 5 are expected
+        lo, hi = np.flatnonzero(want >= 5.0)[[0, -1]]
+        got = np.concatenate([[got[:lo + 1].sum()], got[lo + 1:hi], [got[hi:].sum()]])
+        want = np.concatenate([[want[:lo + 1].sum()], want[lo + 1:hi], [want[hi:].sum()]])
+        stat = float(((got - want) ** 2 / want).sum())
+        assert chi2.sf(stat, got.size - 1) > 1e-3, (stat, got.size)
+
+
+INCOMMENSURABLE = LossClass("irrational", (-1.0, 0.0, math.sqrt(2.0)),
+                            (0.3, 0.7 - 0.3 / math.sqrt(2.0), 0.3 / math.sqrt(2.0)))
+FOUR = LossClass("four", (-2.0, 0.0, 1.0, 3.0), (0.375, 0.175, 0.3, 0.15))
+
+
+@pytest.mark.parametrize("other, n, n_samples, x, oracle", [
+    # gaps 1 and sqrt(2): no lattice, at n = 10 against enumeration
+    (INCOMMENSURABLE, 10, 4000, 0.7, enumerate_tail),
+    # 1000 contracts of {-2, 0, 1, 3} hold all but WINDOW_EPS of their
+    # sum on some 1400 lattice points, more than the 1000 replicates
+    (FOUR, 2000, 1000, 0.25, exact_log_tail),
+])
+def test_multinomial_beside_the_sum_law(other, n, n_samples, x, oracle, monkeypatch):
+    """A class on no lattice, or whose window holds more points than the
+    replicates, still takes a multinomial, beside the unit class, which
+    takes its sum's law; the estimate is within 4 standard errors."""
+    model = PortfolioModel((UNIT, other), weights=(0.5, 0.5))
+    taken = []
+    real = mc._sum_law
+
+    def recording(cls, *args):
+        law = real(cls, *args)
+        taken.append((cls.name, law is not None))
+        return law
+
+    monkeypatch.setattr(mc, "_sum_law", recording)
+    est = sample_tilted(model, n, x, n_samples, seed=8)
+    assert sorted(taken) == [(other.name, False), ("unit", True)]
+    got = oracle(model, n, x)
+    p = got if oracle is enumerate_tail else math.exp(got)
+    assert 0.0 < p < 1e-2 and abs(est.estimate - p) <= 4 * est.std_error, (est, p)
