@@ -3,25 +3,29 @@
 Sampling is reproducible: a counter-based Philox stream keyed by the
 seed drives every draw, and replicates are generated in one vectorized
 pass, so repeated runs are bit-identical.  Because the estimators depend
-on the portfolio sum only, the nu iid contracts of a class are drawn as
-one sum.  On ``exact``'s lattice the sum is one lattice variable whose
-law is the class spectrum raised to nu, the tilted-FFT construction of
-``exact`` (Keich, J. Comput. Biol. 12, 2005): where its window holds at
-most as many points as there are replicates, one uniform per replicate
-draws the sum from that law.  Any other class draws the multinomial
-counts of its support points.
+on the portfolio sum only, the contracts of a group are drawn as one
+sum, and N replicates of it as a multiset: the distinct sums and how
+many replicates took each.  On ``exact``'s lattice the group's sum is
+one lattice variable whose law is the product of its class spectra,
+each raised to its count, the tilted-FFT construction of ``exact``
+(Keich, J. Comput. Biol. 12, 2005): where its window holds at most N
+points, one Multinomial(N, law) draw over the window gives the counts,
+which are exactly the multiset of N iid draws.  Any other group draws
+the multinomial counts of each class's support points per replicate.
 
 The tilted estimator splits the portfolio into two independent groups
 of contracts, A and B, draws N tilted sums a_i of A and N tilted sums
 b_j of B, and averages the likelihood-weighted indicator f(a_i + b_j)
 over all N^2 pairs.  That average is unbiased, since every a_i is
-independent of every b_j, up to the distance of the drawn class-sum laws
+independent of every b_j, up to the distance of the drawn group-sum laws
 from the exact ones (``_sum_law``), and its variance is that of a two-sample
 U-statistic: about (Var g_A + Var g_B) / N, g_A(a) = E f(a + B) the
-projection on A (Hoeffding 1948).  Both projections come from sorting:
-the counted b_j for one a_i are a suffix of the sorted b, so one
-``searchsorted`` and one log-space suffix sum give g_A(a_i) for every i
-in O(N log N), and likewise g_B.
+projection on A (Hoeffding 1948).  The average is a symmetric function
+of each group's multiset, so the pair step runs on the distinct sums
+with their multiplicities: the counted b_j for one a_i are a suffix of
+the ascending b, so one ``searchsorted`` and one log-space suffix sum of
+the weighted terms give g_A(a_i) for every distinct a_i, and likewise
+g_B.
 
 The tilt, the tilted probabilities p_j exp(lambda* v_j - log phi_c(lambda*))
 and the normalizer sum_c nu_c log phi_c(lambda*) come from
@@ -79,75 +83,84 @@ def _log(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def _sum_law(cls, nu: int, probs: np.ndarray, n_samples: int):
-    """(first, g, cdf) for the sum of ``nu`` contracts of class ``cls``
-    drawn by ``probs``: it is nu v_min + g (first + i) with probability
-    (cdf[i] - cdf[i - 1]) / cdf[-1].  None where the class's points lie
-    on no lattice of ``exact`` (``lattice_steps`` refuses them), or where
-    the window holds more than ``n_samples`` points: the law then costs
-    more than the multinomial draws it replaces (5.0 against 0.5 ms for
-    10^6 contracts of {-2, 0, 1, 3}, a window of 43200 points, and N =
-    2000).
+def _sum_law(live: list[tuple], n_samples: int):
+    """(values, law): the values of the sum of a group of independent
+    contracts on a window of its lattice, ascending, and their
+    probabilities; or None where the group's points lie on no lattice
+    of ``exact`` (``lattice_steps`` refuses them) or the window holds
+    more than ``n_samples`` points: the law then costs more than the
+    multinomial draws it replaces (5.0 against 0.5 ms for 10^6 contracts
+    of {-2, 0, 1, 3}, a window of 43200 points, and N = 2000).  ``live``
+    holds per class (cls, nu, probs), nu >= 1, and the sum's values are
+    fsum(nu_c v_min,c) + g t.
 
-    T, the sum in steps of g from nu v_min, has mean nu m and variance
-    nu V under ``probs``; all but WINDOW_EPS of it lies within R =
-    ``window_radius`` of nu m, so within r = R + |nu m - c| of c, nu m
-    rounded.  ``lattice_pmf`` gives its law aliased onto a transform at
-    least min(size, 2r + 1) long, size = nu span + 1 the values T can
-    take, and the window is the transform's length of values about c,
-    moved inside 0..size-1.  Its law is the exact one but for at most
-    WINDOW_EPS left out and as much aliased, and the FFT's round-off,
-    whose negatives count as 0.  The class's spectrum is taken about its
-    point s nearest m, where its phase stays small: about its minimum, a
-    law with its mass on one far point lost 1e-12 of total variation to
-    the round-off of the phase, times nu."""
+    T, the sum in steps of g from there, has mean m = sum_c nu_c m_c and
+    variance V = sum_c nu_c V_c under ``probs``; all but WINDOW_EPS of it
+    lies within R = ``window_radius`` of m, so within r = R + |m - c| of
+    c, m rounded.  ``lattice_pmf`` gives its law aliased onto a transform
+    at least min(size, 2r + 1) long, size = sum_c nu_c span_c + 1 the
+    values T can take, and the window is the transform's length of
+    values about c, moved inside 0..size-1.  Its law is the exact one but
+    for at most WINDOW_EPS left out and as much aliased, and the FFT's
+    round-off, whose negatives count as 0.  Each class's spectrum is
+    taken about its point s_c nearest m_c, where its phase stays small:
+    about its minimum, a law with its mass on one far point lost 1e-12
+    of total variation to the round-off of the phase, times nu_c."""
     try:
-        g, (steps,) = lattice_steps([cls])
+        g, steps = lattice_steps([cls for cls, _, _ in live])
     except IncommensurableSupportError:
         return None
-    span = int(steps[-1])
-    mean = float(probs @ steps)
-    var = float(probs @ (steps - mean) ** 2)
-    center = round(nu * mean)
-    r = math.ceil(window_radius([(nu, span)], nu * var) + abs(nu * mean - center))
-    size = nu * span + 1
+    means = [float(p @ s) for (_, _, p), s in zip(live, steps)]
+    mean = sum(nu * m for (_, nu, _), m in zip(live, means))
+    var = sum(nu * float(p @ (s - m) ** 2) for (_, nu, p), s, m in zip(live, steps, means))
+    spans = [(nu, int(s[-1])) for (_, nu, _), s in zip(live, steps)]
+    center = round(mean)
+    r = math.ceil(window_radius(spans, var) + abs(mean - center))
+    size = sum(nu * span for nu, span in spans) + 1
     points = min(size, 2 * r + 1)
     if points > n_samples:
         return None
     length = fft_length(points)
     first = min(max(center - length // 2, 0), max(size - length, 0))
-    ref = int(np.argmin(np.abs(steps - mean)))
-    order = np.r_[ref, :ref, ref + 1:steps.size]
-    q = lattice_pmf([(nu, steps[order] - steps[ref], probs[order])], length)
-    window = np.arange(first, min(first + length, size)) - nu * int(steps[ref])
-    return first, g, np.maximum(q[window % length], 0.0).cumsum()
+    terms, origin = [], 0
+    for (_, nu, p), s, m in zip(live, steps, means):
+        ref = int(np.argmin(np.abs(s - m)))
+        order = np.r_[ref, :ref, ref + 1:s.size]
+        terms.append((nu, s[order] - s[ref], p[order]))
+        origin += nu * int(s[ref])
+    q = lattice_pmf(terms, length)
+    t = np.arange(first, min(first + length, size))
+    law = np.maximum(q[(t - origin) % length], 0.0)
+    return math.fsum([nu * cls.min_support for cls, nu, _ in live]) + g * t, law / law.sum()
 
 
 def _sample_sums(classes, counts: np.ndarray, n_samples: int,
                  rng: np.random.Generator,
-                 class_probs: list[np.ndarray]) -> np.ndarray:
-    """Sums of ``counts[c]`` contracts of each class c for each replicate,
-    zeros for no contracts.  A class whose sum has a law on a window of
-    at most ``n_samples`` points (``_sum_law``) takes one uniform per
-    replicate, inverted through the window's cumulative sums (Devroye,
-    Non-Uniform Random Variate Generation, 1986, III.2); any other takes
-    a multinomial of its support points, whose cost grows with their
+                 class_probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(values, mult): the distinct sums, ascending, of ``n_samples``
+    replicates of a group holding ``counts[c]`` contracts of each class
+    c, and how many replicates took each; zeros for no contracts.  As a
+    multiset, N iid draws from a law on L points are one Multinomial(N,
+    law) vector of counts, so a group whose sum has a law on a window of
+    at most N points (``_sum_law``) takes one multinomial over that
+    window.  Any other draws each class's contracts by a multinomial of
+    its support points per replicate, whose cost grows with their
     number."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    sums = np.zeros(n_samples)
-    for cls, nu, probs in zip(classes, counts, class_probs):
-        if nu == 0:
-            continue
-        law = _sum_law(cls, int(nu), probs, n_samples)
-        if law is None:
-            draws = rng.multinomial(int(nu), probs, size=n_samples)
-            sums += draws @ np.asarray(cls.support)
-        else:
-            first, g, cdf = law
-            t = first + np.searchsorted(cdf, rng.random(n_samples) * cdf[-1], side="right")
-            sums += nu * cls.min_support + g * t
-    return sums
+    live = [(cls, int(nu), p) for cls, nu, p in zip(classes, counts, class_probs) if nu > 0]
+    if not live:
+        return np.zeros(1), np.array([n_samples])
+    law = _sum_law(live, n_samples)
+    if law is None:
+        sums = np.zeros(n_samples)
+        for cls, nu, p in live:
+            sums += rng.multinomial(nu, p, size=n_samples) @ np.asarray(cls.support)
+        return np.unique(sums, return_counts=True)
+    values, law = law
+    mult = rng.multinomial(n_samples, law)
+    drawn = mult > 0
+    return values[drawn], mult[drawn]
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -161,11 +174,11 @@ def sample_plain(model: PortfolioModel, n: int, x: float, n_samples: int,
     probs = [np.asarray(c.probs) for c in model.classes]
     check_budget(n_samples * (4 + max(map(len, probs))), "sample arrays")
     counts = model.counts(n)
-    sums = _sample_sums(model.classes, counts, n_samples, _rng(seed), probs)
-    hits = reaches(sums, n * x).astype(float)
-    est = float(hits.mean())
+    values, mult = _sample_sums(model.classes, counts, n_samples, _rng(seed), probs)
+    est = int(mult[reaches(values, n * x)].sum()) / n_samples
     if 0.0 < est < 1.0:
-        se = float(hits.std(ddof=1) / math.sqrt(n_samples))
+        # the sample standard deviation of the N indicators, over sqrt(N)
+        se = math.sqrt(est * (1.0 - est) / (n_samples - 1))
     else:  # the largest sum for no hit, the smallest for only hits
         edge = counts @ [c.min_support if est else c.max_support for c in model.classes]
         se = 0.0 if reaches(float(edge), n * x) == bool(est) else math.inf
@@ -213,26 +226,29 @@ def _first_counted(a: np.ndarray, b: np.ndarray, level: float,
         k = np.where(ahead, np.searchsorted(b, b[np.minimum(k, last)], side="right"), k)
 
 
-def _log_projection(a: np.ndarray, b: np.ndarray, level: float, inclusive: bool,
-                    mu: float, log_norm: float) -> np.ndarray:
-    """log g(a_i) = log((1/N) sum_j f(a_i + b_j)) for every a_i, where
-    f(s) = 1{reaches(s, level, inclusive)} exp(log_norm - mu s), mu >= 0,
-    and a, b are ascending; -inf where no pair counts.  The suffix sums of
-    exp(-mu b_j) are accumulated in log space from the smallest term."""
+def _log_projection(a: np.ndarray, b: np.ndarray, mult_b: np.ndarray, level: float,
+                    inclusive: bool, mu: float, log_norm: float, n_samples: int) -> np.ndarray:
+    """log g(a_i) = log((1/N) sum_j mult_b[j] f(a_i + b_j)) for every a_i,
+    where f(s) = 1{reaches(s, level, inclusive)} exp(log_norm - mu s),
+    mu >= 0, a and b are ascending and distinct, and mult_b[j] of the N
+    replicates took b_j; -inf where no pair counts.  The suffix sums of
+    mult_b[j] exp(-mu b_j) are accumulated in log space from the
+    smallest term."""
     tail = np.empty(b.size + 1)
     tail[-1] = -np.inf
-    tail[:-1] = np.logaddexp.accumulate(-mu * b[::-1])[::-1]
-    return tail[_first_counted(a, b, level, inclusive)] - mu * a + (log_norm - math.log(b.size))
+    tail[:-1] = np.logaddexp.accumulate((np.log(mult_b) - mu * b)[::-1])[::-1]
+    return tail[_first_counted(a, b, level, inclusive)] - mu * a + (log_norm - math.log(n_samples))
 
 
-def _log_mean_var(log_g: np.ndarray) -> tuple[float, float]:
-    """log of the mean and of the sample variance of exp(log_g), scaled
-    by the largest term so that neither underflows; the variance of one
-    value is inf."""
+def _log_mean_var(log_g: np.ndarray, mult: np.ndarray, n_samples: int) -> tuple[float, float]:
+    """log of the mean and of the sample variance of N values, exp(log_g[i])
+    taken mult[i] times, scaled by the largest term so that neither
+    underflows; the variance of one value is inf."""
     top = float(log_g.max())
     g = np.exp(log_g - top)
-    var = float(g.var(ddof=1)) if g.size > 1 else math.inf
-    return top + _log(float(g.mean())), 2.0 * top + _log(var)
+    mean = float(mult @ g) / n_samples
+    var = float(mult @ (g - mean) ** 2) / (n_samples - 1) if n_samples > 1 else math.inf
+    return top + _log(mean), 2.0 * top + _log(var)
 
 
 def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
@@ -242,14 +258,14 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
 
     The tilt is the Legendre maximizer of the finite-n empirical CGF
     (not the limit CGF), so it is optimal for the actual n even when the
-    class densities oscillate; a threshold within 1e-12 of the scale of
-    the reachable range from one of its edges raises
-    ``TiltingRangeError``.  The live contracts are split into groups
-    A and B (``_split``), and N = ``n_samples`` tilted sums of each are
-    drawn from one Philox stream, A first.  With
+    class densities oscillate; a threshold within 1e-12 sum_c nu_c
+    |v_c| of an end of the reachable range, v_c the end's support point
+    of class c, raises ``TiltingRangeError``.  The live contracts are
+    split into groups A and B (``_split``), and N = ``n_samples`` tilted
+    sums of each are drawn from one Philox stream, A first.  With
     f(s) = 1{S_n >= n x} exp(-lam* s + sum_c nu_c log phi_c(lam*)), the
     estimate is the mean of f(a_i + b_j) over all N^2 pairs, which is
-    unbiased up to the drawn class-sum laws (``_sample_sums``), and the
+    unbiased up to the drawn group-sum laws (``_sample_sums``), and the
     standard error is sqrt((var g_A + var g_B) / N)
     from the sample variances of the projections
     g_A(a_i) = (1/N) sum_j f(a_i + b_j) and g_B(b_j), the two-sample
@@ -258,8 +274,9 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
 
     Below the mean (lam* < 0) the event is the likely one, so f weights
     the complement {S_n < n x} and the estimate is 1 minus its mean, with
-    the same standard error; the sums and the level are negated there, so
-    the counted pairs are again the upper ones.  With no counted pair, or
+    the same standard error; the sums and the level are negated there,
+    and the distinct sums and their counts reversed, so the counted
+    pairs are again the upper ones.  With no counted pair, or
     one replicate, the standard error is inf.  ``log_estimate`` and
     ``log_std_error`` are computed in log space throughout, and stay
     finite where the estimate underflows to 0.
@@ -268,8 +285,10 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
     live = [(cls, int(nu)) for cls, nu in zip(model.classes, counts) if nu > 0]
     bottom = math.fsum([nu * cls.min_support for cls, nu in live])
     top = math.fsum([nu * cls.max_support for cls, nu in live])
-    edge_tol = 1e-12 * max(-bottom, top)  # every class is centered
-    if not bottom + edge_tol < n * x < top - edge_tol:
+    # each end's tolerance from the terms that make it, as in ``legendre``
+    lo_tol = 1e-12 * math.fsum([nu * abs(cls.min_support) for cls, nu in live])
+    hi_tol = 1e-12 * math.fsum([nu * abs(cls.max_support) for cls, nu in live])
+    if not bottom + lo_tol < n * x < top - hi_tol:
         raise TiltingRangeError(f"x={x} is not inside the reachable range "
                                 f"[{bottom / n}, {top / n}]; use sample_plain or the exact oracle")
     # the points above each class's minimum in units of the widest span,
@@ -288,19 +307,19 @@ def sample_tilted(model: PortfolioModel, n: int, x: float, n_samples: int,
     check_budget(n_samples * (PAIR_DOUBLES + max(map(len, probs))), "sample and pair arrays")
     rng = _rng(seed)
     below = lam < 0.0
-    sign = -1.0 if below else 1.0
-    a, b = (sign * _sample_sums(model.classes, part, n_samples, rng, probs)
-            for part in _split(counts, spread))
-    a.sort()
-    b.sort()
+    groups = []
+    for part in _split(counts, spread):
+        values, mult = _sample_sums(model.classes, part, n_samples, rng, probs)
+        groups.append((-values[::-1], mult[::-1]) if below else (values, mult))
+    (a, mult_a), (b, mult_b) = groups
     # below the mean: -S_n > -n x + slack is the complement S_n < n x - slack
-    level, inclusive, mu = sign * n * x, not below, abs(lam)
-    log_ga = _log_projection(a, b, level, inclusive, mu, log_norm)
+    pair = (-n * x if below else n * x), not below, abs(lam), log_norm, n_samples
+    log_ga = _log_projection(a, b, mult_b, *pair)
     if log_ga.max() == -np.inf:
         log_mean, log_se = -np.inf, np.inf
     else:
-        log_mean, log_var_a = _log_mean_var(log_ga)
-        _, log_var_b = _log_mean_var(_log_projection(b, a, level, inclusive, mu, log_norm))
+        log_mean, log_var_a = _log_mean_var(log_ga, mult_a, n_samples)
+        _, log_var_b = _log_mean_var(_log_projection(b, a, mult_a, *pair), mult_b, n_samples)
         log_se = 0.5 * (float(np.logaddexp(log_var_a, log_var_b)) - math.log(n_samples))
     counted = math.exp(log_mean)
     if below:

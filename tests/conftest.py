@@ -11,6 +11,9 @@ DOUBLE = LossClass("double", (-2.0, 2.0), (0.5, 0.5))
 
 # raw claims {0, 1000} at q = 1/(100 pi), centered, beside the unit class
 CLAIM_RAW = Path(__file__).resolve().parents[1] / "demos" / "claim_raw.json"
+# a claim of -1e8 at 1e-12 beside {-0.25, 0.125}: a range whose bottom is
+# some 1e9 times as far from 0 as its top
+WIDE_CLAIM = Path(__file__).resolve().parents[1] / "demos" / "wide_claim.json"
 
 # a model whose exact tail at n = 71, x = DEPLETED_X has a tilted window
 # sum that the FFT's round-off makes negative; the true log P is -106.728

@@ -15,6 +15,7 @@ from lossdev import (
     enumerate_tail,
     exact_log_tail,
     exact_tail,
+    legendre_transform,
     sample_plain,
     sample_tilted,
 )
@@ -24,7 +25,7 @@ from lossdev.exact import WINDOW_EPS
 from lossdev.legendre import transform_from_weights
 from lossdev.model import check_assumptions, loads_model, reaches
 
-from conftest import CLAIM_RAW, DOUBLE, UNIT, life_class, random_lattice_model
+from conftest import CLAIM_RAW, DOUBLE, UNIT, WIDE_CLAIM, life_class, random_lattice_model
 from oracle import direct_log_pmf
 
 
@@ -102,6 +103,20 @@ class TestPointTilt:
             lam = sample_tilted(model, 1000, x, 10).lam
             assert empirical_cgf(model, 1000, lam).d1 == pytest.approx(x, rel=1e-12)
 
+    def test_threshold_next_to_the_top_of_a_wide_range(self):
+        """``demos/wide_claim.json`` at n = 100, x = 4e-5 below the top.
+        One edge tolerance of 1e-12 of max(-bottom, top) = 5e9 refused it;
+        the top's own, 1e-12 sum_c nu_c |v_max,c|, leaves it inside, and
+        the tilt is ``legendre_transform``'s."""
+        model, _ = loads_model(WIDE_CLAIM.read_bytes())
+        want = legendre_transform(model, 0.06251)
+        assert want.status == "interior"
+        est = sample_tilted(model, 100, 0.06251, 2000, seed=12)
+        assert est.lam == pytest.approx(want.lambda_star, rel=1e-9)
+        assert math.isfinite(est.log_estimate)
+        log_p = exact_log_tail(model, 100, 0.06251)
+        assert abs(math.expm1(est.log_estimate - log_p)) <= 4 * math.exp(est.log_std_error - log_p)
+
     def test_support_of_1e9(self):
         """On {-1e9, 1e9} the tilt is atanh(x / 1e9) / 1e9."""
         model = PortfolioModel((LossClass("big", (-1e9, 1e9), (0.5, 0.5)),), weights=(1.0,))
@@ -141,6 +156,24 @@ class TestSamplePlain:
     def test_two_coins(self, pure_unit):
         est = sample_plain(pure_unit, 2, 1.0, 10**6, seed=3)
         assert abs(est.estimate - 0.25) <= 3 * 0.00043 + 1e-4
+
+    @pytest.mark.parametrize("classes, n, x, n_samples", [
+        ((UNIT, DOUBLE), 50, 0.1, 10**4),  # one group on the lattice: its law
+        ((UNIT, life_class(1 / math.pi)), 40, 0.05, 3000),  # on no lattice: per class
+        ((UNIT,), 3, 0.1, 2),
+    ])
+    def test_from_multiplicities(self, classes, n, x, n_samples, monkeypatch):
+        """The estimate and standard error from the distinct sums and
+        their counts equal the mean and the standard deviation, over
+        sqrt(N), of the N indicators."""
+        calls = _recorded_draws(monkeypatch)
+        model = PortfolioModel(classes, weights=(1 / len(classes),) * len(classes))
+        est = sample_plain(model, n, x, n_samples, seed=4)
+        ((_, sums),) = calls
+        hits = reaches(sums, n * x).astype(float)
+        assert 0.0 < hits.mean() < 1.0
+        assert est.estimate == pytest.approx(hits.mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(hits.std(ddof=1) / math.sqrt(n_samples), rel=1e-12)
 
 
 class TestSampleTilted:
@@ -225,17 +258,20 @@ def test_tilted_mass_underflow(name):
 
 WIDE = LossClass("wide", (-8.0, 8.0), (0.5, 0.5))
 THREE = LossClass("three", (-1.0, 0.0, 1.0), (0.3, 0.4, 0.3))
+FOUR = LossClass("four", (-2.0, 0.0, 1.0, 3.0), (0.375, 0.175, 0.3, 0.15))
 
 
 def _recorded_draws(monkeypatch):
-    """Record the contract counts and the sums of every ``_sample_sums`` call."""
+    """Record the contract counts and the N sums of every ``_sample_sums``
+    call, its distinct values each repeated as often as it was drawn."""
     calls = []
     real = mc._sample_sums
 
     def recording(classes, counts, *args):
-        sums = real(classes, counts, *args)
-        calls.append((counts.tolist(), sums.copy()))
-        return sums
+        values, mult = real(classes, counts, *args)
+        assert (np.diff(values) > 0).all() and mult.min() >= 1
+        calls.append((counts.tolist(), np.repeat(values, mult)))
+        return values, mult
 
     monkeypatch.setattr(mc, "_sample_sums", recording)
     return calls
@@ -270,6 +306,9 @@ PAIR_CASES = {
     "lone class below": ((UNIT,), (1.0,), 21, -0.3),
     "one contract": ((UNIT,), (1.0,), 1, 0.5),
     "one class carries the variance": ((UNIT, WIDE), (0.75, 0.25), 16, 0.5),
+    # below the mean the sums and their counts are negated and reversed;
+    # the skewed class's counts are not symmetric
+    "skewed class below": ((UNIT, FOUR), (0.5, 0.5), 20, -0.3),
 }
 
 
@@ -327,7 +366,8 @@ class TestPairAverage:
         calls = _recorded_draws(monkeypatch)
         est = sample_tilted(model, n, x, 10**4, seed=11)
         (_, a), (_, b) = calls
-        s = a + b
+        # the draws come sorted: pairing them in that order is comonotone
+        s = a + np.random.default_rng(11).permutation(b)
         f = np.where(reaches(s, n * x) != (est.lam < 0),
                      np.exp(-est.lam * s + _log_norm(model, n, est.lam)), 0.0)
         single_se = f.std(ddof=1) / math.sqrt(s.size)
@@ -444,20 +484,39 @@ def test_coverage_against_the_exact_oracle():
     assert abs(zs.mean()) < 0.35 and 0.7 < zs.std() < 1.3
 
 
-def _random_lattice_class(rng):
-    """A centered class of 2-7 points, 1-3 steps of 0.25, 1/3 or 1 apart,
-    with masses log-uniform down to 1e-30."""
+def _random_lattice_class(rng, step=None):
+    """A centered class of 2-7 points, 1-3 steps of ``step`` apart, or of
+    0.25, 1/3 or 1 at random, with masses log-uniform down to 1e-30."""
     size = int(rng.integers(2, 8))
     steps = np.concatenate([[0], np.cumsum(rng.integers(1, 4, size - 1))])
     probs = 10.0 ** rng.uniform(-30, 0, size)
     probs /= probs.sum()
-    support = steps * float(rng.choice([0.25, 1 / 3, 1.0]))
+    support = steps * (step or float(rng.choice([0.25, 1 / 3, 1.0])))
     return LossClass("c", tuple((support - support @ probs).tolist()), tuple(probs.tolist()))
 
 
+def _law_distance(model, n):
+    """The total variation between ``_sum_law`` of the model's live
+    classes as one group, on a window of any size, and the direct
+    convolution of ``tests/oracle.py``, the mass the window leaves out,
+    and whether the window is narrower than the lattice."""
+    live = [(c, int(nu), np.asarray(c.probs)) for c, nu in zip(model.classes, model.counts(n))
+            if nu > 0]
+    offset, g, logp = direct_log_pmf(model, n)
+    values, q = mc._sum_law(live, 10**9)
+    # the window's values are offset + g (first + i), rounded once
+    first = round((values[0] - offset) / g)
+    assert values.tolist() == [math.fsum([offset, g * t])
+                               for t in range(first, first + q.size)], model
+    p = np.exp(logp)
+    window = p[first:first + q.size]
+    left_out = p[:first].sum() + p[first + q.size:].sum()
+    return 0.5 * (np.abs(q - window).sum() + left_out), left_out, q.size < p.size
+
+
 class TestSumLaw:
-    """The law of a class's sum, which a class on a lattice draws by one
-    uniform per replicate, against the direct convolution of
+    """The law of a group's sum, which a group on a lattice draws by one
+    multinomial over its window, against the direct convolution of
     ``tests/oracle.py``."""
 
     def test_against_direct_convolution(self):
@@ -466,19 +525,30 @@ class TestSumLaw:
         for _ in range(16):
             cls = _random_lattice_class(rng)
             nu = int(rng.integers(1, 301))
-            offset, g, logp = direct_log_pmf(PortfolioModel((cls,), weights=(1.0,)), nu)
-            # a window of any size: P[the sum = nu v_min + g (first + i)] = q[i]
-            first, step, cdf = mc._sum_law(cls, nu, np.asarray(cls.probs), 10**9)
-            assert (step, nu * cls.min_support) == (g, offset)
-            q = np.diff(cdf, prepend=0.0) / cdf[-1]
-            p = np.exp(logp)
-            window = p[first:first + q.size]
-            left_out = p[:first].sum() + p[first + q.size:].sum()
-            assert 0.5 * (np.abs(q - window).sum() + left_out) <= 1e-12, (cls, nu)
-            if q.size < p.size:
+            distance, left_out, narrow = _law_distance(PortfolioModel((cls,), weights=(1.0,)), nu)
+            assert distance <= 1e-12, (cls, nu)
+            if narrow:
                 narrower += 1
                 assert left_out <= WINDOW_EPS, (cls, nu)
         assert narrower >= 4
+
+    def test_two_classes_on_different_steps(self):
+        """A class on steps of 1 beside one on steps of 1/3: one group on
+        the lattice of step 1/3, each class's spectrum taken about its
+        own point nearest its mean."""
+        rng = np.random.default_rng(23)
+        narrower = 0
+        for _ in range(8):
+            classes = (_random_lattice_class(rng, 1.0), _random_lattice_class(rng, 1 / 3))
+            model = PortfolioModel(classes, rule=RoundRobin(tuple(rng.integers(1, 4).tolist()
+                                                                  for _ in range(2))))
+            n = int(rng.integers(2, 301))
+            distance, left_out, narrow = _law_distance(model, n)
+            assert distance <= 1e-12, (classes, n)
+            if narrow:
+                narrower += 1
+                assert left_out <= WINDOW_EPS, (classes, n)
+        assert narrower >= 2
 
     def test_chi_square_of_a_tilted_five_point_class(self):
         """10^5 sums of 200 contracts of a five-point class under a tilt,
@@ -492,10 +562,11 @@ class TestSumLaw:
         _, g, logp = direct_log_pmf(PortfolioModel((cls,), weights=(1.0,)), nu)
         logp = logp + theta * np.arange(logp.size)
         want = draws * np.exp(logp - logsumexp(logp))
-        sums = mc._sample_sums((cls,), np.array([nu]), draws, mc._rng(3), [tilted])
-        t = np.rint((sums - nu * cls.min_support) / g).astype(int)
+        values, mult = mc._sample_sums((cls,), np.array([nu]), draws, mc._rng(3), [tilted])
+        assert mult.sum() == draws
+        t = np.rint((values - nu * cls.min_support) / g).astype(int)
         assert t.min() >= 0 and t.max() < logp.size
-        got = np.bincount(t, minlength=logp.size).astype(float)
+        got = np.bincount(t, weights=mult, minlength=logp.size)
         # the outermost bins take the tails where fewer than 5 are expected
         lo, hi = np.flatnonzero(want >= 5.0)[[0, -1]]
         got = np.concatenate([[got[:lo + 1].sum()], got[lo + 1:hi], [got[hi:].sum()]])
@@ -506,7 +577,6 @@ class TestSumLaw:
 
 INCOMMENSURABLE = LossClass("irrational", (-1.0, 0.0, math.sqrt(2.0)),
                             (0.3, 0.7 - 0.3 / math.sqrt(2.0), 0.3 / math.sqrt(2.0)))
-FOUR = LossClass("four", (-2.0, 0.0, 1.0, 3.0), (0.375, 0.175, 0.3, 0.15))
 
 
 @pytest.mark.parametrize("other, n, n_samples, x, oracle", [
@@ -524,14 +594,14 @@ def test_multinomial_beside_the_sum_law(other, n, n_samples, x, oracle, monkeypa
     taken = []
     real = mc._sum_law
 
-    def recording(cls, *args):
-        law = real(cls, *args)
-        taken.append((cls.name, law is not None))
+    def recording(live, *args):
+        law = real(live, *args)
+        taken.append(([cls.name for cls, _, _ in live], law is not None))
         return law
 
     monkeypatch.setattr(mc, "_sum_law", recording)
     est = sample_tilted(model, n, x, n_samples, seed=8)
-    assert sorted(taken) == [(other.name, False), ("unit", True)]
+    assert sorted(taken) == [([other.name], False), (["unit"], True)]
     got = oracle(model, n, x)
     p = got if oracle is enumerate_tail else math.exp(got)
     assert 0.0 < p < 1e-2 and abs(est.estimate - p) <= 4 * est.std_error, (est, p)
