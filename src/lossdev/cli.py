@@ -9,11 +9,11 @@ missing, a directory or unreadable), 3 computation
 refused (any ``model.Refused``: threshold outside the tilting range,
 query in the CLT regime, arrays over the memory budget, a
 ``$LOSSDEV_MEMORY_BUDGET`` that is not a whole number, solver failure,
-an exact tail that the FFT's round-off outweighs, support gaps without a
-common step, n outside [1, 2**53], a ``cgf`` lambda grid whose product
-with a class span overflows, a weighted-model query such as ``rate`` on
-an assigned model, or a ``counterexample`` with no block end at or
-below ``--max-n``).  Errors print one ``error:`` line on stderr, not a
+an exact tail whose window sum the spectrum's round-off outweighs,
+support gaps without a common step, n outside [1, 2**53], a ``cgf``
+lambda grid whose product with a class span overflows, a weighted-model
+query such as ``rate`` on an assigned model, or a ``counterexample``
+with no block end at or below ``--max-n``).  Errors print one ``error:`` line on stderr, not a
 traceback.
 The model file is read once, as bytes: the manifest hashes them and
 ``model.loads_model`` parses them.

@@ -12,15 +12,20 @@ whatever q.  Each lattice point is that sum of offsets and g k, rounded
 once; the supports are rounded onto the lattice once, and the threshold
 is walked to the first lattice point that reaches it, where the tail is
 the same.
-The FFT helper then takes only lattice steps: the exponentially tilted
+The tail helper then takes only lattice steps: the exponentially tilted
 FFT of Keich (J. Comput. Biol. 12, 2005) tilts the class laws by the
-saddlepoint of the threshold, sends the product of their spectra, raised
-to their counts, through one inverse FFT on a window of lattice points
+saddlepoint of the threshold, takes the product of their spectra, raised
+to their counts, on a transform as long as a window of lattice points
 around the threshold, and undoes the tilt in log space, so tails far
 below 1e-300 stay representable.  The window's radius is the smaller of
 Hoeffding's bound, O(sqrt(n) * span), and Bernstein's, which takes the
 tilted variance instead of span^2 / 4 per contract: for a premium of 1
-against a claim of -1000 at 1/1001 it is some 20 times narrower.
+against a claim of -1000 at 1/1001 it is some 20 times narrower.  The
+spectrum is evaluated only on its band, the frequencies where it can
+exceed the underflow, and the weighted window sum is taken from it by
+Parseval, with no inverse FFT: the band is a few hundred frequencies
+whatever n, so a query costs about as much at n = 1e8 as at 1e4, not
+O(w log w) on a window of w = O(sqrt(n) * span) points.
 
 The helper takes its tilt per lattice step, and the tilted class laws,
 from ``cgf.point_tilt`` on the sum's lattice, with no Legendre solve and
@@ -49,6 +54,8 @@ LATTICE_TOL = 1e-9  # times the span of the class
 # tilted mass a tail window may leave out or alias onto itself
 WINDOW_EPS = 1e-30
 _LOG_UNDERFLOW = -746.0  # exp of anything lower is 0 in double precision
+# widens the band's bound against the round-off of C_d and of the log modulus
+_MARGIN = 1.000001
 
 
 class IncommensurableSupportError(Refused):
@@ -126,53 +133,198 @@ def window_radius(spans: list[tuple[int, int]], var: float) -> float:
     return min(hoeffding, third + math.sqrt(third * third + 2.0 * var * log_2_eps))
 
 
-def lattice_pmf(terms: list[tuple[int, np.ndarray, list[float]]], length: int) -> np.ndarray:
-    """The pmf of a sum of independent lattice contracts, counted from
-    the sum of the first points of their classes, aliased onto
-    0..length-1, by one inverse FFT.  ``terms`` holds per class (nu,
-    shifts, law): its count, its points in steps from its first point,
-    shifts[0] = 0, in any order, and their probabilities.
+def spectrum_band(terms: list[tuple[int, np.ndarray, list[float]]], length: int) -> np.ndarray:
+    """The frequencies m in 0..length//2, ascending, at which the spectrum
+    of the sum in ``lattice_pmf`` can exceed exp(_LOG_UNDERFLOW): a few
+    index intervals whose total length does not grow with n.
+
+    With C_d = sum_c nu_c sum_{j<l, |s_l - s_j| = d} p_j p_l, the log
+    modulus at omega = 2 pi m / length is sum_c (nu_c / 2) log|z_c|^2,
+    and 1 - |z_c|^2 = 4 sum_{j<l} p_j p_l sin^2(omega (s_l - s_j) / 2),
+    log(1 - u) <= -u and |sin(pi a / length)| >= 2 dist(a, length Z) /
+    length bound it by -sum_d 8 C_d dist(m d, length Z)^2 / length^2.
+    The term of d reaches at most 2 C_d.  The band counts only the strong
+    d, C_d > -_LOG_UNDERFLOW, whose term alone underflows beyond 0.36
+    length of every multiple of the length and so cuts over a quarter of
+    the spectrum; a weaker d would cost a pass over the band to cut a few
+    frequencies.  With no strong d the band is the whole spectrum, known
+    before any pair is counted where sum_c nu_c (1 - sum_j p_j^2), at
+    least 2 C_d for every d, is at most -2 _LOG_UNDERFLOW.  A strong d
+    alone leaves live only m within W_d = length sqrt(-_LOG_UNDERFLOW /
+    (8 C_d)) / d of a multiple of length / d: the band takes those
+    intervals for the d that leaves the fewest frequencies, and keeps of
+    them those that the sum over the strong d leaves live.  The arrays of
+    the whole transform count against the memory budget, as
+    ``lattice_pmf`` allocates them."""
+    # the whole transform's omega, log-modulus and phase sums, complex
+    # spectrum, one class's sines and its real and imaginary parts, and
+    # the inverse
+    check_budget((7 + 2 * max(len(s) for _, s, _ in terms)) * (length // 2 + 1) + length,
+                 "lattice arrays")
+    half = length // 2
+    if sum(nu * (1.0 - sum([p * p for p in law])) for nu, _, law in terms) \
+            <= -2.0 * _LOG_UNDERFLOW:
+        return np.arange(half + 1)
+    pairs: dict[int, float] = {}
+    for nu, shift, law in terms:
+        for (s, p), (t, q) in itertools.combinations(zip(shift.tolist(), law), 2):
+            d = abs(t - s)
+            pairs[d] = pairs.get(d, 0.0) + nu * p * q
+    strong = {d: c for d, c in pairs.items() if c > -_LOG_UNDERFLOW}
+    if not strong:
+        return np.arange(half + 1)
+    # per d, W_d d, widened by one step of m on each side
+    reach = {d: _MARGIN * length * math.sqrt(-_LOG_UNDERFLOW / (8.0 * c)) + d
+             for d, c in strong.items()}
+    d = min(reach, key=lambda d: (d // 2 + 1) * (2.0 * reach[d] / d + 2.0))
+    # m d within reach of j length, for every j with an m <= half
+    lo, hi = [], []
+    for j in range(int((d * half + reach[d]) // length) + 1):
+        first = max(math.ceil((j * length - reach[d]) / d), hi[-1] + 1 if hi else 0)
+        last = min(math.floor((j * length + reach[d]) / d), half)
+        if first <= last:
+            lo.append(first)
+            hi.append(last)
+    if len(lo) == 1:
+        freq = np.arange(lo[0], hi[0] + 1)
+    else:
+        counts = np.subtract(hi, lo) + 1
+        freq = np.arange(counts.sum()) + np.repeat(np.subtract(lo, np.cumsum(counts) - counts),
+                                                   counts)
+    if len(strong) == 1:
+        return freq
+    bound = 0.0
+    for e, c in strong.items():
+        dist = np.minimum(freq * e % length, -freq * e % length) * (math.sqrt(8.0 * c) / length)
+        bound = bound + dist * dist
+    return freq[bound < -_MARGIN * _LOG_UNDERFLOW]
+
+
+def band_spectrum(terms: list[tuple[int, np.ndarray, list[float]]], freq: np.ndarray,
+                  length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, log|X_m|, arg X_m): the frequencies of ``freq`` at which the
+    spectrum X of the sum of ``lattice_pmf`` does not underflow, and its
+    log-polar form there.
 
     The class spectra z_c come in closed form from the laws, and their
-    product in log-polar form, sum_c nu_c (log|z_c|, arg z_c),
+    product in log-polar form, sum_c nu_c (log|z_c|, arg z_c), to be
     exponentiated only where it does not underflow: cheaper than complex
     powers.  Each arg z_c is rounded relative to its size and weighs
     nu_c times in the sum, so a first point near the class's mean, where
     arg z_c stays small while |z_c| is near 1, keeps the pmf closest to
-    the exact one.  The arrays count against the memory budget."""
-    # omega, the log-modulus and phase sums, the complex spectrum, one
-    # class's sines and its real and imaginary parts, and the inverse
-    check_budget((7 + 2 * max(len(s) for _, s, _ in terms)) * (length // 2 + 1) + length,
-                 "lattice arrays")
-    omega = (2.0 * math.pi / length) * np.arange(length // 2 + 1)
-    log_mod, phase = np.zeros(omega.size), np.zeros(omega.size)
+    the exact one.  Each value depends on its own frequency alone, so on
+    ``spectrum_band`` it is what the whole spectrum holds there, up to
+    the order in which the matrix product sums a class's points."""
+    # the half angles pi m / length and the angles omega = 2 pi m / length
+    # side by side, so that one sine call per class gives both
+    angles = np.multiply.outer((math.pi / length, 2.0 * math.pi / length), freq).ravel()
+    log_mod = phase = 0.0
     with np.errstate(divide="ignore"):  # log 0 at exact spectral zeros
         for nu, shift, law in terms:
-            p = np.array(law[1:])
             # z_c - 1 = sum_j p_j (exp(-i omega s_j) - 1), s_0 = 0 adding
             # nothing, keeps its relative accuracy near z_c = 1, where an
-            # FFT's absolute round-off, times nu_c, would reach 1e-10 of
-            # the tail
-            re = -2.0 * (p @ np.sin(np.outer(0.5 * shift[1:], omega)) ** 2)
-            im = -(p @ np.sin(np.outer(shift[1:], omega)))
+            # absolute round-off of the spectrum, times nu_c, would reach
+            # 1e-10 of the tail: its real part is -2 sum_j p_j
+            # sin^2(omega s_j / 2), its imaginary part -sum_j p_j sin(omega s_j)
+            sines = np.sin(np.multiply.outer(shift[1:], angles))
+            np.square(sines[:, :freq.size], out=sines[:, :freq.size])
+            sums = np.negative(law[1:]) @ sines
+            re, im = 2.0 * sums[:freq.size], sums[freq.size:]
             # log |z_c|^2 from |z_c|^2 - 1 is accurate near 1; below |z_c| of
             # about 1/2 it is taken from |z_c| itself, as near a spectral
             # zero |z_c|^2 - 1 cancels to -1 and leaves sqrt(eps) of |z_c|
             log_sq = np.log1p(np.maximum(re * (2.0 + re) + im * im, -1.0))
             near0 = log_sq < -1.4
-            log_sq[near0] = 2.0 * np.log(np.hypot(1.0 + re[near0], im[near0]))
-            log_mod += 0.5 * nu * log_sq
-            phase += nu * np.arctan2(im, 1.0 + re)
-    live_freq = log_mod > _LOG_UNDERFLOW
-    spectrum = np.zeros(omega.size, dtype=complex)
-    spectrum[live_freq] = np.exp(log_mod[live_freq] + 1j * phase[live_freq])
+            if np.count_nonzero(near0):
+                log_sq[near0] = 2.0 * np.log(np.hypot(1.0 + re[near0], im[near0]))
+            log_mod = log_mod + 0.5 * nu * log_sq
+            phase = phase + nu * np.arctan2(im, 1.0 + re)
+    live = log_mod > _LOG_UNDERFLOW
+    if np.count_nonzero(live) == freq.size:
+        return freq, log_mod, phase
+    return freq[live], log_mod[live], phase[live]
+
+
+def lattice_pmf(terms: list[tuple[int, np.ndarray, list[float]]], length: int) -> np.ndarray:
+    """The pmf of a sum of independent lattice contracts, counted from
+    the sum of the first points of their classes, aliased onto
+    0..length-1, by one inverse FFT of the spectrum on its band.
+    ``terms`` holds per class (nu, shifts, law): its count, its points in
+    steps from its first point, shifts[0] = 0, in any order, and their
+    probabilities."""
+    freq, log_mod, phase = band_spectrum(terms, spectrum_band(terms, length), length)
+    spectrum = np.zeros(length // 2 + 1, dtype=complex)
+    spectrum[freq] = np.exp(log_mod + 1j * phase)
     return np.fft.irfft(spectrum, length)
+
+
+_DROP = 60.0 * math.log(2.0)  # rho^count is dropped below 2^-60
+
+
+def window_sum(freq: np.ndarray, log_mod: np.ndarray, phase: np.ndarray, length: int,
+               first: int, count: int, decay: float, sign: int) -> float:
+    """sum_{t < count} q_{(first + sign t) mod length} exp(-decay t), q
+    the inverse real FFT of the spectrum X on ``freq`` (0 elsewhere in
+    0..length//2, ``band_spectrum``'s log-polar form), decay >= 0, by
+    Parseval from the spectrum alone:
+
+    (1 / length) sum_m X_m exp(i omega_m first) (1 - rho_m^count) / (1 -
+    rho_m), rho_m = exp(-decay + sign i omega_m),
+
+    over all m, where m and length - m give conjugate terms.  With a =
+    decay, u = -expm1(-a), alpha = pi m / length and psi = arg X_m +
+    omega_m first, 1 - rho = u - 2 sign i e^-a sin(alpha) e^(sign i
+    alpha) keeps its relative accuracy near rho = 1, |1 - rho|^2 = u^2 +
+    4 e^-a sin^2(alpha), and Re(e^(i psi) conj(1 - rho)) = u cos(psi) + 2
+    e^-a sin(alpha) sin(alpha - sign psi).  1 - rho^count takes the same
+    form with a count and beta = pi (m count mod length) / length, and
+    is dropped where e^(-a count) < 2^-60.  Every angle is reduced in
+    integers before it meets the phase."""
+    tail = decay * count < _DROP
+    rows = np.empty((6 if tail else 3, freq.size))
+    # psi, alpha, alpha - sign psi; beta, psi + sign beta, and
+    # psi + sign (beta - alpha); a quarter turn on where a cosine is wanted
+    psi = np.multiply(2.0 * math.pi / length, freq * (first % length) % length)
+    psi += phase
+    np.add(psi, 0.5 * math.pi, out=rows[0])
+    np.multiply(math.pi / length, freq, out=rows[1])
+    np.multiply(psi, -sign, out=rows[2])
+    rows[2] += rows[1]
+    if tail:
+        np.multiply(math.pi / length, freq * (count % length) % length, out=rows[3])
+        np.multiply(rows[3], sign, out=rows[4])
+        rows[4] += psi
+        np.subtract(rows[3], rows[1], out=rows[5])
+        rows[5] *= sign
+        rows[5] += rows[0]
+    np.sin(rows, out=rows)
+    cos_psi, sin_alpha = rows[0], rows[1]
+    a_exp, a_u = math.exp(-decay), -math.expm1(-decay)
+    den = np.square(sin_alpha)
+    den *= 4.0 * a_exp
+    den += a_u * a_u
+    term = cos_psi * a_u
+    term += (2.0 * a_exp) * sin_alpha * rows[2]
+    if tail:
+        # times 1 - rho^count, expanded in the same sines
+        t_exp, t_u = math.exp(-decay * count), -math.expm1(-decay * count)
+        term *= t_u
+        term += (2.0 * sign * a_u * t_exp) * rows[3] * rows[4]
+        term += (4.0 * a_exp * t_exp) * sin_alpha * rows[3] * rows[5]
+    # 1 - rho is 0 only at m = 0 without decay, where the sum is count terms
+    if den[0] == 0.0:
+        term[0], den[0] = count * cos_psi[0], 1.0
+    term *= np.exp(log_mod)
+    term /= den
+    # m = 0, and m = length / 2 for even lengths, have no conjugate partner
+    single = term[0] + (term[-1] if 2 * freq[-1] == length else 0.0)
+    return (2.0 * float(term.sum()) - float(single)) / length
 
 
 def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarray],
                          k: int, size: int) -> float:
     """log P[S >= k] for 0 < k < size - 1, S the sum on its own lattice
-    0..size-1, by the exponentially tilted FFT on a window.  ``steps``
+    0..size-1, by the exponentially tilted spectrum on a window.  ``steps``
     holds each live class's points in lattice steps from its minimum.
 
     Under the tilt theta per step from ``cgf.point_tilt`` the sum has pmf
@@ -180,36 +332,39 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
     exp(log_norm - theta j).  All but WINDOW_EPS of q lies within R
     steps of m, R from ``window_radius`` on the tilted variance.  The
     window's radius r = R + |m - k| holds that mass about k too, so any
-    theta the solve stops at is safe; ``lattice_pmf`` takes q from the
-    tilted class laws on min(size, 2r + 1) points.  For theta > 0 the
-    tail sums q_j over k <= j <= k + r; otherwise the sum runs over
-    k - r <= j < k and the tail is log1p(-P[S < k]).  Either way q_j is
-    weighted by exp(-theta (j - k)) <= 1, so FFT round-off in the far
-    tails of q is never amplified, and the aliased and the omitted mass
-    (each below WINDOW_EPS) add at most that much to the sum.  Each class
-    spectrum is taken about the class's minimum, not, as ``mc`` takes it,
-    about the point nearest its mean: the round-off has no bound yet, and
-    the refusal of a depleted window rests on where it lands; about the
-    mean the tests' depleted model gives log P = -106.84 for -106.73.
+    theta the solve stops at is safe; q is aliased onto a transform of
+    min(size, 2r + 1) points or more.  For theta > 0 the tail sums q_j
+    over k <= j <= k + r; otherwise the sum runs over k - r <= j < k and
+    the tail is log1p(-P[S < k]).  Either way q_j is weighted by
+    exp(-theta (j - k)) <= 1, so round-off in the far tails of q is never
+    amplified, and the aliased and the omitted mass (each below
+    WINDOW_EPS) add at most that much to the sum.  The sum is taken by
+    ``window_sum`` from the spectrum on its band, so its cost is set by
+    the band, not by the window.  Each class spectrum is taken about the
+    class's minimum, not, as ``mc`` takes it, about the point nearest its
+    mean: the round-off has no bound yet, and the refusal of a depleted
+    window rests on where it lands; about the mean the tests' depleted
+    model gives log P = -106.84 for -106.73.
     """
     theta, laws, log_norm, miss, var = point_tilt(
         [(cls.probs, s.tolist(), nu) for (cls, nu), s in zip(live, steps)], k, size - 1 - k)
     r = math.ceil(window_radius([(nu, int(s[-1])) for (_, nu), s in zip(live, steps)], var)
                   + miss)
     length = fft_length(min(size, 2 * r + 1))
-    q = lattice_pmf([(nu, s, law) for (_, nu), s, law in zip(live, steps, laws)], length)
+    terms = [(nu, s, law) for (_, nu), s, law in zip(live, steps, laws)]
+    spectrum = band_spectrum(terms, spectrum_band(terms, length), length)
     upper = theta > 0.0
-    j = np.arange(k, min(k + r + 1, size)) if upper else np.arange(max(k - r, 0), k)
-    # multiply and sum, not a dot product: BLAS threads a long dot
-    # product, which stalls for milliseconds on a few cores
-    part = float((q[j % length] * np.exp(-theta * (j - k))).sum())
+    if upper:  # j = k, k + 1, ..., min(k + r, size - 1)
+        part = window_sum(*spectrum, length, k, min(r + 1, size - k), theta, 1)
+    else:  # j = k - 1, k - 2, ..., max(k - r, 0), the first weighted exp(theta)
+        part = math.exp(theta) * window_sum(*spectrum, length, k - 1, min(r, k), -theta, -1)
     lower = math.exp(log_norm - theta * k) * part
     # round-off can outweigh the sum of a depleted window: refuse, not a wrong tail
     if part > 0.0 and (upper or lower < 1.0):
         # + 0.0 turns the -0.0 of a lower mass that underflows into 0.0
         return (min(log_norm - theta * k + math.log(part), 0.0) if upper
                 else math.log1p(-lower) + 0.0)
-    raise Refused(f"the FFT's round-off outweighs the tilted window sum {part!r} "
+    raise Refused(f"the spectrum's round-off outweighs the tilted window sum {part!r} "
                   f"at lattice point {k} of {size}")
 
 
@@ -219,8 +374,9 @@ def exact_log_tail(model: PortfolioModel, n: int, x: float,
 
     Returns -inf for impossible events (threshold above the maximal
     reachable sum) and 0 for certain ones; the top edge is closed form,
-    every other threshold takes the tilted FFT, O(w log w) on a window
-    of w = O(sqrt(n) * span) of the O(n * span) lattice points.
+    every other threshold takes the tilted spectrum on its band, whose
+    size does not grow with n, and sums a window of w = O(sqrt(n) *
+    span) of the O(n * span) lattice points from it by Parseval.
     """
     live = [(cls, int(nu)) for cls, nu in zip(model.classes, model.counts(n)) if nu > 0]
     g, steps = lattice_steps([cls for cls, _ in live])

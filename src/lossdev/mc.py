@@ -125,8 +125,8 @@ def _sum_law(live: list[tuple], n_samples: int):
     terms, origin = [], 0
     for (_, nu, p), s, m in zip(live, steps, means):
         ref = int(np.argmin(np.abs(s - m)))
-        order = np.r_[ref, :ref, ref + 1:s.size]
-        terms.append((nu, s[order] - s[ref], p[order]))
+        order = [ref, *range(ref), *range(ref + 1, s.size)]
+        terms.append((nu, s[order] - s[ref], p[order].tolist()))
         origin += nu * int(s[ref])
     q = lattice_pmf(terms, length)
     t = np.arange(first, min(first + length, size))

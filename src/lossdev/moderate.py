@@ -2,10 +2,12 @@
 -log P for thresholds scaling like n^(alpha - 1/2), the regime between
 the CLT and large deviations.
 
-Only the leading Gaussian exponent is computed; the power-series
-correction of the underlying expansion is reported as an order bound
-O(n^(3 alpha - 1/2)), never as a number, because only its negligibility
-relative to n^(2 alpha) is used.
+Only the leading Gaussian exponent is computed.  The first term of the
+power-series correction of the underlying expansion is reported only by
+its scale n^(3 alpha - 1/2), which is not a bound on what the leading
+term leaves out: it omits that term's third-cumulant factor, and the
+Gaussian prefactor log(y sqrt(2 pi)) of the tail, which grows like log n
+and, for alpha < 1/6, outgrows the scale.
 """
 
 from __future__ import annotations
@@ -68,11 +70,13 @@ def md_threshold(q: MdQuery, model: PortfolioModel,
 
 @dataclass(frozen=True)
 class MdPrediction:
-    """Leading-order -log P prediction with its known correction kept
-    separate: correction_scale bounds the neglected series term."""
+    """Leading-order -log P prediction, with the scale of the first
+    neglected series term kept separate.  correction_scale is a scale,
+    not a bound: it leaves out that term's third-cumulant factor and the
+    Gaussian prefactor log(y sqrt(2 pi))."""
 
     leading: float            # (1/2) c^2 n^(2 alpha)
-    correction_scale: float   # O(n^(3 alpha - 1/2)) order bound
+    correction_scale: float   # n^(3 alpha - 1/2), a scale, not a bound
 
 
 def md_log_prob_prediction(q: MdQuery) -> MdPrediction:

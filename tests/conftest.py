@@ -16,7 +16,7 @@ CLAIM_RAW = Path(__file__).resolve().parents[1] / "demos" / "claim_raw.json"
 WIDE_CLAIM = Path(__file__).resolve().parents[1] / "demos" / "wide_claim.json"
 
 # a model whose exact tail at n = 71, x = DEPLETED_X has a tilted window
-# sum that the FFT's round-off makes negative; the true log P is -106.728
+# sum that the round-off of its spectrum makes negative; the true log P is -106.728
 DEPLETED_WINDOW = {
     "bounds": {"c0": 3.0000000000044507, "c1": 1e-40},
     "classes": [{"name": "a",

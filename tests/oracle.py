@@ -5,6 +5,10 @@ portfolio sum by direct convolution in log space, one contract at a
 time, on the lattice ``exact_log_tail`` sets up: each class's minimum as
 an offset and one step g from the gaps within the classes.
 
+``irfft_window_sum`` is the reference for ``exact.window_sum``: the
+tilted window sum as ``exact`` took it before it summed by Parseval, by
+one inverse FFT of the whole spectrum and a weighted sum over the window.
+
 ``numpy_loss_class`` is the reference for ``LossClass`` validation: the
 same checks in numpy arrays, as the model layer ran them before it moved
 to Python floats."""
@@ -35,6 +39,17 @@ def direct_log_pmf(model, n):
                 np.logaddexp(new[s:s + len(logp)], logp + lp, out=new[s:s + len(logp)])
             logp = new
     return math.fsum(nu * cls.min_support for cls, nu in live), g, logp
+
+
+def irfft_window_sum(freq, log_mod, phase, length, first, count, decay, sign):
+    """sum_{t < count} q_{(first + sign t) mod length} exp(-decay t), q the
+    inverse real FFT of length ``length`` of the spectrum exp(log_mod + i
+    phase) on ``freq`` and 0 elsewhere: O(length log length)."""
+    spectrum = np.zeros(length // 2 + 1, dtype=complex)
+    spectrum[freq] = np.exp(log_mod + 1j * phase)
+    q = np.fft.irfft(spectrum, length)
+    t = np.arange(count)
+    return float((q[(first + sign * t) % length] * np.exp(-decay * t)).sum())
 
 
 def numpy_loss_class(name, support, probs):

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,14 +25,14 @@ from lossdev import (
     sample_plain,
     sample_tilted,
 )
-from lossdev.cgf import mixture_cgf
-from lossdev.exact import WINDOW_EPS, latticize
+from lossdev.cgf import mixture_cgf, point_tilt
+from lossdev.exact import WINDOW_EPS, band_spectrum, latticize, spectrum_band, window_sum
 from lossdev.legendre import transform_from_weights
 from lossdev.model import Refused, loads_model, reaches
 
 from conftest import (CLAIM_RAW, DEPLETED_WINDOW, DEPLETED_X, DOUBLE, UNIT, life_class,
                       random_lattice_model)
-from oracle import direct_log_pmf
+from oracle import direct_log_pmf, irfft_window_sum
 
 
 def _centered(name, points, probs):
@@ -782,7 +783,7 @@ class TestTiltSolve:
     def test_window_sum_below_round_off_refuses(self):
         """Two classes whose points off the lattice of the rest carry
         masses down to 4e-25: at lattice point 99 of 168 the tilted window
-        sum rounds to -9.2e-16, and taking its log raised ValueError."""
+        sum rounds to about -9e-16, and taking its log raised ValueError."""
         model, _ = loads_model(json.dumps(DEPLETED_WINDOW))
         offset, g, logp = direct_log_pmf(model, 71)
         k = math.ceil((71 * DEPLETED_X - offset) / g)
@@ -800,3 +801,210 @@ def test_no_runtime_warning_at_spectral_zeros(pure_unit, eq_mix):
             for n in (100, 1000, 100_000):
                 for x in (-0.5, 0.0, 0.3, 0.99):
                     exact_log_tail(model, n, x)
+
+
+def _tilted_calls(model, n, x):
+    """What the tail helper hands the spectrum at one threshold: the terms
+    and the transform length it gives ``spectrum_band``, and the window
+    (length, first, count, decay, sign) it gives ``window_sum``, or None
+    where it stops before the sum; None for a threshold that an edge or
+    the top's closed form settles."""
+    seen = {}
+
+    def band_spy(terms, length):
+        seen["band"] = terms, length
+        return spectrum_band(terms, length)
+
+    def sum_spy(*args):
+        seen["window"] = args[3:]
+        return window_sum(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lossdev.exact.spectrum_band", band_spy)
+        mp.setattr("lossdev.exact.window_sum", sum_spy)
+        try:
+            exact_log_tail(model, n, x)
+        except Refused:
+            pass
+    return (*seen["band"], seen.get("window")) if seen else None
+
+
+class TestSpectrumBand:
+    """The band against the spectrum at all length // 2 + 1 frequencies:
+    every frequency where the whole spectrum does not underflow lies in
+    the band, and the band holds the same spectrum there (up to the order
+    in which the matrix product sums a class's points)."""
+
+    @staticmethod
+    def _check(terms, length):
+        band = spectrum_band(terms, length)
+        assert band[0] == 0 and band[-1] <= length // 2 and (np.diff(band) > 0).all()
+        full = band_spectrum(terms, np.arange(length // 2 + 1), length)
+        got = band_spectrum(terms, band, length)
+        assert np.isin(full[0], band).all()
+        np.testing.assert_array_equal(got[0], full[0])
+        np.testing.assert_allclose(got[1], full[1], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got[2], full[2], rtol=1e-13, atol=0.0)
+        return band.size < length // 2 + 1
+
+    def _check_levels(self, model, n, fractions):
+        """The band at thresholds that are fractions of the way from the
+        bottom of the reachable range to its top; the number of them
+        where the band cuts the spectrum."""
+        counts = model.counts(n)
+        bottom = float(counts @ [c.min_support for c in model.classes]) / n
+        top = float(counts @ [c.max_support for c in model.classes]) / n
+        calls = [_tilted_calls(model, n, bottom + f * (top - bottom)) for f in fractions]
+        assert calls[0] is not None
+        return sum(self._check(*call[:2]) for call in calls if call is not None)
+
+    def test_random_lattice_models(self):
+        rng = np.random.default_rng(29)
+        cut = 0
+        for n in (40, 2000, 10**5, 10**6):
+            for _ in range(3):
+                model, _ = random_lattice_model(rng)
+                cut += self._check_levels(model, n, (0.05, 0.3, 0.5, 0.62, 0.9, 0.99))
+        assert cut >= 20  # the larger n cut the spectrum
+
+    @pytest.mark.parametrize("n", [10**3, 10**6])
+    def test_two_step_class_alone_and_beside_the_unit_class(self, n):
+        """{-2, 2} alone lies on steps of 4 and takes d = 1; beside
+        {-1, 1} it takes steps of 2, and its d = 2 leaves frequencies
+        live about length / 2 as well as about 0."""
+        for model in (PortfolioModel((DOUBLE,), weights=(1.0,)),
+                      PortfolioModel((UNIT, DOUBLE), weights=(0.3, 0.7))):
+            self._check_levels(model, n, (0.2, 0.5, 0.55, 0.8))
+
+    @pytest.mark.parametrize("n", [10**3, 10**6])
+    def test_gaps_two_and_three_only(self, n):
+        """{-1, 1} and {-1, 2} on step 1: the strong d are 2 and 3, whose
+        intervals sit about multiples of length / 2 and length / 3."""
+        model = PortfolioModel((UNIT, LossClass("three", (-1.0, 2.0), (2 / 3, 1 / 3))),
+                               weights=(0.5, 0.5))
+        self._check_levels(model, n, (0.1, 0.4, 0.5, 0.7, 0.95))
+
+    @pytest.mark.parametrize("n", [300, 10**5])
+    def test_masses_down_to_1e_30(self, n):
+        tiny = _centered("tiny", (0.0, 1.0, 4.0, 6.0), (1 - 1e-12 - 2e-30, 1e-12, 1e-30, 1e-30))
+        model = PortfolioModel((tiny, LossClass("three", (-1.0, 2.0), (2 / 3, 1 / 3))),
+                               rule=RoundRobin((3, 1)))
+        self._check_levels(model, n, (0.01, 0.25, 0.5, 0.9))
+
+    def test_depleted_window(self):
+        model, _ = loads_model(json.dumps(DEPLETED_WINDOW))
+        terms, length, window = _tilted_calls(model, 71, DEPLETED_X)
+        assert window is not None  # the helper sums, then refuses
+        self._check(terms, length)
+
+    def test_a_tilted_law_with_an_exactly_zero_mass(self):
+        """Tilted toward the top, the bottom point's mass of 1e-320
+        underflows to 0; a class whose whole tilted mass sits on one point
+        has every C_d = 0, and its band is the whole spectrum."""
+        theta, laws, _, _, _ = point_tilt([((1e-320, 0.5, 0.5), [0, 1, 2], 1000)], 1990, 10)
+        assert theta > 0.0 and laws[0][0] == 0.0 < laws[0][1]
+        self._check([(1000, np.arange(3), laws[0])], 384)
+        point = [(50, np.array([0, 3]), [0.0, 1.0]), (20, np.array([0, 1]), [1.0, 0.0])]
+        assert spectrum_band(point, 600).size == 301
+        self._check(point, 600)
+
+
+class TestWindowSumAgainstIrfft:
+    """``window_sum`` by Parseval against the inverse FFT and the weighted
+    sum it replaced (``tests/oracle.irfft_window_sum``), to 1e-13 relative,
+    on tilted spectra of real queries: above the mean (theta > 0, the sum
+    runs up from k) and below it (down from k - 1), with the window moved
+    by whole lengths, wrapping past 0 and past size - 1, on odd and even
+    lengths, on length = size, without decay and with rho^count kept."""
+
+    MODEL = PortfolioModel((UNIT, SKEW, FOUR), rule=RoundRobin((2, 1, 1)))
+
+    @staticmethod
+    def _check(terms, length, first, count, decay, sign):
+        spectrum = band_spectrum(terms, spectrum_band(terms, length), length)
+        want = irfft_window_sum(*spectrum, length, first, count, decay, sign)
+        assert want > 1e-2  # the window holds a share of the tilted mass
+        got = window_sum(*spectrum, length, first, count, decay, sign)
+        assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [-0.9, -0.2, 0.1, 0.8])
+    def test_the_query_window_moved_by_whole_lengths(self, x):
+        terms, length, (_, first, count, decay, sign) = _tilted_calls(self.MODEL, 300, x)
+        assert sign == (1 if x > 0 else -1)
+        for shift in (0, -length, 7 * length):
+            self._check(terms, length, first + shift, count, decay, sign)
+
+    @pytest.mark.parametrize("x", [-0.9, 0.1, 0.8])
+    def test_odd_and_even_lengths(self, x):
+        terms, length, (_, first, count, decay, sign) = _tilted_calls(self.MODEL, 300, x)
+        for other in (length - 1, length + 1, 2 * count + 1, 2 * count + 2, 3 * count + 7):
+            self._check(terms, other, first, count, decay, sign)
+
+    @pytest.mark.parametrize("total", [0.0, 0.1, 20.0])
+    def test_no_and_small_decay(self, total):
+        """decay * count = ``total``, below 60 log 2, keeps rho^count; on
+        a window that ends inside the tilted mass it is e^-20 of the sum
+        at 20.  Without decay 1 - rho vanishes at m = 0, where the sum is
+        count terms."""
+        terms, length, (_, first, count, _, sign) = _tilted_calls(self.MODEL, 300, 0.1)
+        for part in (count, count // 8):
+            decay = total / part
+            self._check(terms, length, first, part, decay, sign)
+        self._check(terms, length, first - 1, count, decay, -sign)
+
+    @pytest.mark.parametrize("fraction, sign", [(0.01, -1), (0.99, 1)])
+    def test_windows_that_wrap_on_length_size(self, fraction, sign):
+        """On length = size the transform holds the whole lattice; a
+        window from a threshold next to the bottom, summed down, wraps
+        past 0 onto size - 1, and one next to the top, summed up, past
+        size - 1 onto 0."""
+        model = PortfolioModel((SKEW, FOUR), weights=(0.5, 0.5))
+        n = 40
+        size = int(model.counts(n) @ [4, 5]) + 1
+        top = float(model.counts(n) @ [c.max_support for c in model.classes]) / n
+        bottom = float(model.counts(n) @ [c.min_support for c in model.classes]) / n
+        terms, _, (_, first, count, decay, got_sign) = _tilted_calls(
+            model, n, bottom + fraction * (top - bottom))
+        assert got_sign == sign
+        reach = 3 * count
+        assert not 0 <= first + sign * (reach - 1) < size  # it wraps
+        self._check(terms, size, first, reach, decay, sign)
+        assert size % 2 == 1
+        self._check(terms, size + 1, first, reach, decay, sign)
+
+
+ZERO_FOUR_MODEL = PortfolioModel((ZERO_FOUR,), weights=(1.0,))
+
+
+class TestCostFlatInN:
+    """Counts, not clocks: on {-2, 0, 1, 3} the spectrum is evaluated at
+    fewer than 2048 frequencies at n = 1e4, 1e6 and 1e8, where the whole
+    spectrum holds up to 186 625 at 1e8; and the claim mix at n = 1e8
+    allocates under 1 MB, where the whole window took 216 MB."""
+
+    def test_frequencies_evaluated(self, monkeypatch):
+        sizes = []
+        real = band_spectrum
+
+        def spy(terms, freq, length):
+            sizes.append((freq.size, length // 2 + 1))
+            return real(terms, freq, length)
+
+        monkeypatch.setattr("lossdev.exact.band_spectrum", spy)
+        for n in (10**4, 10**6, 10**8):
+            for x in (-1.5, -0.2, 0.01, 0.37, 1.5, 2.9):
+                assert exact_log_tail(ZERO_FOUR_MODEL, n, x) <= 0.0
+        assert len(sizes) == 18
+        assert max(band for band, _ in sizes) < 2048
+        assert max(whole for _, whole in sizes) > 150_000
+
+    def test_claim_mix_peak_memory(self):
+        exact_log_tail(CLAIM_MIX, 10**8, 0.3)
+        tracemalloc.start()
+        try:
+            log_p = exact_log_tail(CLAIM_MIX, 10**8, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(log_p) and log_p < -1e4
+        assert peak < 1_000_000
