@@ -15,17 +15,20 @@ the same.
 The tail helper then takes only lattice steps: the exponentially tilted
 FFT of Keich (J. Comput. Biol. 12, 2005) tilts the class laws by the
 saddlepoint of the threshold, takes the product of their spectra, raised
-to their counts, on a transform as long as a window of lattice points
-around the threshold, and undoes the tilt in log space, so tails far
-below 1e-300 stay representable.  The window's radius is the smaller of
-Hoeffding's bound, O(sqrt(n) * span), and Bernstein's, which takes the
-tilted variance instead of span^2 / 4 per contract: for a premium of 1
-against a claim of -1000 at 1/1001 it is some 20 times narrower.  The
-spectrum is evaluated only on its band, the frequencies where it can
-exceed the underflow, and the weighted window sum is taken from it by
-Parseval, with no inverse FFT: the band is a few hundred frequencies
-whatever n, so a query costs about as much at n = 1e8 as at 1e4, not
-O(w log w) on a window of w = O(sqrt(n) * span) points.
+to their counts, and undoes the tilt in log space, so tails far below
+1e-300 stay representable.  It sums a window of lattice points on one
+side of the threshold, weighted by the tilt, on a transform as long as
+that sum needs: the window's radius, plus the terms the sum takes, up to
+the lattice's edge and no further than where the weight drops below
+WINDOW_EPS.  The window's radius is the smaller of Hoeffding's bound,
+O(sqrt(n) * span), and Bernstein's, which takes the tilted variance
+instead of span^2 / 4 per contract: for a premium of 1 against a claim
+of -1000 at 1/1001 it is some 20 times narrower.  The spectrum is
+evaluated only on its band, the frequencies where it can exceed the
+underflow, and the weighted window sum is taken from it by Parseval,
+with no inverse FFT: the band is a few hundred frequencies whatever n,
+so a query costs about as much at n = 1e8 as at 1e4, not O(w log w) on
+a window of w = O(sqrt(n) * span) points.
 
 The helper takes its tilt per lattice step, and the tilted class laws,
 from ``cgf.point_tilt`` on the sum's lattice, with no Legendre solve and
@@ -53,6 +56,7 @@ from .model import LossClass, PortfolioModel, Refused, check_budget, reaches
 LATTICE_TOL = 1e-9  # times the span of the class
 # tilted mass a tail window may leave out or alias onto itself
 WINDOW_EPS = 1e-30
+_LOG_EPS = math.log(1.0 / WINDOW_EPS)
 _LOG_UNDERFLOW = -746.0  # exp of anything lower is 0 in double precision
 # widens the band's bound against the round-off of C_d and of the log modulus
 _MARGIN = 1.000001
@@ -110,13 +114,14 @@ def fft_length(n: int) -> int:
 
 def lattice_steps(classes: list[LossClass]) -> tuple[float, list[np.ndarray]]:
     """The step g of ``latticize`` and each class's points in steps of g
-    from its minimum, the one rounding of the supports; two points of a
-    class on one step are refused."""
+    from its minimum, one array per class: the one rounding of the
+    supports, half to even in Python ints; two points of a class on one
+    step are refused."""
     g = latticize(classes)
-    steps = [np.rint(np.subtract(c.support, c.min_support) / g).astype(np.int64) for c in classes]
-    if any((np.diff(s) == 0).any() for s in steps):
+    steps = [[round((v - c.min_support) / g) for v in c.support] for c in classes]
+    if any(a == b for s in steps for a, b in zip(s, s[1:])):
         raise IncommensurableSupportError("two points of a class on one lattice step")
-    return g, steps
+    return g, [np.array(s) for s in steps]
 
 
 def window_radius(spans: list[tuple[int, int]], var: float) -> float:
@@ -140,25 +145,24 @@ def spectrum_band(terms: list[tuple[int, np.ndarray, list[float]]], length: int)
 
     With C_d = sum_c nu_c sum_{j<l, |s_l - s_j| = d} p_j p_l, the log
     modulus at omega = 2 pi m / length is sum_c (nu_c / 2) log|z_c|^2,
-    and 1 - |z_c|^2 = 4 sum_{j<l} p_j p_l sin^2(omega (s_l - s_j) / 2),
-    log(1 - u) <= -u and |sin(pi a / length)| >= 2 dist(a, length Z) /
-    length bound it by -sum_d 8 C_d dist(m d, length Z)^2 / length^2.
+    and 1 - |z_c|^2 = 4 sum_{j<l} p_j p_l sin^2(omega (s_l - s_j) / 2)
+    and log(1 - u) <= -u bound it by -2 sum_d C_d sin^2(pi m d / length).
     The term of d reaches at most 2 C_d.  The band counts only the strong
     d, C_d > -_LOG_UNDERFLOW, whose term alone underflows beyond 0.36
     length of every multiple of the length and so cuts over a quarter of
     the spectrum; a weaker d would cost a pass over the band to cut a few
     frequencies.  With no strong d the band is the whole spectrum, known
     before any pair is counted where sum_c nu_c (1 - sum_j p_j^2), at
-    least 2 C_d for every d, is at most -2 _LOG_UNDERFLOW.  A strong d
-    alone leaves live only m within W_d = length sqrt(-_LOG_UNDERFLOW /
-    (8 C_d)) / d of a multiple of length / d: the band takes those
-    intervals for the d that leaves the fewest frequencies, and keeps of
-    them those that the sum over the strong d leaves live.  The arrays of
-    the whole transform count against the memory budget, as
-    ``lattice_pmf`` allocates them."""
-    # the whole transform's omega, log-modulus and phase sums, complex
-    # spectrum, one class's sines and its real and imaginary parts, and
-    # the inverse
+    least 2 C_d for every d, is at most -2 _LOG_UNDERFLOW.  With |sin(pi
+    a / length)| >= 2 dist(a, length Z) / length, a strong d alone leaves
+    live only m within W_d = length sqrt(-_LOG_UNDERFLOW / (8 C_d)) / d
+    of a multiple of length / d: the band takes those intervals for the d
+    that leaves the fewest frequencies, and keeps of them those that the
+    sine bound over the strong d leaves live.  The arrays of the whole
+    transform count against the memory budget, as ``lattice_pmf``
+    allocates them."""
+    # the whole transform's arrays, charged as 7 + 2 k doubles per
+    # frequency, k the most points of a class, and the inverse
     check_budget((7 + 2 * max(len(s) for _, s, _ in terms)) * (length // 2 + 1) + length,
                  "lattice arrays")
     half = length // 2
@@ -191,12 +195,11 @@ def spectrum_band(terms: list[tuple[int, np.ndarray, list[float]]], length: int)
         counts = np.subtract(hi, lo) + 1
         freq = np.arange(counts.sum()) + np.repeat(np.subtract(lo, np.cumsum(counts) - counts),
                                                    counts)
-    if len(strong) == 1:
-        return freq
+    # 2 sum_d C_d sin^2(pi m d / length), m d reduced in integers first
     bound = 0.0
     for e, c in strong.items():
-        dist = np.minimum(freq * e % length, -freq * e % length) * (math.sqrt(8.0 * c) / length)
-        bound = bound + dist * dist
+        sine = np.sin(freq * e % length * (math.pi / length))
+        bound = bound + 2.0 * c * sine * sine
     return freq[bound < -_MARGIN * _LOG_UNDERFLOW]
 
 
@@ -209,36 +212,57 @@ def band_spectrum(terms: list[tuple[int, np.ndarray, list[float]]], freq: np.nda
     The class spectra z_c come in closed form from the laws, and their
     product in log-polar form, sum_c nu_c (log|z_c|, arg z_c), to be
     exponentiated only where it does not underflow: cheaper than complex
-    powers.  Each arg z_c is rounded relative to its size and weighs
-    nu_c times in the sum, so a first point near the class's mean, where
-    arg z_c stays small while |z_c| is near 1, keeps the pmf closest to
-    the exact one.  Each value depends on its own frequency alone, so on
-    ``spectrum_band`` it is what the whole spectrum holds there, up to
-    the order in which the matrix product sums a class's points."""
-    # the half angles pi m / length and the angles omega = 2 pi m / length
-    # side by side, so that one sine call per class gives both
-    angles = np.multiply.outer((math.pi / length, 2.0 * math.pi / length), freq).ravel()
-    log_mod = phase = 0.0
-    with np.errstate(divide="ignore"):  # log 0 at exact spectral zeros
-        for nu, shift, law in terms:
-            # z_c - 1 = sum_j p_j (exp(-i omega s_j) - 1), s_0 = 0 adding
-            # nothing, keeps its relative accuracy near z_c = 1, where an
-            # absolute round-off of the spectrum, times nu_c, would reach
-            # 1e-10 of the tail: its real part is -2 sum_j p_j
-            # sin^2(omega s_j / 2), its imaginary part -sum_j p_j sin(omega s_j)
-            sines = np.sin(np.multiply.outer(shift[1:], angles))
-            np.square(sines[:, :freq.size], out=sines[:, :freq.size])
-            sums = np.negative(law[1:]) @ sines
-            re, im = 2.0 * sums[:freq.size], sums[freq.size:]
-            # log |z_c|^2 from |z_c|^2 - 1 is accurate near 1; below |z_c| of
-            # about 1/2 it is taken from |z_c| itself, as near a spectral
-            # zero |z_c|^2 - 1 cancels to -1 and leaves sqrt(eps) of |z_c|
-            log_sq = np.log1p(np.maximum(re * (2.0 + re) + im * im, -1.0))
-            near0 = log_sq < -1.4
-            if np.count_nonzero(near0):
-                log_sq[near0] = 2.0 * np.log(np.hypot(1.0 + re[near0], im[near0]))
-            log_mod = log_mod + 0.5 * nu * log_sq
-            phase = phase + nu * np.arctan2(im, 1.0 + re)
+    powers.  All classes are taken in one pass: one table of sines over
+    the distinct nonzero shifts of every class and their doubles, its
+    products with (classes x shifts) matrices of the laws, and (classes
+    x freq) arrays of log|z_c|^2 and arg z_c, weighted by nu in one
+    product each.  Each arg z_c is rounded relative to its size and
+    weighs nu_c times in the sum, so a first point near the class's mean,
+    where arg z_c stays small while |z_c| is near 1, keeps the pmf
+    closest to the exact one.  Each value depends on its own frequency
+    alone, so on ``spectrum_band`` it is what the whole spectrum holds
+    there, up to the order in which the matrix products sum."""
+    # z_c - 1 = sum_j p_j (exp(-i omega s_j) - 1), s_0 = 0 adding
+    # nothing, keeps its relative accuracy near z_c = 1, where an absolute
+    # round-off of the spectrum, times nu_c, would reach 1e-10 of the
+    # tail: its real part is -2 sum_j p_j sin^2(pi m s_j / length), its
+    # imaginary part -sum_j p_j sin(pi m 2 s_j / length).  One table of
+    # sin(pi m a / length) over the distinct a = |s_j| and 2 |s_j| of all
+    # classes serves both, sin^2 being even and sine odd: per class a row
+    # of -2 p_j at |s_j| for the real part and one of -sign(s_j) p_j at
+    # 2 |s_j| for the imaginary part
+    column: dict[int, int] = {}
+    rows = []
+    for _, shift, law in terms:
+        half: dict[int, float] = {}
+        whole: dict[int, float] = {}
+        for s, p in zip(shift.tolist()[1:], law[1:]):
+            j = column.setdefault(abs(s), len(column))
+            half[j] = half.get(j, 0.0) - 2.0 * p
+            j = column.setdefault(2 * abs(s), len(column))
+            whole[j] = whole.get(j, 0.0) - math.copysign(p, s)
+        rows += [half, whole]
+    coef = np.array([[row.get(j, 0.0) for j in range(len(column))] for row in rows])
+    sines = np.multiply.outer(list(column), freq * (math.pi / length))
+    np.sin(sines, out=sines)
+    im = np.dot(coef[1::2], sines)
+    re = np.dot(coef[::2], np.square(sines, out=sines))
+    # log |z_c|^2 from |z_c|^2 - 1 is accurate near 1; below |z_c| of
+    # about 1/2, log |z_c|^2 < -1.4, it is taken from |z_c| itself, as near
+    # a spectral zero |z_c|^2 - 1 cancels to -1 and leaves sqrt(eps) of
+    # |z_c|; the floor of -0.9 sends all of that, round-off below -1
+    # included, to the fallback without a log of 0
+    log_sq = re + 2.0
+    log_sq *= re
+    log_sq += im * im
+    np.log1p(np.maximum(log_sq, -0.9, out=log_sq), out=log_sq)
+    near0 = log_sq < -1.4
+    if np.count_nonzero(near0):
+        with np.errstate(divide="ignore"):  # log 0 at exact spectral zeros
+            log_sq[near0] = 2.0 * np.log(np.hypot(1.0 + re[near0], im[near0]))
+    nu = np.array([float(nu) for nu, _, _ in terms])
+    log_mod = np.dot(0.5 * nu, log_sq)
+    phase = np.dot(nu, np.arctan2(im, 1.0 + re))
     live = log_mod > _LOG_UNDERFLOW
     if np.count_nonzero(live) == freq.size:
         return freq, log_mod, phase
@@ -332,12 +356,16 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
     exp(log_norm - theta j).  All but WINDOW_EPS of q lies within R
     steps of m, R from ``window_radius`` on the tilted variance.  The
     window's radius r = R + |m - k| holds that mass about k too, so any
-    theta the solve stops at is safe; q is aliased onto a transform of
-    min(size, 2r + 1) points or more.  For theta > 0 the tail sums q_j
+    theta the solve stops at is safe.  For theta > 0 the tail sums q_j
     over k <= j <= k + r; otherwise the sum runs over k - r <= j < k and
     the tail is log1p(-P[S < k]).  Either way q_j is weighted by
     exp(-theta (j - k)) <= 1, so round-off in the far tails of q is never
-    amplified, and the aliased and the omitted mass (each below
+    amplified.  The sum takes J terms: no more than the window holds
+    inside 0..size-1, and no more than log(1 / WINDOW_EPS) / |theta| + 1,
+    past which the weight is below WINDOW_EPS.  q is aliased onto a
+    transform of min(size, r + J + 1) points or more: then no point
+    within r of k outside the J summed shares a residue with one of
+    them.  The aliased, the omitted and the cut mass (each below
     WINDOW_EPS) add at most that much to the sum.  The sum is taken by
     ``window_sum`` from the spectrum on its band, so its cost is set by
     the band, not by the window.  Each class spectrum is taken about the
@@ -350,14 +378,21 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
         [(cls.probs, s.tolist(), nu) for (cls, nu), s in zip(live, steps)], k, size - 1 - k)
     r = math.ceil(window_radius([(nu, int(s[-1])) for (_, nu), s in zip(live, steps)], var)
                   + miss)
-    length = fft_length(min(size, 2 * r + 1))
+    upper = theta > 0.0
+    # j = k, k + 1, ..., min(k + r, size - 1) above; below j = k - 1, k - 2,
+    # ..., max(k - r, 0), the first weighted exp(theta)
+    count = min(r + 1, size - k) if upper else min(r, k)
+    # terms past log(1 / WINDOW_EPS) / |theta| weigh below WINDOW_EPS; the
+    # test keeps that quotient finite
+    if abs(theta) * count > _LOG_EPS:
+        count = min(count, math.ceil(_LOG_EPS / abs(theta)) + 1)
+    length = fft_length(min(size, r + count + 1))
     terms = [(nu, s, law) for (_, nu), s, law in zip(live, steps, laws)]
     spectrum = band_spectrum(terms, spectrum_band(terms, length), length)
-    upper = theta > 0.0
-    if upper:  # j = k, k + 1, ..., min(k + r, size - 1)
-        part = window_sum(*spectrum, length, k, min(r + 1, size - k), theta, 1)
-    else:  # j = k - 1, k - 2, ..., max(k - r, 0), the first weighted exp(theta)
-        part = math.exp(theta) * window_sum(*spectrum, length, k - 1, min(r, k), -theta, -1)
+    if upper:
+        part = window_sum(*spectrum, length, k, count, theta, 1)
+    else:
+        part = math.exp(theta) * window_sum(*spectrum, length, k - 1, count, -theta, -1)
     lower = math.exp(log_norm - theta * k) * part
     # round-off can outweigh the sum of a depleted window: refuse, not a wrong tail
     if part > 0.0 and (upper or lower < 1.0):

@@ -9,6 +9,11 @@ an offset and one step g from the gaps within the classes.
 tilted window sum as ``exact`` took it before it summed by Parseval, by
 one inverse FFT of the whole spectrum and a weighted sum over the window.
 
+``loop_band_spectrum`` is the reference for ``exact.band_spectrum``: the
+log-polar spectrum of the sum one class at a time, each class with its
+own table of sines over its own shifts, as ``exact`` took it before it
+took all classes in one pass.
+
 ``numpy_loss_class`` is the reference for ``LossClass`` validation: the
 same checks in numpy arrays, as the model layer ran them before it moved
 to Python floats."""
@@ -50,6 +55,31 @@ def irfft_window_sum(freq, log_mod, phase, length, first, count, decay, sign):
     q = np.fft.irfft(spectrum, length)
     t = np.arange(count)
     return float((q[(first + sign * t) % length] * np.exp(-decay * t)).sum())
+
+
+def loop_band_spectrum(terms, freq, length):
+    """(m, log|X_m|, arg X_m) of ``exact.band_spectrum``, class by class:
+    per class, sin(omega s_j / 2)^2 and sin(omega s_j) over its shifts
+    s_j, its Re and Im of z_c - 1 from them, log|z_c|^2 by log1p (or from
+    |z_c| below |z_c|^2 of about 0.25) and arg z_c, each added to the
+    sums weighted by nu_c; the frequencies where the log modulus does not
+    underflow."""
+    angles = np.multiply.outer((math.pi / length, 2.0 * math.pi / length), freq).ravel()
+    log_mod = phase = 0.0
+    with np.errstate(divide="ignore"):
+        for nu, shift, law in terms:
+            sines = np.sin(np.multiply.outer(np.asarray(shift)[1:], angles))
+            np.square(sines[:, :freq.size], out=sines[:, :freq.size])
+            sums = np.negative(law[1:]) @ sines
+            re, im = 2.0 * sums[:freq.size], sums[freq.size:]
+            log_sq = np.log1p(np.maximum(re * (2.0 + re) + im * im, -1.0))
+            near0 = log_sq < -1.4
+            if np.count_nonzero(near0):
+                log_sq[near0] = 2.0 * np.log(np.hypot(1.0 + re[near0], im[near0]))
+            log_mod = log_mod + 0.5 * nu * log_sq
+            phase = phase + nu * np.arctan2(im, 1.0 + re)
+    live = log_mod > -746.0
+    return freq[live], log_mod[live], phase[live]
 
 
 def numpy_loss_class(name, support, probs):

@@ -26,13 +26,14 @@ from lossdev import (
     sample_tilted,
 )
 from lossdev.cgf import mixture_cgf, point_tilt
-from lossdev.exact import WINDOW_EPS, band_spectrum, latticize, spectrum_band, window_sum
+from lossdev.exact import (WINDOW_EPS, band_spectrum, fft_length, latticize, lattice_steps,
+                           spectrum_band, window_radius, window_sum)
 from lossdev.legendre import transform_from_weights
 from lossdev.model import Refused, loads_model, reaches
 
 from conftest import (CLAIM_RAW, DEPLETED_WINDOW, DEPLETED_X, DOUBLE, UNIT, life_class,
                       random_lattice_model)
-from oracle import direct_log_pmf, irfft_window_sum
+from oracle import direct_log_pmf, irfft_window_sum, loop_band_spectrum
 
 
 def _centered(name, points, probs):
@@ -291,13 +292,14 @@ def test_memory_budget_override(monkeypatch, pure_unit):
 
 
 def test_budget_checked_before_the_first_allocation():
-    # a span of 1001 lattice steps at n = 2**53, the largest size, gives
-    # a window of about 1e12 points (terabytes): refused, not a numpy
-    # MemoryError
+    # a span of 1001 lattice steps at n = 2**53, the largest size, below
+    # the mean, where the tilt is too weak to shorten the window sum,
+    # gives a transform of about 3.4e8 points (gigabytes): refused, not a
+    # numpy MemoryError
     wide = LossClass("w", (-1000.0, 1.0), (1 / 1001, 1000 / 1001))
     model = PortfolioModel((wide,), weights=(1.0,))
     with pytest.raises(MemoryBudgetError):
-        exact_log_tail(model, 2**53, 0.5)
+        exact_log_tail(model, 2**53, -100.0)
 
 
 def test_memory_budget_covers_fft(monkeypatch):
@@ -803,30 +805,48 @@ def test_no_runtime_warning_at_spectral_zeros(pure_unit, eq_mix):
                     exact_log_tail(model, n, x)
 
 
+def _tail_parts(model, n, x):
+    """The tail helper at one threshold: the tilt theta, the radius r of
+    its window, the lattice size, the terms and the transform length it
+    gives ``spectrum_band``, the window (length, first, count, decay,
+    sign) it gives ``window_sum``, or None where it stops before the
+    sum, the sum's value, and the log tail it returns, None where it
+    refuses; None for a threshold that an edge or the top's closed form
+    settles."""
+    seen = {}
+
+    def spy(name, real):
+        def call(*args):
+            seen[name] = args, real(*args)
+            return seen[name][1]
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, real in (("point_tilt", point_tilt), ("window_radius", window_radius),
+                           ("spectrum_band", spectrum_band), ("window_sum", window_sum)):
+            mp.setattr(f"lossdev.exact.{name}", spy(name, real))
+        try:
+            log_p = exact_log_tail(model, n, x)
+        except Refused:
+            log_p = None
+    if "spectrum_band" not in seen:
+        return None
+    theta, _, _, miss, _ = seen["point_tilt"][1]
+    terms, length = seen["spectrum_band"][0]
+    args, total = seen.get("window_sum", (None, None))
+    return {"theta": theta, "r": math.ceil(seen["window_radius"][1] + miss),
+            "size": sum(nu * int(s[-1]) for nu, s, _ in terms) + 1, "terms": terms,
+            "length": length, "window": args and args[3:], "sum": total, "log_p": log_p}
+
+
 def _tilted_calls(model, n, x):
     """What the tail helper hands the spectrum at one threshold: the terms
     and the transform length it gives ``spectrum_band``, and the window
     (length, first, count, decay, sign) it gives ``window_sum``, or None
     where it stops before the sum; None for a threshold that an edge or
     the top's closed form settles."""
-    seen = {}
-
-    def band_spy(terms, length):
-        seen["band"] = terms, length
-        return spectrum_band(terms, length)
-
-    def sum_spy(*args):
-        seen["window"] = args[3:]
-        return window_sum(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("lossdev.exact.spectrum_band", band_spy)
-        mp.setattr("lossdev.exact.window_sum", sum_spy)
-        try:
-            exact_log_tail(model, n, x)
-        except Refused:
-            pass
-    return (*seen["band"], seen.get("window")) if seen else None
+    parts = _tail_parts(model, n, x)
+    return parts and (parts["terms"], parts["length"], parts["window"])
 
 
 class TestSpectrumBand:
@@ -973,13 +993,201 @@ class TestWindowSumAgainstIrfft:
         self._check(terms, size + 1, first, reach, decay, sign)
 
 
+class TestShortTransform:
+    """The transform is r + J + 1 points long, or the lattice's size, J
+    the terms the window sum takes: each tail against the direct
+    convolution (``tests/oracle.direct_log_pmf``) to 1e-10 relative in
+    the log of the smaller of the two tails, and each window sum against
+    the same sum over min(r + 1, size - k) or min(r, k) terms on a
+    transform of min(size, 2r + 1) points or more, by one inverse FFT
+    (``tests/oracle.irfft_window_sum``), to 1e-12 relative."""
+
+    MODEL = PortfolioModel((UNIT, SKEW, FOUR), rule=RoundRobin((2, 1, 1)))
+
+    @staticmethod
+    def _full_length_sum(parts):
+        """The window sum over the uncapped count on min(size, 2r + 1)
+        points rounded up to a 5-smooth length."""
+        _, first, _, decay, sign = parts["window"]
+        r, size = parts["r"], parts["size"]
+        k = first if sign > 0 else first + 1
+        length = fft_length(min(size, 2 * r + 1))
+        count = min(r + 1, size - k) if sign > 0 else min(r, k)
+        spectrum = band_spectrum(parts["terms"], np.arange(length // 2 + 1), length)
+        return irfft_window_sum(*spectrum, length, first, count, decay, sign)
+
+    def _check(self, model, n, x):
+        parts = _tail_parts(model, n, x)
+        offset, g, logp = direct_log_pmf(model, n)
+        k = len(logp) - int(reaches(offset + g * np.arange(len(logp)), n * x).sum())
+        upper, lower = float(logsumexp(logp[k:])), float(logsumexp(logp[:k]))
+        if upper <= lower:
+            assert parts["log_p"] == pytest.approx(upper, rel=1e-10)
+        else:  # the complement is the informative number
+            assert math.log(-math.expm1(parts["log_p"])) == pytest.approx(lower, rel=1e-10)
+        _, first, count, _, sign = parts["window"]
+        assert first == (k if sign > 0 else k - 1)
+        assert parts["length"] == fft_length(min(parts["size"], parts["r"] + count + 1))
+        assert parts["sum"] == pytest.approx(self._full_length_sum(parts), rel=1e-12)
+        return parts, k
+
+    @staticmethod
+    def _at_point(model, n, j):
+        """The level of lattice point j of the sum at n."""
+        offset, g, _ = direct_log_pmf(model, n)
+        return (offset + g * j) / n
+
+    @staticmethod
+    def _at_fraction(model, n, fraction):
+        counts = model.counts(n)
+        bottom = float(counts @ [c.min_support for c in model.classes]) / n
+        top = float(counts @ [c.max_support for c in model.classes]) / n
+        return bottom + fraction * (top - bottom)
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_one_step_below_the_top(self, n):
+        size = _lattice_size(self.MODEL, n)
+        parts, k = self._check(self.MODEL, n, self._at_point(self.MODEL, n, size - 2))
+        assert k == size - 2 and parts["theta"] > 0.0 and parts["window"][2] == 2
+
+    def test_terms_cut_by_the_tilt_weight(self):
+        """Past log(1 / WINDOW_EPS) / theta terms the tilt weighs less than
+        WINDOW_EPS: at theta of about 1.09 per step the sum takes 65 of the
+        157 lattice points from the threshold to the top, in a window of
+        radius 364."""
+        parts, k = self._check(self.MODEL, 600, self._at_fraction(self.MODEL, 600, 0.92))
+        count, cap = parts["window"][2], math.ceil(math.log(1.0 / WINDOW_EPS) / parts["theta"]) + 1
+        assert parts["theta"] >= 1.0 and count == cap < min(parts["r"] + 1, parts["size"] - k)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_lower_branch_clipped_at_zero(self, k):
+        parts, got = self._check(self.MODEL, 300, self._at_point(self.MODEL, 300, k))
+        assert got == k and parts["window"][4] == -1 and parts["window"][2] == k < parts["r"]
+
+    @pytest.mark.parametrize("n, fraction, where", [
+        (128, 0.7, "at"), (170, 0.5, "at"), (128, 0.8, "below"), (177, 0.3, "below"),
+        (121, 0.6, "above"), (205, 0.8, "above")])
+    def test_next_to_a_smooth_length(self, n, fraction, where):
+        """r + J + 1 is 5-smooth, so the transform holds no point to spare,
+        or one less, so it holds one, or one more, so it takes the next
+        5-smooth length; and the window sum on a transform of exactly
+        r + J + 1 points, 5-smooth or not, and of one more."""
+        parts, _ = self._check(self.MODEL, n, self._at_fraction(self.MODEL, n, fraction))
+        need = parts["r"] + parts["window"][2] + 1
+        assert need < parts["size"]
+        if where == "above":
+            assert fft_length(need - 1) == need - 1 < need < parts["length"]
+        else:
+            assert parts["length"] == need + (where == "below")
+        want = self._full_length_sum(parts)
+        for length in (need, need + 1):
+            spectrum = band_spectrum(parts["terms"], spectrum_band(parts["terms"], length), length)
+            got = window_sum(*spectrum, length, *parts["window"][1:])
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.6])
+    def test_length_of_the_lattice(self, fraction):
+        parts, _ = self._check(self.MODEL, 12, self._at_fraction(self.MODEL, 12, fraction))
+        assert parts["r"] + parts["window"][2] + 1 >= parts["size"]
+        assert parts["length"] == fft_length(parts["size"])
+
+
+def _terms(model, n, fraction, about_mean=False):
+    """The terms the tail helper takes at lattice point ``fraction`` of
+    the way up the sum's lattice: per live class its count, its shifts
+    and its tilted law; ``about_mean`` reorders each class about its point
+    nearest its tilted mean, shifts below it negative, as ``mc._sum_law``
+    takes them."""
+    live = [(c, int(nu)) for c, nu in zip(model.classes, model.counts(n)) if nu > 0]
+    _, steps = lattice_steps([c for c, _ in live])
+    size = sum(nu * int(s[-1]) for (_, nu), s in zip(live, steps)) + 1
+    k = max(1, min(size - 2, round(fraction * (size - 1))))
+    _, laws, _, _, _ = point_tilt([(c.probs, s.tolist(), nu) for (c, nu), s in zip(live, steps)],
+                                  k, size - 1 - k)
+    terms = []
+    for (_, nu), s, law in zip(live, steps, laws):
+        if about_mean:
+            ref = int(np.argmin(np.abs(s - np.dot(law, s))))
+            order = [ref, *range(ref), *range(ref + 1, s.size)]
+            s, law = s[order] - s[ref], [law[j] for j in order]
+        terms.append((nu, s, law))
+    return terms
+
+
+class TestBandSpectrumAgainstLoop:
+    """``band_spectrum`` takes every class in one pass; against the loop
+    over classes it replaced (``tests/oracle.loop_band_spectrum``) on the
+    whole spectrum, to 1e-13 relative, and the phase, a sum of nu_c arg
+    z_c, up to whole turns, to 1e-13 of the larger of its size and sum_c
+    nu_c / |z_c|."""
+
+    @staticmethod
+    def _check(terms, length):
+        freq = np.arange(length // 2 + 1)
+        want = loop_band_spectrum(terms, freq, length)
+        got = band_spectrum(terms, freq, length)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-13, atol=0.0)
+        # the round-off of arg z_c grows as 1 / |z_c| near a spectral zero
+        omega = 2.0 * np.pi * got[0] / length
+        scale = sum(nu / np.abs(np.exp(-1j * np.multiply.outer(omega, shift)) @ law)
+                    for nu, shift, law in terms)
+        # phases whole turns apart give one spectrum: where a symmetric
+        # class has z_c < 0 its arg is pi, and the loop's round-off of Im
+        # z_c picks the sign
+        turns = np.round((got[2] - want[2]) / (2.0 * np.pi))
+        err = np.abs(got[2] - 2.0 * np.pi * turns - want[2])
+        assert (err <= 1e-13 * np.maximum(np.abs(want[2]), scale)).all()
+
+    @pytest.mark.parametrize("about_mean", [False, True])
+    def test_random_lattice_models(self, about_mean):
+        """1-4 classes {-a g, 0, a g}, a in 1..4: classes with one a share
+        their shifts, a = 1 and 2 share shift 2, and a = 3 beside a = 4
+        share none."""
+        rng = np.random.default_rng(31)
+        classes = set()
+        for _ in range(12):
+            model, _ = random_lattice_model(rng, max_classes=4)
+            classes.add(len(model.classes))
+            for n, length in ((7, 97), (60, 600), (400, 1601)):
+                for fraction in (0.1, 0.5, 0.8):
+                    self._check(_terms(model, n, fraction, about_mean), length)
+        assert classes == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("length", [96, 385, 1600])
+    def test_disjoint_and_negative_shifts(self, length):
+        skew_model = PortfolioModel((UNIT, SKEW, FOUR, ZERO_FOUR), rule=RoundRobin((2, 1, 1, 1)))
+        for fraction in (0.05, 0.4, 0.9):
+            self._check(_terms(skew_model, 50, fraction), length)
+            self._check(_terms(skew_model, 50, fraction, about_mean=True), length)
+        self._check([(30, np.array([0, 3]), [0.4, 0.6]), (20, np.array([0, 1, 2]), [0.2, 0.5, 0.3]),
+                     (10, np.array([0, -1, 1, 4]), [0.5, 0.2, 0.2, 0.1])], length)
+
+    def test_masses_down_to_1e_30_and_exactly_0(self):
+        terms = [(40, np.array([0, 1, 4, 6]), [1 - 1e-12 - 1e-30, 1e-12, 1e-30, 0.0]),
+                 (3, np.array([0, -2, 5]), [1 - 1e-30, 1e-30, 0.0]),
+                 (1000, np.arange(3), [0.0, 0.5, 0.5])]
+        for length in (61, 384, 1000):
+            self._check(terms, length)
+
+    def test_near_zero_fallback(self):
+        """{0, 1} at (0.5, 0.5) has |z|^2 = cos^2(omega / 2), below 0.25
+        over a third of the spectrum and 0 at omega = pi on even lengths,
+        where log|z|^2 is taken from |z| itself."""
+        terms = [(7, np.array([0, 1]), [0.5, 0.5]), (2, np.array([0, 2, 3]), [0.3, 0.3, 0.4])]
+        for length in (64, 99, 1000):
+            freq = np.arange(length // 2 + 1)
+            assert (np.cos(np.pi * freq / length) ** 2 < 0.24).sum() > length // 8
+            self._check(terms, length)
+
+
 ZERO_FOUR_MODEL = PortfolioModel((ZERO_FOUR,), weights=(1.0,))
 
 
 class TestCostFlatInN:
     """Counts, not clocks: on {-2, 0, 1, 3} the spectrum is evaluated at
     fewer than 2048 frequencies at n = 1e4, 1e6 and 1e8, where the whole
-    spectrum holds up to 186 625 at 1e8; and the claim mix at n = 1e8
+    spectrum holds up to 100 001 at 1e8; and the claim mix at n = 1e8
     allocates under 1 MB, where the whole window took 216 MB."""
 
     def test_frequencies_evaluated(self, monkeypatch):
@@ -996,7 +1204,23 @@ class TestCostFlatInN:
                 assert exact_log_tail(ZERO_FOUR_MODEL, n, x) <= 0.0
         assert len(sizes) == 18
         assert max(band for band, _ in sizes) < 2048
-        assert max(whole for _, whole in sizes) > 150_000
+        assert max(whole for _, whole in sizes) > 90_000
+
+    @pytest.mark.parametrize("case", ["gaps_two_and_three", "claim_mix", "zero_four"])
+    def test_band_is_the_live_set(self, case):
+        """The band keeps the frequencies the sine bound leaves live: at
+        most 5% more than those where the spectrum does not underflow."""
+        gaps = PortfolioModel((UNIT, LossClass("three", (-1.0, 2.0), (2 / 3, 1 / 3))),
+                              weights=(0.5, 0.5))
+        queries = {"gaps_two_and_three": [(gaps, 10**6, x) for x in (-0.5, 0.1, 0.8)],
+                   "claim_mix": [(CLAIM_MIX, 10**8, x) for x in (0.1, 0.3, 0.6)],
+                   "zero_four": [(ZERO_FOUR_MODEL, n, x) for n in (10**6, 10**8)
+                                 for x in (-1.5, 0.01, 0.37, 2.9)]}[case]
+        for model, n, x in queries:
+            terms, length, _ = _tilted_calls(model, n, x)
+            band = spectrum_band(terms, length)
+            live = band_spectrum(terms, band, length)[0]
+            assert band.size <= 1.05 * live.size
 
     def test_claim_mix_peak_memory(self):
         exact_log_tail(CLAIM_MIX, 10**8, 0.3)
