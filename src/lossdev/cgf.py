@@ -12,13 +12,12 @@ kernel over grids of x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
 import numpy as np
 
-from .model import LossClass, PortfolioModel, Refused
+from .model import LossClass, PortfolioModel, Record, Refused
 
 # a tilt solve stops at |m(theta) - target| <= TILT_TOL times the
 # distance from the target to the nearer end of the range
@@ -27,18 +26,24 @@ MAX_ITER = 200
 GUARD_AFTER = 8  # evaluations of plain Newton before rtsafe's guard applies
 
 
-@dataclass(frozen=True)
-class CgfPoint:
+class CgfPoint(Record):
     """A CGF and its first two derivatives at ``lam``, and d1, the tilted
     mean, counted up from the bottom of the range and down from its top:
     arrays of the shape of ``lam``, or Python floats for a scalar ``lam``."""
 
-    lam: float
-    value: float
-    d1: float
-    d2: float
-    below: float
-    above: float
+    __slots__ = ("lam", "value", "d1", "d2", "below", "above")
+
+    def _values(self):
+        return self.lam, self.value, self.d1, self.d2, self.below, self.above
+
+    def __init__(self, lam: float, value: float, d1: float, d2: float, below: float,
+                 above: float):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "below", below)
+        object.__setattr__(self, "above", above)
 
 
 def shaped(shape, *arrays) -> list:

@@ -12,7 +12,6 @@ the full sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exact import exact_log_tail_rate
 from .legendre import rate_I1, rate_I2
@@ -24,6 +23,7 @@ from .model import (
     LossClass,
     MemoryBudgetError,
     PortfolioModel,
+    Record,
     Refused,
 )
 
@@ -58,23 +58,40 @@ def schedule_depth_end(rule: BlockSchedule, depth: int, cap: float = math.inf):
     return min(end, cap)
 
 
-@dataclass(frozen=True)
-class SubsequencePoint:
-    n: int
-    density_unit: float
-    log_rate: float
+class SubsequencePoint(Record):
+    """The density of the unit class and the exact log-tail rate at block end n."""
+
+    __slots__ = ("n", "density_unit", "log_rate")
+
+    def _values(self):
+        return self.n, self.density_unit, self.log_rate
+
+    def __init__(self, n: int, density_unit: float, log_rate: float):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "density_unit", density_unit)
+        object.__setattr__(self, "log_rate", log_rate)
 
 
-@dataclass(frozen=True)
-class SubsequenceReport:
+class SubsequenceReport(Record):
     """Exact log-tail rates along the block ends of one class."""
 
-    x: float
-    which: int  # 1 = unit-class ends, 2 = double-class ends
-    points: tuple[SubsequencePoint, ...]
-    target: float  # -I1(x) or -I2(x); -inf when the rate function is infinite
-    gap: float
-    partial: bool = False  # True if deeper points hit the memory budget
+    __slots__ = ("x", "which", "points", "target", "gap", "partial")
+
+    def _values(self):
+        return self.x, self.which, self.points, self.target, self.gap, self.partial
+
+    def __init__(self, x: float,
+                 which: int,  # 1 = unit-class ends, 2 = double-class ends
+                 points: tuple[SubsequencePoint, ...],
+                 target: float,  # -I1(x) or -I2(x); -inf when the rate function is infinite
+                 gap: float,
+                 partial: bool = False):  # True if deeper points hit the memory budget
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "which", which)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "partial", partial)
 
 
 def subsequence_rates(model: PortfolioModel, x: float, which: int,

@@ -159,12 +159,17 @@ def spectrum_band(terms: list[tuple[int, np.ndarray, list[float]]], length: int)
     of a multiple of length / d: the band takes those intervals for the d
     that leaves the fewest frequencies, and keeps of them those that the
     sine bound over the strong d leaves live.  The arrays of the whole
-    transform count against the memory budget, as ``lattice_pmf``
-    allocates them."""
-    # the whole transform's arrays, charged as 7 + 2 k doubles per
-    # frequency, k the most points of a class, and the inverse
-    check_budget((7 + 2 * max(len(s) for _, s, _ in terms)) * (length // 2 + 1) + length,
-                 "lattice arrays")
+    transform count against the memory budget, as ``band_spectrum``,
+    ``window_sum`` and ``lattice_pmf`` allocate them."""
+    # per frequency of the whole half spectrum, the most doubles alive at
+    # once: band_spectrum's sine table, a row per distinct |shift| and
+    # 2 |shift|, its four (classes x freq) arrays and eight rows besides
+    # (the frequencies, log modulus, phase, their live part and the
+    # fallback near spectral zeros); window_sum's rows and temporaries,
+    # and lattice_pmf's complex spectrum and inverse, fit in as many
+    columns = {a for _, shift, _ in terms for s in shift.tolist() if s
+               for a in (abs(s), 2 * abs(s))}
+    check_budget((len(columns) + 4 * len(terms) + 8) * (length // 2 + 1), "lattice arrays")
     half = length // 2
     if sum(nu * (1.0 - sum([p * p for p in law])) for nu, _, law in terms) \
             <= -2.0 * _LOG_UNDERFLOW:
@@ -247,6 +252,7 @@ def band_spectrum(terms: list[tuple[int, np.ndarray, list[float]]], freq: np.nda
     np.sin(sines, out=sines)
     im = np.dot(coef[1::2], sines)
     re = np.dot(coef[::2], np.square(sines, out=sines))
+    del sines  # freed before the (classes x freq) arrays below are made
     # log |z_c|^2 from |z_c|^2 - 1 is accurate near 1; below |z_c| of
     # about 1/2, log |z_c|^2 < -1.4, it is taken from |z_c| itself, as near
     # a spectral zero |z_c|^2 - 1 cancels to -1 and leaves sqrt(eps) of
@@ -262,7 +268,8 @@ def band_spectrum(terms: list[tuple[int, np.ndarray, list[float]]], freq: np.nda
             log_sq[near0] = 2.0 * np.log(np.hypot(1.0 + re[near0], im[near0]))
     nu = np.array([float(nu) for nu, _, _ in terms])
     log_mod = np.dot(0.5 * nu, log_sq)
-    phase = np.dot(nu, np.arctan2(im, 1.0 + re))
+    re += 1.0
+    phase = np.dot(nu, np.arctan2(im, re, out=im))
     live = log_mod > _LOG_UNDERFLOW
     if np.count_nonzero(live) == freq.size:
         return freq, log_mod, phase

@@ -10,19 +10,17 @@ Its grid solve, the rule of ``cgf.point_tilt`` run on arrays, serves
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import cgf
 from .cgf import envelope_cgf, shaped
-from .model import PortfolioModel, Refused
+from .model import PortfolioModel, Record, Refused
 
 MAX_LAMBDA = 1e9  # the solve refuses a lambda whose |lambda| times the scale of its end passes this
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(Record):
     """Legendre-transform solution at threshold x, each field in the
     shape of x (Python scalars for a scalar x).  status is 'interior'
     (lambda_star solves Lambda'(lam) = x), 'boundary' (x at the essential
@@ -30,10 +28,16 @@ class RatePoint:
     and the rate is the closed-form limit value), or 'infinite' (x
     outside the reachable range; rate = inf)."""
 
-    x: float
-    lambda_star: float
-    rate: float
-    status: str
+    __slots__ = ("x", "lambda_star", "rate", "status")
+
+    def _values(self):
+        return self.x, self.lambda_star, self.rate, self.status
+
+    def __init__(self, x: float, lambda_star: float, rate: float, status: str):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "lambda_star", lambda_star)
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "status", status)
 
 
 def _solve_mean_equation(classes, rows: np.ndarray, x: np.ndarray, x_min: float,

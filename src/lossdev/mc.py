@@ -36,14 +36,13 @@ in place with probability 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cgf import point_tilt
 from .exact import (IncommensurableSupportError, fft_length, lattice_pmf, lattice_steps,
                     window_radius)
-from .model import DEFAULT_SEED, PortfolioModel, Refused, check_budget, reaches
+from .model import DEFAULT_SEED, PortfolioModel, Record, Refused, check_budget, reaches
 
 # doubles per replicate held at once besides the widest class's draws:
 # the two groups' sums and, per side of the pair step, the first counted
@@ -56,26 +55,33 @@ class TiltingRangeError(Refused):
     undefined there.  Use plain sampling or the exact oracle."""
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(Record):
     """An estimate of P[M_n >= x] and its standard error, and both as
     natural logs, which stay finite where the probability underflows
     (-inf for an estimate <= 0, +inf for an infinite error)."""
 
-    estimate: float
-    std_error: float
-    n_samples: int
-    method: str  # 'plain' or 'tilted'
-    seed: int
-    lam: float
-    log_estimate: float
-    log_std_error: float
+    __slots__ = ("estimate", "std_error", "n_samples", "method", "seed", "lam",
+                 "log_estimate", "log_std_error")
 
-    def __post_init__(self):
+    def _values(self):
+        return (self.estimate, self.std_error, self.n_samples, self.method,
+                self.seed, self.lam, self.log_estimate, self.log_std_error)
+
+    def __init__(self, estimate: float, std_error: float, n_samples: int,
+                 method: str,  # 'plain' or 'tilted'
+                 seed: int, lam: float, log_estimate: float, log_std_error: float):
         # no range check: an unbiased importance-sampling estimate of a
         # probability near 1 or 0 may fall just outside [0, 1]
-        if not math.isfinite(self.estimate) or not self.std_error >= 0.0:
+        if not math.isfinite(estimate) or not std_error >= 0.0:
             raise ValueError("estimate must be finite and std error nonnegative")
+        object.__setattr__(self, "estimate", estimate)
+        object.__setattr__(self, "std_error", std_error)
+        object.__setattr__(self, "n_samples", n_samples)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "log_estimate", log_estimate)
+        object.__setattr__(self, "log_std_error", log_std_error)
 
 
 def _log(v: float) -> float:

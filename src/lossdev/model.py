@@ -16,6 +16,14 @@ the numerical layers call.  Sums of probabilities and weights run from
 left to right, as numpy sums fewer than 8 values; from 8 values on
 numpy sums pairwise, so such a class may renormalize 1 ulp apart from
 an array sum.
+
+The records (``LossClass``, ``PortfolioModel`` and the result types of
+the numerical layers) are plain classes on one read-only base,
+``Record``, not frozen dataclasses: importing ``dataclasses`` (with
+``inspect``) and running its decorators were about a third of the time
+``import lossdev`` and ``lossdev validate`` take.  ``Record`` gives what
+the decorator did: read-only fields, equality and hashing by field
+values, and the same ``repr``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
 
@@ -101,8 +108,47 @@ def _whole(v) -> bool:
     return math.isfinite(v) and v == int(v) and abs(v) <= MAX_COUNT
 
 
-@dataclass(frozen=True)
-class LossClass:
+class Record:
+    """A read-only record, as a frozen dataclass: its fields are its
+    ``__slots__``, set once in ``__init__`` by ``object.__setattr__``;
+    assigning or deleting one raises AttributeError.  Two records are
+    equal when they are of one class with equal fields, and hash by
+    those fields, the tuple each class's ``_values`` spells out: an
+    ``operator.attrgetter`` of the slots made ``hash`` and ``==`` a
+    third slower than the dataclass methods."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._values())
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle set the fields past __setattr__
+        return _restore, (self.__class__, self._values())
+
+
+def _restore(cls, values):
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+class LossClass(Record):
     """A bounded finite-support loss distribution for one contract type.
 
     Support values are centered losses (currency units).  Probabilities
@@ -113,28 +159,41 @@ class LossClass:
     subtracts the mean before building the class.
     """
 
-    name: str
-    support: tuple[float, ...]
-    probs: tuple[float, ...]
+    __slots__ = ("name", "support", "probs")
 
-    def __post_init__(self):
-        if len(self.support) != len(self.probs) or not self.support:
-            raise ModelError(f"class {self.name!r}: support/probs length mismatch or empty")
-        sup, pr = [float(v) for v in self.support], [float(p) for p in self.probs]
+    def _values(self):
+        return self.name, self.support, self.probs
+
+    # spelled out, a call less than Record's: cgf's kernel cache hashes
+    # and compares the classes on every call
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.name, self.support, self.probs)
+                    == (other.name, other.support, other.probs))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.support, self.probs))
+
+    def __init__(self, name: str, support: tuple[float, ...], probs: tuple[float, ...]):
+        object.__setattr__(self, "name", name)
+        if len(support) != len(probs) or not support:
+            raise ModelError(f"class {name!r}: support/probs length mismatch or empty")
+        sup, pr = [float(v) for v in support], [float(p) for p in probs]
         if not all(map(math.isfinite, sup + pr)):
-            raise ModelError(f"class {self.name!r}: support and probs must be finite")
+            raise ModelError(f"class {name!r}: support and probs must be finite")
         # before the sum, which overflows on probabilities near the
         # largest double
         if not all(0.0 <= p <= 1.0 for p in pr):
-            raise ModelError(f"class {self.name!r}: probability outside [0, 1]")
+            raise ModelError(f"class {name!r}: probability outside [0, 1]")
         kept = [(v, p) for v, p in zip(sup, pr) if p > 0.0]
         if not kept:
-            raise ModelError(f"class {self.name!r}: no support points with positive mass")
+            raise ModelError(f"class {name!r}: no support points with positive mass")
         if len({v for v, _ in kept}) != len(kept):
-            raise ModelError(f"class {self.name!r}: duplicate support values")
+            raise ModelError(f"class {name!r}: duplicate support values")
         s = _sum(p for _, p in kept)
         if abs(s - 1.0) > PROB_SUM_TOL:
-            raise ModelError(f"class {self.name!r}: probabilities sum to {s!r}, not 1")
+            raise ModelError(f"class {name!r}: probabilities sum to {s!r}, not 1")
         # the values are distinct, so the sort never compares probabilities
         kept.sort()
         object.__setattr__(self, "support", tuple(v for v, _ in kept))
@@ -143,10 +202,10 @@ class LossClass:
         # of the rounding of its largest value
         mean = self.mean
         if abs(mean) > CENTER_TOL * max(map(abs, self.support)):
-            raise ModelError(f"class {self.name!r}: mean {mean!r} is not 0 "
+            raise ModelError(f"class {name!r}: mean {mean!r} is not 0 "
                              '(a model file may set "center": true)')
         if len(kept) < 2:  # distinct points with positive mass have positive variance
-            raise ModelError(f"class {self.name!r}: zero variance")
+            raise ModelError(f"class {name!r}: zero variance")
 
     @property
     def mean(self) -> float:
@@ -166,25 +225,27 @@ class LossClass:
         return self.support[0]
 
 
-@dataclass(frozen=True)
-class AssumptionBounds:
+class AssumptionBounds(Record):
     """Uniform bound c0 on |X_k| and uniform variance floor c1."""
 
-    c0: float
-    c1: float
+    __slots__ = ("c0", "c1")
 
-    def __post_init__(self):
-        if not (0 < self.c0 < math.inf and 0 < self.c1 < math.inf):
+    def _values(self):
+        return self.c0, self.c1
+
+    def __init__(self, c0: float, c1: float):
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
+        if not (0 < c0 < math.inf and 0 < c1 < math.inf):
             raise ModelError("bounds c0 and c1 must be finite and strictly positive")
         # c0 up to about 1.41e146: variance sums and the kernel's squared spans stay finite
-        if not math.isfinite(MAX_COUNT * self.c0 * self.c0):
-            raise ModelError(f"c0 = {self.c0!r} is too large: 2**53 * c0^2 must be finite")
-        if self.c1 > self.c0 * self.c0:
+        if not math.isfinite(MAX_COUNT * c0 * c0):
+            raise ModelError(f"c0 = {c0!r} is too large: 2**53 * c0^2 must be finite")
+        if c1 > c0 * c0:
             raise ModelError("c1 > c0^2 is impossible for variables bounded by c0")
 
 
-@dataclass(frozen=True)
-class RoundRobin:
+class RoundRobin(Record):
     """Cyclic assignment: a cycle of L = sum(w) slots holds a run of w_i
     consecutive slots for class i, in class order, realizing densities
     w_i / L.  Only the run ends cumsum(w) are used, never the expanded
@@ -198,14 +259,17 @@ class RoundRobin:
     the ends of the nonzero runs hold every d(n) in their convex hull.
     """
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        if (not self.weights or not all(_whole(w) and w >= 0 for w in self.weights)
-                or sum(self.weights) == 0):
+    def _values(self):
+        return self.weights,
+
+    def __init__(self, weights: tuple[int, ...]):
+        if (not weights or not all(_whole(w) and w >= 0 for w in weights)
+                or sum(weights) == 0):
             raise ModelError("round-robin weights must be finite whole numbers >= 0 "
                              "with a positive sum")
-        object.__setattr__(self, "weights", tuple(map(int, self.weights)))
+        object.__setattr__(self, "weights", tuple(map(int, weights)))
 
     @property
     def n_classes(self) -> int:
@@ -227,8 +291,7 @@ class RoundRobin:
         return prefix / prefix.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class BlockSchedule:
+class BlockSchedule(Record):
     """Assignment in consecutive blocks cycling through ``order``.
 
     Block j has length a0 * growth**j.  With ``accelerating=True`` the
@@ -249,19 +312,21 @@ class BlockSchedule:
     So the first m block ends hold every d(n) in their hull.
     """
 
-    a0: int
-    growth: int
-    order: tuple[int, ...]
-    accelerating: bool = False
+    __slots__ = ("a0", "growth", "order", "accelerating")
 
-    def __post_init__(self):
-        if (not self.order or not all(map(_whole, (self.a0, self.growth, *self.order)))
-                or self.a0 < 1 or self.growth < 2 or min(self.order) < 0):
+    def _values(self):
+        return self.a0, self.growth, self.order, self.accelerating
+
+    def __init__(self, a0: int, growth: int, order: tuple[int, ...],
+                 accelerating: bool = False):
+        if (not order or not all(map(_whole, (a0, growth, *order)))
+                or a0 < 1 or growth < 2 or min(order) < 0):
             raise ModelError("block schedule needs whole numbers a0 >= 1, growth >= 2 "
                              "and a nonempty order of class indices >= 0")
-        object.__setattr__(self, "a0", int(self.a0))
-        object.__setattr__(self, "growth", int(self.growth))
-        object.__setattr__(self, "order", tuple(map(int, self.order)))
+        object.__setattr__(self, "a0", int(a0))
+        object.__setattr__(self, "growth", int(growth))
+        object.__setattr__(self, "order", tuple(map(int, order)))
+        object.__setattr__(self, "accelerating", accelerating)
 
     @property
     def n_classes(self) -> int:
@@ -313,28 +378,31 @@ class BlockSchedule:
 AssignmentRule = RoundRobin | BlockSchedule
 
 
-@dataclass(frozen=True)
-class PortfolioModel:
+class PortfolioModel(Record):
     """Loss classes plus either asymptotic class weights or an assignment rule."""
 
-    classes: tuple[LossClass, ...]
-    weights: tuple[float, ...] | None = None
-    rule: AssignmentRule | None = None
+    __slots__ = ("classes", "weights", "rule")
 
-    def __post_init__(self):
-        if (self.weights is None) == (self.rule is None):
+    def _values(self):
+        return self.classes, self.weights, self.rule
+
+    def __init__(self, classes: tuple[LossClass, ...], weights: tuple[float, ...] | None = None,
+                 rule: AssignmentRule | None = None):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "rule", rule)
+        if (weights is None) == (rule is None):
             raise ModelError("exactly one of weights / rule must be given")
-        if self.weights is not None:
-            if len(self.weights) != len(self.classes):
+        if weights is not None:
+            if len(weights) != len(classes):
                 raise ModelError("one weight per class required")
-            w = [float(v) for v in self.weights]
+            w = [float(v) for v in weights]
             total = _sum(w)
             if not all(0.0 <= v < math.inf for v in w) or abs(total - 1.0) > PROB_SUM_TOL:
                 raise ModelError("weights must be finite, nonnegative and sum to 1")
-            object.__setattr__(self, "weights", tuple(v / total for v in w))
-        else:
-            if self.rule.n_classes > len(self.classes):
-                raise ModelError("assignment rule refers to a class index out of range")
+            weights = tuple(v / total for v in w)
+        elif rule.n_classes > len(classes):
+            raise ModelError("assignment rule refers to a class index out of range")
+        object.__setattr__(self, "weights", weights)
 
     @property
     def is_weighted(self) -> bool:
@@ -396,12 +464,20 @@ def check_assumptions(model: PortfolioModel, bounds: AssumptionBounds) -> None:
                              f"variance {cls.variance!r} < c1 = {bounds.c1!r}")
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    n: np.ndarray
-    density: np.ndarray  # nu_1(n) / n, class index 0
-    running_min: float
-    running_max: float
+class DensityProfile(Record):
+    """The density nu_1(n) / n of class index 0 at each n, and its extremes."""
+
+    __slots__ = ("n", "density", "running_min", "running_max")
+
+    def _values(self):
+        return self.n, self.density, self.running_min, self.running_max
+
+    def __init__(self, n: np.ndarray, density: np.ndarray, running_min: float,
+                 running_max: float):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "running_min", running_min)
+        object.__setattr__(self, "running_max", running_max)
 
 
 def density_profile(rule: AssignmentRule, n_max: int) -> DensityProfile:
@@ -480,6 +556,14 @@ def loads_model(data: str | bytes) -> tuple[PortfolioModel, AssumptionBounds]:
 
     def numbers(d, key, where):
         values = need(d, key, where, list)
+        try:
+            out = tuple(map(float, values))
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if all(map(math.isfinite, out)):
+                return out
+        # a value float refuses, or one that is not finite: name the first
         return tuple(number(v, f"{where}.{key}[{i}]") for i, v in enumerate(values))
 
     b = need(doc, "bounds", "document")

@@ -13,9 +13,8 @@ and, for alpha < 1/6, outgrows the scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import AssumptionBounds, PortfolioModel, Refused, check_size
+from .model import AssumptionBounds, PortfolioModel, Record, Refused, check_size
 
 
 class CltRegimeError(Refused):
@@ -23,20 +22,23 @@ class CltRegimeError(Refused):
     in the central-limit regime, outside the validity of the estimate."""
 
 
-@dataclass(frozen=True)
-class MdQuery:
+class MdQuery(Record):
     """Threshold scale c, exponent alpha in (0, 1/2), and portfolio size n."""
 
-    c: float
-    alpha: float
-    n: int
+    __slots__ = ("c", "alpha", "n")
 
-    def __post_init__(self):
-        if not self.c > 0:
+    def _values(self):
+        return self.c, self.alpha, self.n
+
+    def __init__(self, c: float, alpha: float, n: int):
+        if not c > 0:
             raise ValueError("c must be positive")
-        if not 0.0 < self.alpha < 0.5:
+        if not 0.0 < alpha < 0.5:
             raise ValueError("alpha must lie in (0, 1/2)")
-        check_size(self.n)
+        check_size(n)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "n", n)
 
     @property
     def y(self) -> float:
@@ -49,14 +51,19 @@ def variance_sum(model: PortfolioModel, n: int) -> float:
     return float(sum(nu * cls.variance for cls, nu in zip(model.classes, counts)))
 
 
-@dataclass(frozen=True)
-class MdThresholds:
+class MdThresholds(Record):
     """Moderate-deviation thresholds: the exact B_n scaling and the
     cruder c0/c1 sandwich (lower <= exact <= upper for valid models)."""
 
-    exact: float
-    upper: float
-    lower: float
+    __slots__ = ("exact", "upper", "lower")
+
+    def _values(self):
+        return self.exact, self.upper, self.lower
+
+    def __init__(self, exact: float, upper: float, lower: float):
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
 
 
 def md_threshold(q: MdQuery, model: PortfolioModel,
@@ -68,15 +75,21 @@ def md_threshold(q: MdQuery, model: PortfolioModel,
     return MdThresholds(exact, upper, lower)
 
 
-@dataclass(frozen=True)
-class MdPrediction:
+class MdPrediction(Record):
     """Leading-order -log P prediction, with the scale of the first
     neglected series term kept separate.  correction_scale is a scale,
     not a bound: it leaves out that term's third-cumulant factor and the
     Gaussian prefactor log(y sqrt(2 pi))."""
 
-    leading: float            # (1/2) c^2 n^(2 alpha)
-    correction_scale: float   # n^(3 alpha - 1/2), a scale, not a bound
+    __slots__ = ("leading", "correction_scale")
+
+    def _values(self):
+        return self.leading, self.correction_scale
+
+    def __init__(self, leading: float,  # (1/2) c^2 n^(2 alpha)
+                 correction_scale: float):  # n^(3 alpha - 1/2), a scale, not a bound
+        object.__setattr__(self, "leading", leading)
+        object.__setattr__(self, "correction_scale", correction_scale)
 
 
 def md_log_prob_prediction(q: MdQuery) -> MdPrediction:

@@ -405,8 +405,8 @@ class TestExitCodes:
                 "--samples", "3750"]
         monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "190000")
         assert dispatch(argv) == 3
-        assert capsys.readouterr().err.startswith("error: lattice arrays of 24386 doubles")
-        monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "200000")
+        assert capsys.readouterr().err.startswith("error: lattice arrays of 26264 doubles")
+        monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "220000")
         assert dispatch(argv) == 0
 
     def test_memory_budget_not_a_whole_number(self, unit_model_file, monkeypatch, capsys):

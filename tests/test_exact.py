@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from lossdev import (
     sample_tilted,
 )
 from lossdev.cgf import mixture_cgf, point_tilt
+import lossdev.exact as exact_module
 from lossdev.exact import (WINDOW_EPS, band_spectrum, fft_length, latticize, lattice_steps,
                            spectrum_band, window_radius, window_sum)
 from lossdev.legendre import transform_from_weights
@@ -387,6 +389,36 @@ class TestSumLattice:
         assert math.gcd(*np.flatnonzero(np.isfinite(logp)).tolist()) == 1
         TestFftAgainstDirect._check_levels(
             model, n, [(offset + k * g) / n for k in np.arange(1, 2 * len(logp) - 2) / 2])
+
+
+CLAIM_MIX = loads_model((Path(__file__).resolve().parents[1] / "demos"
+                         / "claim_mix.json").read_bytes())[0]
+
+
+@pytest.mark.parametrize(("model", "n", "x"), [
+    (CLAIM_MIX, 1000, 0.3), (CLAIM_MIX, 1000, -0.1),
+    (random_lattice_model(np.random.default_rng(4), 3)[0], 3000, 0.5),
+    (random_lattice_model(np.random.default_rng(4), 3)[0], 3000, -0.5),
+], ids=["claim mix above the mean", "claim mix below the mean", "3 classes above",
+        "3 classes below"])
+def test_memory_charge_covers_the_peak(monkeypatch, model, n, x):
+    """The doubles ``spectrum_band`` charges against the budget hold
+    tracemalloc's peak inside ``exact_log_tail``, after a first call that
+    warms numpy's caches."""
+    charged = []
+
+    def charge(n_doubles, what):
+        charged.append(n_doubles)
+
+    monkeypatch.setattr(exact_module, "check_budget", charge)
+    exact_log_tail(model, n, x)
+    tracemalloc.start()
+    try:
+        exact_log_tail(model, n, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 2 and peak <= 8 * charged[-1], (peak / 8, charged)
 
 
 def test_budget_holds_the_window_on_the_sum_lattice(monkeypatch, rr_mix):

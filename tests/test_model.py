@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -414,6 +415,45 @@ class TestNonFiniteRejected:
         doc["classes"][0]["support"] = [-1, "one"]
         with pytest.raises(ModelError, match=r"classes\[0\]\.support\[1\] is not a number"):
             loads_model(json.dumps(doc))
+
+
+# one malformed number at each location loads_model reads numbers from,
+# written into the document as the placeholder "@"
+def _blocks(**fields):
+    return lambda doc: doc.update(regime={"assigned": {"blocks": {
+        "a0": 1, "growth": 10, "order": [0, 1], **fields}}})
+
+
+MALFORMED_AT = {
+    "bounds.c0": lambda doc: doc["bounds"].update(c0="@"),
+    "classes[1].support[1]": lambda doc: doc["classes"][1].update(support=[-2, "@"]),
+    "classes[1].probs[1]": lambda doc: doc["classes"][1].update(probs=[0.5, "@"]),
+    "regime.weighted.weights[1]": lambda doc: doc["regime"]["weighted"].update(
+        weights=[0.5, "@"]),
+    "round_robin.weights[1]": lambda doc: doc.update(
+        regime={"assigned": {"round_robin": {"weights": [1, "@"]}}}),
+    "blocks.a0": _blocks(a0="@"),
+    "blocks.growth": _blocks(growth="@"),
+    "blocks.order[1]": _blocks(order=[0, "@"]),
+}
+# (JSON text of the value, what the message says of it)
+MALFORMED = {"string": ('"x"', "is not a number: 'x'"), "nan": ("NaN", "is not finite: nan"),
+             "infinity": ("Infinity", "is not finite: inf"),
+             "overflow": ("1e400", "is not finite: inf")}
+
+
+@pytest.mark.parametrize("value", sorted(MALFORMED))
+@pytest.mark.parametrize("where", sorted(MALFORMED_AT))
+def test_malformed_number_message(where, value):
+    """The message names the field and the value, byte for byte, wherever
+    the number sits: loads_model converts a list whole and looks at each
+    item only when that fails."""
+    doc = copy.deepcopy(VALID_DOC)
+    MALFORMED_AT[where](doc)
+    text, said = MALFORMED[value]
+    with pytest.raises(ModelError) as err:
+        loads_model(json.dumps(doc).replace('"@"', text))
+    assert str(err.value) == f"{where} {said}"
 
 
 class TestNonFiniteConstructors:
