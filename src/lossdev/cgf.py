@@ -33,18 +33,6 @@ class CgfPoint(Record):
 
     __slots__ = ("lam", "value", "d1", "d2", "below", "above")
 
-    def _values(self):
-        return self.lam, self.value, self.d1, self.d2, self.below, self.above
-
-    def __init__(self, lam: float, value: float, d1: float, d2: float, below: float,
-                 above: float):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "below", below)
-        object.__setattr__(self, "above", above)
-
 
 def shaped(shape, *arrays) -> list:
     """The arrays reshaped to ``shape``; Python scalars when it is ()."""

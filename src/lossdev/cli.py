@@ -168,7 +168,8 @@ def _cmd_counterexample(args) -> int:
     emit_curve(rows, ["section", "n", "density_class1", "log_rate"], sys.stdout)
     print(f"summary,target1={_fmt(r1.target)},gap1={_fmt(r1.gap)},"
           f"target2={_fmt(r2.target)},gap2={_fmt(r2.gap)},"
-          f"rate_separation={_fmt(abs(r1.points[-1].log_rate - r2.points[-1].log_rate))}")
+          f"rate_separation={_fmt(abs(r1.points[-1].log_rate - r2.points[-1].log_rate))},"
+          f"partial1={_fmt(r1.partial)},partial2={_fmt(r2.partial)}")
     return 0
 
 

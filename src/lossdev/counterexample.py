@@ -38,9 +38,9 @@ def build_counterexample(growth: int = 10, depth: int = 6,
     lengths a0 * growth**(j(j+1)/2), so each block dwarfs everything
     before it and the class densities approach 0 and 1.
 
-    ``depth`` is the number of blocks laid out before the schedule
-    repeats its growth law indefinitely (the rule itself is infinite;
-    depth only bounds which block ends the reports inspect).
+    The rule itself is infinite: ``depth`` is only checked to be at
+    least 1 here, and the CLI stops its reports at the end of the first
+    ``depth`` blocks through ``schedule_depth_end``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -63,35 +63,19 @@ class SubsequencePoint(Record):
 
     __slots__ = ("n", "density_unit", "log_rate")
 
-    def _values(self):
-        return self.n, self.density_unit, self.log_rate
-
-    def __init__(self, n: int, density_unit: float, log_rate: float):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "density_unit", density_unit)
-        object.__setattr__(self, "log_rate", log_rate)
-
 
 class SubsequenceReport(Record):
-    """Exact log-tail rates along the block ends of one class."""
+    """Exact log-tail rates along the block ends of one class: ``which``
+    is 1 for the unit-class ends, 2 for the double-class ends, and
+    ``target`` is -I1(x) or -I2(x), -inf where the rate function is
+    infinite.  ``partial`` is True when deeper block ends were left out,
+    past 2**53 or over the memory budget."""
 
     __slots__ = ("x", "which", "points", "target", "gap", "partial")
 
-    def _values(self):
-        return self.x, self.which, self.points, self.target, self.gap, self.partial
-
-    def __init__(self, x: float,
-                 which: int,  # 1 = unit-class ends, 2 = double-class ends
-                 points: tuple[SubsequencePoint, ...],
-                 target: float,  # -I1(x) or -I2(x); -inf when the rate function is infinite
-                 gap: float,
-                 partial: bool = False):  # True if deeper points hit the memory budget
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "which", which)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "gap", gap)
-        object.__setattr__(self, "partial", partial)
+    def __init__(self, x: float, which: int, points: tuple[SubsequencePoint, ...],
+                 target: float, gap: float, partial: bool = False):
+        super().__init__(x, which, points, target, gap, partial)
 
 
 def subsequence_rates(model: PortfolioModel, x: float, which: int,

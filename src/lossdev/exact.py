@@ -393,6 +393,8 @@ def _tilted_fft_log_tail(live: list[tuple[LossClass, int]], steps: list[np.ndarr
     # test keeps that quotient finite
     if abs(theta) * count > _LOG_EPS:
         count = min(count, math.ceil(_LOG_EPS / abs(theta)) + 1)
+    # no FFT runs here, so the rounding up is not for speed: the length
+    # fixes band_spectrum's frequencies, and with them the round-off
     length = fft_length(min(size, r + count + 1))
     terms = [(nu, s, law) for (_, nu), s, law in zip(live, steps, laws)]
     spectrum = band_spectrum(terms, spectrum_band(terms, length), length)

@@ -30,15 +30,6 @@ class RatePoint(Record):
 
     __slots__ = ("x", "lambda_star", "rate", "status")
 
-    def _values(self):
-        return self.x, self.lambda_star, self.rate, self.status
-
-    def __init__(self, x: float, lambda_star: float, rate: float, status: str):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "lambda_star", lambda_star)
-        object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "status", status)
-
 
 def _solve_mean_equation(classes, rows: np.ndarray, x: np.ndarray, x_min: float,
                          x_max: float, scales: tuple[float, float]

@@ -58,30 +58,20 @@ class TiltingRangeError(Refused):
 class TailEstimate(Record):
     """An estimate of P[M_n >= x] and its standard error, and both as
     natural logs, which stay finite where the probability underflows
-    (-inf for an estimate <= 0, +inf for an infinite error)."""
+    (-inf for an estimate <= 0, +inf for an infinite error).  ``method``
+    is 'plain' or 'tilted'."""
 
     __slots__ = ("estimate", "std_error", "n_samples", "method", "seed", "lam",
                  "log_estimate", "log_std_error")
 
-    def _values(self):
-        return (self.estimate, self.std_error, self.n_samples, self.method,
-                self.seed, self.lam, self.log_estimate, self.log_std_error)
-
-    def __init__(self, estimate: float, std_error: float, n_samples: int,
-                 method: str,  # 'plain' or 'tilted'
+    def __init__(self, estimate: float, std_error: float, n_samples: int, method: str,
                  seed: int, lam: float, log_estimate: float, log_std_error: float):
         # no range check: an unbiased importance-sampling estimate of a
         # probability near 1 or 0 may fall just outside [0, 1]
         if not math.isfinite(estimate) or not std_error >= 0.0:
             raise ValueError("estimate must be finite and std error nonnegative")
-        object.__setattr__(self, "estimate", estimate)
-        object.__setattr__(self, "std_error", std_error)
-        object.__setattr__(self, "n_samples", n_samples)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "log_estimate", log_estimate)
-        object.__setattr__(self, "log_std_error", log_std_error)
+        super().__init__(estimate, std_error, n_samples, method, seed, lam,
+                         log_estimate, log_std_error)
 
 
 def _log(v: float) -> float:

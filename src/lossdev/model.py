@@ -18,12 +18,15 @@ numpy sums pairwise, so such a class may renormalize 1 ulp apart from
 an array sum.
 
 The records (``LossClass``, ``PortfolioModel`` and the result types of
-the numerical layers) are plain classes on one read-only base,
-``Record``, not frozen dataclasses: importing ``dataclasses`` (with
-``inspect``) and running its decorators were about a third of the time
-``import lossdev`` and ``lossdev validate`` take.  ``Record`` gives what
-the decorator did: read-only fields, equality and hashing by field
-values, and the same ``repr``.
+the numerical layers) are classes on one read-only base, ``Record``, not
+frozen dataclasses: importing ``dataclasses`` (with ``inspect``) and
+running its decorators were about a third of the time ``import
+lossdev`` and ``lossdev validate`` take.  A record declares its fields
+once, as ``__slots__``: ``Record`` sets them from positional values and
+gives what the decorator did, read-only fields, equality and hashing by
+field values, and the same ``repr``.  A record that validates or
+normalizes its fields does so in its own ``__init__`` and ends it with
+``super().__init__``.
 """
 
 from __future__ import annotations
@@ -110,14 +113,23 @@ def _whole(v) -> bool:
 
 class Record:
     """A read-only record, as a frozen dataclass: its fields are its
-    ``__slots__``, set once in ``__init__`` by ``object.__setattr__``;
-    assigning or deleting one raises AttributeError.  Two records are
-    equal when they are of one class with equal fields, and hash by
-    those fields, the tuple each class's ``_values`` spells out: an
-    ``operator.attrgetter`` of the slots made ``hash`` and ``==`` a
-    third slower than the dataclass methods."""
+    class's ``__slots__``, set once, in order, from the positional values
+    ``__init__`` takes; assigning or deleting one raises AttributeError.
+    Two records are equal when they are of one class with equal fields,
+    and hash by those fields, the tuple ``_values`` reads."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{self.__class__.__qualname__}() takes "
+                            f"{len(self.__slots__)} fields {self.__slots__}, "
+                            f"got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -142,9 +154,9 @@ class Record:
 
 
 def _restore(cls, values):
+    # past the class's own __init__: LossClass would normalize again
     record = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(record, name, value)
+    Record.__init__(record, *values)
     return record
 
 
@@ -161,11 +173,9 @@ class LossClass(Record):
 
     __slots__ = ("name", "support", "probs")
 
-    def _values(self):
-        return self.name, self.support, self.probs
-
-    # spelled out, a call less than Record's: cgf's kernel cache hashes
-    # and compares the classes on every call
+    # spelled out, a third of the time of Record's, which reads the
+    # slots by name: cgf's kernel cache hashes and compares the classes
+    # on every call
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return ((self.name, self.support, self.probs)
@@ -176,7 +186,6 @@ class LossClass(Record):
         return hash((self.name, self.support, self.probs))
 
     def __init__(self, name: str, support: tuple[float, ...], probs: tuple[float, ...]):
-        object.__setattr__(self, "name", name)
         if len(support) != len(probs) or not support:
             raise ModelError(f"class {name!r}: support/probs length mismatch or empty")
         sup, pr = [float(v) for v in support], [float(p) for p in probs]
@@ -196,8 +205,7 @@ class LossClass(Record):
             raise ModelError(f"class {name!r}: probabilities sum to {s!r}, not 1")
         # the values are distinct, so the sort never compares probabilities
         kept.sort()
-        object.__setattr__(self, "support", tuple(v for v, _ in kept))
-        object.__setattr__(self, "probs", tuple(p / s for _, p in kept))
+        super().__init__(name, tuple(v for v, _ in kept), tuple(p / s for _, p in kept))
         # relative to the support: centering leaves a mean of the order
         # of the rounding of its largest value
         mean = self.mean
@@ -230,12 +238,7 @@ class AssumptionBounds(Record):
 
     __slots__ = ("c0", "c1")
 
-    def _values(self):
-        return self.c0, self.c1
-
     def __init__(self, c0: float, c1: float):
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
         if not (0 < c0 < math.inf and 0 < c1 < math.inf):
             raise ModelError("bounds c0 and c1 must be finite and strictly positive")
         # c0 up to about 1.41e146: variance sums and the kernel's squared spans stay finite
@@ -243,6 +246,7 @@ class AssumptionBounds(Record):
             raise ModelError(f"c0 = {c0!r} is too large: 2**53 * c0^2 must be finite")
         if c1 > c0 * c0:
             raise ModelError("c1 > c0^2 is impossible for variables bounded by c0")
+        super().__init__(c0, c1)
 
 
 class RoundRobin(Record):
@@ -261,15 +265,12 @@ class RoundRobin(Record):
 
     __slots__ = ("weights",)
 
-    def _values(self):
-        return self.weights,
-
     def __init__(self, weights: tuple[int, ...]):
         if (not weights or not all(_whole(w) and w >= 0 for w in weights)
                 or sum(weights) == 0):
             raise ModelError("round-robin weights must be finite whole numbers >= 0 "
                              "with a positive sum")
-        object.__setattr__(self, "weights", tuple(map(int, weights)))
+        super().__init__(tuple(map(int, weights)))
 
     @property
     def n_classes(self) -> int:
@@ -314,19 +315,13 @@ class BlockSchedule(Record):
 
     __slots__ = ("a0", "growth", "order", "accelerating")
 
-    def _values(self):
-        return self.a0, self.growth, self.order, self.accelerating
-
     def __init__(self, a0: int, growth: int, order: tuple[int, ...],
                  accelerating: bool = False):
         if (not order or not all(map(_whole, (a0, growth, *order)))
                 or a0 < 1 or growth < 2 or min(order) < 0):
             raise ModelError("block schedule needs whole numbers a0 >= 1, growth >= 2 "
                              "and a nonempty order of class indices >= 0")
-        object.__setattr__(self, "a0", int(a0))
-        object.__setattr__(self, "growth", int(growth))
-        object.__setattr__(self, "order", tuple(map(int, order)))
-        object.__setattr__(self, "accelerating", accelerating)
+        super().__init__(int(a0), int(growth), tuple(map(int, order)), accelerating)
 
     @property
     def n_classes(self) -> int:
@@ -383,13 +378,8 @@ class PortfolioModel(Record):
 
     __slots__ = ("classes", "weights", "rule")
 
-    def _values(self):
-        return self.classes, self.weights, self.rule
-
     def __init__(self, classes: tuple[LossClass, ...], weights: tuple[float, ...] | None = None,
                  rule: AssignmentRule | None = None):
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "rule", rule)
         if (weights is None) == (rule is None):
             raise ModelError("exactly one of weights / rule must be given")
         if weights is not None:
@@ -402,7 +392,7 @@ class PortfolioModel(Record):
             weights = tuple(v / total for v in w)
         elif rule.n_classes > len(classes):
             raise ModelError("assignment rule refers to a class index out of range")
-        object.__setattr__(self, "weights", weights)
+        super().__init__(classes, weights, rule)
 
     @property
     def is_weighted(self) -> bool:
@@ -468,16 +458,6 @@ class DensityProfile(Record):
     """The density nu_1(n) / n of class index 0 at each n, and its extremes."""
 
     __slots__ = ("n", "density", "running_min", "running_max")
-
-    def _values(self):
-        return self.n, self.density, self.running_min, self.running_max
-
-    def __init__(self, n: np.ndarray, density: np.ndarray, running_min: float,
-                 running_max: float):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "running_min", running_min)
-        object.__setattr__(self, "running_max", running_max)
 
 
 def density_profile(rule: AssignmentRule, n_max: int) -> DensityProfile:

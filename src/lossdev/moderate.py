@@ -27,18 +27,13 @@ class MdQuery(Record):
 
     __slots__ = ("c", "alpha", "n")
 
-    def _values(self):
-        return self.c, self.alpha, self.n
-
     def __init__(self, c: float, alpha: float, n: int):
         if not c > 0:
             raise ValueError("c must be positive")
         if not 0.0 < alpha < 0.5:
             raise ValueError("alpha must lie in (0, 1/2)")
         check_size(n)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "n", n)
+        super().__init__(c, alpha, n)
 
     @property
     def y(self) -> float:
@@ -57,14 +52,6 @@ class MdThresholds(Record):
 
     __slots__ = ("exact", "upper", "lower")
 
-    def _values(self):
-        return self.exact, self.upper, self.lower
-
-    def __init__(self, exact: float, upper: float, lower: float):
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-
 
 def md_threshold(q: MdQuery, model: PortfolioModel,
                  bounds: AssumptionBounds) -> MdThresholds:
@@ -76,20 +63,13 @@ def md_threshold(q: MdQuery, model: PortfolioModel,
 
 
 class MdPrediction(Record):
-    """Leading-order -log P prediction, with the scale of the first
-    neglected series term kept separate.  correction_scale is a scale,
+    """Leading-order -log P prediction, leading = (1/2) c^2 n^(2 alpha),
+    with the scale of the first neglected series term kept separate,
+    correction_scale = n^(3 alpha - 1/2).  correction_scale is a scale,
     not a bound: it leaves out that term's third-cumulant factor and the
     Gaussian prefactor log(y sqrt(2 pi))."""
 
     __slots__ = ("leading", "correction_scale")
-
-    def _values(self):
-        return self.leading, self.correction_scale
-
-    def __init__(self, leading: float,  # (1/2) c^2 n^(2 alpha)
-                 correction_scale: float):  # n^(3 alpha - 1/2), a scale, not a bound
-        object.__setattr__(self, "leading", leading)
-        object.__setattr__(self, "correction_scale", correction_scale)
 
 
 def md_log_prob_prediction(q: MdQuery) -> MdPrediction:

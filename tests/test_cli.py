@@ -199,6 +199,7 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "section,n,density_class1,log_rate"
         assert "rate_separation=" in out.splitlines()[-1]
+        assert out.splitlines()[-1].endswith(",partial1=False,partial2=False")
 
     def test_bound_positive(self, tmp_path, capsys):
         doc = {"bounds": {"c0": 2, "c1": 1},
@@ -426,6 +427,13 @@ class TestExitCodes:
         rows = capsys.readouterr().out.splitlines()
         assert "class2_ends,1048577," in "\n".join(rows)
         assert rows[-1].startswith("summary,")
+        assert rows[-1].endswith(",partial1=True,partial2=False")
+        # at growth 10 the class-2 end 1000010001001011 is below 2**53:
+        # the summary says whether the memory budget left it out
+        assert dispatch(["counterexample", "--max-n", str(2**53)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        left_out = "class2_ends,1000010001001011," not in "\n".join(rows)
+        assert rows[-1].endswith(f",partial1=False,partial2={left_out}")
 
 
 def test_c0_just_under_the_cap_runs_clean(tmp_path, capsys):

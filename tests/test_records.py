@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import lossdev
 from lossdev import cgf, loads_model
 from lossdev.cgf import CgfPoint
 from lossdev.counterexample import SubsequencePoint, SubsequenceReport
 from lossdev.legendre import RatePoint
 from lossdev.mc import TailEstimate
 from lossdev.model import (AssumptionBounds, BlockSchedule, DensityProfile, LossClass,
-                           PortfolioModel, RoundRobin)
+                           PortfolioModel, Record, RoundRobin)
 from lossdev.moderate import MdPrediction, MdQuery, MdThresholds
 
 CLAIM_MIX = Path(__file__).resolve().parents[1] / "demos" / "claim_mix.json"
@@ -37,6 +38,22 @@ RECORDS = [
     (MdPrediction, (11.25, 0.56)),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
+# the records that take their fields as they are, by Record.__init__
+PLAIN = [(cls, args) for cls, args in RECORDS if cls.__init__ is Record.__init__]
+
+
+def test_every_record_class_is_in_the_table():
+    for name in lossdev.__all__:  # executes every lazy layer
+        getattr(lossdev, name)
+    defined = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("lossdev.")}
+    assert defined == {cls for cls, _ in RECORDS}
+
+
+@pytest.mark.parametrize(("cls", "args"), PLAIN, ids=[cls.__name__ for cls, _ in PLAIN])
+def test_wrong_field_count_is_a_type_error(cls, args):
+    for wrong in (args[:-1], (*args, None)):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\) takes {len(args)} fields"):
+            cls(*wrong)
 
 
 @pytest.mark.parametrize(("cls", "args"), RECORDS, ids=IDS)
