@@ -65,6 +65,19 @@ def check_lambda(classes, lam) -> None:
         raise Refused(f"lambda times {reach!r} (a class span) overflows")
 
 
+def kernel_doubles(classes, rows: int = 1) -> int:
+    """The most doubles per lambda that ``envelope_cgf`` of ``rows``
+    weight rows, or ``mixture_cgf`` of one, holds at once, by the arrays
+    they make: three (support x classes) arrays (the exponents, their
+    weights and one product of the two), fourteen class rows (the shifted
+    maximum, the weight sum, the mean, the variance, the five per-class
+    fields and their weighted product), and per weight row its five
+    fields and the envelope's binding value and two shifted ends, the
+    envelope's argmax and its five fields besides."""
+    width = max(len(cls.support) for cls in classes)
+    return 3 * width * len(classes) + 14 * len(classes) + 8 * rows + 6
+
+
 def mixture_cgf(classes, weights, lam) -> CgfPoint:
     """Weighted mixture CGF sum_i w_i log phi_i(lam) and its derivatives
     at every lambda of ``lam``: per class the shifted log-sum of

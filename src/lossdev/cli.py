@@ -7,11 +7,13 @@ JSON true or false, a c0 above about 1.4e146), 2 usage error (bad
 arguments such as a negative ``--seed``, or a model path that is
 missing, a directory or unreadable), 3 computation
 refused (any ``model.Refused``: threshold outside the tilting range,
-query in the CLT regime, arrays over the memory budget, a
+query in the CLT regime, arrays or grids over the memory budget, a
 ``$LOSSDEV_MEMORY_BUDGET`` that is not a whole number, solver failure,
 an exact tail whose window sum the spectrum's round-off outweighs,
 support gaps without a common step, n outside [1, 2**53], a ``cgf``
-lambda grid whose product with a class span overflows, a weighted-model
+lambda grid whose product with a class span overflows, a ``rate`` or
+``bound`` x range wider than the largest double, an ``mdp`` prediction
+(1/2) c^2 n^(2 alpha) past the largest double, a weighted-model
 query such as ``rate`` on an assigned model, or a ``counterexample``
 with no block end at or below ``--max-n``).  Errors print one ``error:`` line on stderr, not a
 traceback.
@@ -41,7 +43,8 @@ import sys
 import time
 
 from . import __version__, cgf, counterexample, exact, legendre, mc, moderate
-from .model import DEFAULT_MAX_N, DEFAULT_SEED, MAX_COUNT, ModelError, Refused, loads_model
+from .model import (DEFAULT_MAX_N, DEFAULT_SEED, MAX_COUNT, ModelError, Refused,
+                    check_budget, loads_model)
 
 # exit code of each exception a subcommand may end with; 2 is also the
 # code argparse gives a usage error
@@ -94,10 +97,24 @@ def _cmd_validate(args, model, bounds) -> int:
     return 0
 
 
-def _cmd_cgf(args, model, bounds) -> int:
+def _grid(lo: float, hi: float, points: int, per_point: int):
+    """``np.linspace(lo, hi, points)``, refused where its width overflows
+    or where ``per_point`` doubles for each of its points, its own
+    included, exceed the memory budget."""
     import numpy as np
+    if not math.isfinite(hi - lo):
+        raise Refused(f"the grid from {lo!r} to {hi!r} is wider than the largest double")
+    check_budget(points * per_point, "grid arrays")
+    # of the products i (hi - lo) / (points - 1) only the last may round
+    # past the largest double, and linspace then sets that point to hi
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, points)
+
+
+def _cmd_cgf(args, model, bounds) -> int:
     cgf.check_lambda(model.classes, (args.lambda_min, args.lambda_max))
-    grid = np.linspace(args.lambda_min, args.lambda_max, args.points)
+    grid = _grid(args.lambda_min, args.lambda_max, args.points,
+                 1 + cgf.kernel_doubles(model.classes))
     p = (cgf.limit_cgf(model, grid) if model.is_weighted
          else cgf.empirical_cgf(model, args.n, grid))
     emit_curve(zip(*(v.tolist() for v in (p.lam, p.value, p.d1, p.d2))),
@@ -105,22 +122,25 @@ def _cmd_cgf(args, model, bounds) -> int:
     return 0
 
 
-def _x_grid(args):
+def _x_grid(args, model, rows: int):
+    """The x of ``rate`` or ``bound``, charged for the solve on ``rows``
+    weight rows."""
     import numpy as np
     if args.x is not None:
         return np.array([args.x])
-    return np.linspace(args.x_min, args.x_max, args.points)
+    return _grid(args.x_min, args.x_max, args.points,
+                 1 + legendre.SOLVE_DOUBLES + cgf.kernel_doubles(model.classes, rows))
 
 
 def _cmd_rate(args, model, bounds) -> int:
-    rp = legendre.legendre_transform(model, _x_grid(args))
+    rp = legendre.legendre_transform(model, _x_grid(args, model, 1))
     emit_curve(zip(*(v.tolist() for v in (rp.x, rp.lambda_star, rp.rate, rp.status))),
                ["x", "lambda_star", "rate", "status"], sys.stdout)
     return 0
 
 
 def _cmd_bound(args, model, bounds) -> int:
-    xs = _x_grid(args)
+    xs = _x_grid(args, model, len(model.density_extremes()))
     bound = legendre.rate_upper_bound(model, xs)
     emit_curve(zip(xs.tolist(), bound.tolist()), ["x", "decay_rate_lower_bound"], sys.stdout)
     return 0

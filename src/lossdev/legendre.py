@@ -18,6 +18,15 @@ from .cgf import envelope_cgf, shaped
 from .model import PortfolioModel, Record, Refused
 
 MAX_LAMBDA = 1e9  # the solve refuses a lambda whose |lambda| times the scale of its end passes this
+# doubles per x that ``rate_upper_bound`` and ``legendre_transform`` hold
+# at once besides the kernel's (``cgf.kernel_doubles``) and the x grid:
+# the bound's rates and its x above 0 (2); the transform's lambda, rate,
+# status (4 wide) and interior x (7); the solve's vectors kept across its
+# steps, target, rest, lambda, rate, index, the bracket, the last two
+# step sizes, the tilt and the five fields of its last kernel call (15);
+# and the gap, Newton step, step size, doubled step, midpoint, distance
+# and masks of one step, alive over the next kernel call (8)
+SOLVE_DOUBLES = 32
 
 
 class RatePoint(Record):

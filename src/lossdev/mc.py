@@ -5,20 +5,15 @@ seed drives every draw, and replicates are generated in one vectorized
 pass, so repeated runs are bit-identical.  Because the estimators depend
 on the portfolio sum only, the contracts of a group are drawn as one
 sum, and N replicates of it as a multiset: the distinct sums and how
-many replicates took each.  On ``exact``'s lattice the group's sum is
-one lattice variable whose law is the product of its class spectra,
-each raised to its count, the tilted-FFT construction of ``exact``
-(Keich, J. Comput. Biol. 12, 2005): where its window holds at most N
-points, one Multinomial(N, law) draw over the window gives the counts,
-which are exactly the multiset of N iid draws.  Any other group draws
-the multinomial counts of each class's support points per replicate.
+many replicates took each: one multinomial over the window of
+``exact.sum_law`` where it gives one, else one per class and replicate.
 
 The tilted estimator splits the portfolio into two independent groups
 of contracts, A and B, draws N tilted sums a_i of A and N tilted sums
 b_j of B, and averages the likelihood-weighted indicator f(a_i + b_j)
 over all N^2 pairs.  That average is unbiased, since every a_i is
 independent of every b_j, up to the distance of the drawn group-sum laws
-from the exact ones (``_sum_law``), and its variance is that of a two-sample
+from the exact ones (``exact.sum_law``), and its variance is that of a two-sample
 U-statistic: about (Var g_A + Var g_B) / N, g_A(a) = E f(a + B) the
 projection on A (Hoeffding 1948).  The average is a symmetric function
 of each group's multiset, so the pair step runs on the distinct sums
@@ -40,8 +35,7 @@ import math
 import numpy as np
 
 from .cgf import point_tilt
-from .exact import (IncommensurableSupportError, fft_length, lattice_pmf, lattice_steps,
-                    window_radius)
+from .exact import sum_law
 from .model import DEFAULT_SEED, PortfolioModel, Record, Refused, check_budget, reaches
 
 # doubles per replicate held at once besides the widest class's draws:
@@ -79,57 +73,6 @@ def _log(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def _sum_law(live: list[tuple], n_samples: int):
-    """(values, law): the values of the sum of a group of independent
-    contracts on a window of its lattice, ascending, and their
-    probabilities; or None where the group's points lie on no lattice
-    of ``exact`` (``lattice_steps`` refuses them) or the window holds
-    more than ``n_samples`` points: the law then costs more than the
-    multinomial draws it replaces (5.0 against 0.5 ms for 10^6 contracts
-    of {-2, 0, 1, 3}, a window of 43200 points, and N = 2000).  ``live``
-    holds per class (cls, nu, probs), nu >= 1, and the sum's values are
-    fsum(nu_c v_min,c) + g t.
-
-    T, the sum in steps of g from there, has mean m = sum_c nu_c m_c and
-    variance V = sum_c nu_c V_c under ``probs``; all but WINDOW_EPS of it
-    lies within R = ``window_radius`` of m, so within r = R + |m - c| of
-    c, m rounded.  ``lattice_pmf`` gives its law aliased onto a transform
-    at least min(size, 2r + 1) long, size = sum_c nu_c span_c + 1 the
-    values T can take, and the window is the transform's length of
-    values about c, moved inside 0..size-1.  Its law is the exact one but
-    for at most WINDOW_EPS left out and as much aliased, and the FFT's
-    round-off, whose negatives count as 0.  Each class's spectrum is
-    taken about its point s_c nearest m_c, where its phase stays small:
-    about its minimum, a law with its mass on one far point lost 1e-12
-    of total variation to the round-off of the phase, times nu_c."""
-    try:
-        g, steps = lattice_steps([cls for cls, _, _ in live])
-    except IncommensurableSupportError:
-        return None
-    means = [float(p @ s) for (_, _, p), s in zip(live, steps)]
-    mean = sum(nu * m for (_, nu, _), m in zip(live, means))
-    var = sum(nu * float(p @ (s - m) ** 2) for (_, nu, p), s, m in zip(live, steps, means))
-    spans = [(nu, int(s[-1])) for (_, nu, _), s in zip(live, steps)]
-    center = round(mean)
-    r = math.ceil(window_radius(spans, var) + abs(mean - center))
-    size = sum(nu * span for nu, span in spans) + 1
-    points = min(size, 2 * r + 1)
-    if points > n_samples:
-        return None
-    length = fft_length(points)
-    first = min(max(center - length // 2, 0), max(size - length, 0))
-    terms, origin = [], 0
-    for (_, nu, p), s, m in zip(live, steps, means):
-        ref = int(np.argmin(np.abs(s - m)))
-        order = [ref, *range(ref), *range(ref + 1, s.size)]
-        terms.append((nu, s[order] - s[ref], p[order].tolist()))
-        origin += nu * int(s[ref])
-    q = lattice_pmf(terms, length)
-    t = np.arange(first, min(first + length, size))
-    law = np.maximum(q[(t - origin) % length], 0.0)
-    return math.fsum([nu * cls.min_support for cls, nu, _ in live]) + g * t, law / law.sum()
-
-
 def _sample_sums(classes, counts: np.ndarray, n_samples: int,
                  rng: np.random.Generator,
                  class_probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +81,7 @@ def _sample_sums(classes, counts: np.ndarray, n_samples: int,
     c, and how many replicates took each; zeros for no contracts.  As a
     multiset, N iid draws from a law on L points are one Multinomial(N,
     law) vector of counts, so a group whose sum has a law on a window of
-    at most N points (``_sum_law``) takes one multinomial over that
+    at most N points (``exact.sum_law``) takes one multinomial over that
     window.  Any other draws each class's contracts by a multinomial of
     its support points per replicate, whose cost grows with their
     number."""
@@ -147,7 +90,7 @@ def _sample_sums(classes, counts: np.ndarray, n_samples: int,
     live = [(cls, int(nu), p) for cls, nu, p in zip(classes, counts, class_probs) if nu > 0]
     if not live:
         return np.zeros(1), np.array([n_samples])
-    law = _sum_law(live, n_samples)
+    law = sum_law(live, n_samples)
     if law is None:
         sums = np.zeros(n_samples)
         for cls, nu, p in live:

@@ -75,12 +75,19 @@ class MdPrediction(Record):
 def md_log_prob_prediction(q: MdQuery) -> MdPrediction:
     """Predicted -log P[M_n > threshold] ~ (1/2) c^2 n^(2 alpha).
 
-    Requires y = c n^alpha > 1; smaller y belongs to the CLT regime.
+    Requires y = c n^alpha > 1; smaller y belongs to the CLT regime.  A
+    prediction past the largest double is refused.
     """
     if q.y <= 1.0:
         raise CltRegimeError(
             f"y = c n^alpha = {q.y:g} <= 1: the estimate needs 1 < y = o(sqrt n); "
             "use a CLT approximation instead")
-    leading = 0.5 * q.c**2 * q.n ** (2 * q.alpha)
+    try:
+        leading = 0.5 * q.c**2 * q.n ** (2 * q.alpha)
+    except OverflowError:  # c^2 alone overflows
+        leading = math.inf
+    if not math.isfinite(leading):
+        raise Refused(f"the prediction (1/2) c^2 n^(2 alpha) overflows at c = {q.c!r}, "
+                      f"n = {q.n}")
     correction = q.n ** (3 * q.alpha - 0.5)
     return MdPrediction(leading, correction)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from lossdev.model import MemoryBudgetError, ModelError, Refused, loads_model
 from lossdev.moderate import CltRegimeError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+CLAIM_MIX = str(Path(__file__).resolve().parents[1] / "demos" / "claim_mix.json")
 
 
 @pytest.fixture
@@ -410,6 +412,29 @@ class TestExitCodes:
         monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "220000")
         assert dispatch(argv) == 0
 
+    @pytest.mark.parametrize("c", ["2e154", "1e154"])
+    def test_mdp_prediction_overflows(self, c, capsys):
+        """(1/2) c^2 n^(2 alpha) past the largest double: c^2 itself at
+        c = 2e154, the product at 1e154."""
+        self._fails(["mdp", "--model", CLAIM_MIX, "--n", "1000", "--c", c], 3, capsys)
+
+    @pytest.mark.parametrize("sub", ["rate", "bound"])
+    def test_x_grid_wider_than_a_double(self, sub, capsys):
+        self._fails([sub, "--model", CLAIM_MIX, "--x-min", "-1e308",
+                     "--x-max", "1e308", "--points", "3"], 3, capsys)
+
+    def test_widest_finite_x_grid(self, capsys):
+        """A width of the largest double fits: linspace's last product
+        rounds past it, without a warning, and that point is still x_max."""
+        half = sys.float_info.max / 2
+        assert dispatch(["bound", "--model", CLAIM_MIX, "--x-min", repr(-half),
+                         "--x-max", repr(half), "--points", "4"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "8.9884656743115785e+307,inf"
+
+    @pytest.mark.parametrize("sub", ["rate", "bound", "cgf"])
+    def test_grid_over_the_memory_budget(self, sub, capsys):
+        self._fails([sub, "--model", CLAIM_MIX, "--points", str(2**53)], 3, capsys)
+
     def test_memory_budget_not_a_whole_number(self, unit_model_file, monkeypatch, capsys):
         monkeypatch.setenv("LOSSDEV_MEMORY_BUDGET", "2GB")
         self._fails(["exact", "--model", unit_model_file, "--n", "10", "--x", "0.5"], 3, capsys)
@@ -434,6 +459,43 @@ class TestExitCodes:
         rows = capsys.readouterr().out.splitlines()
         left_out = "class2_ends,1000010001001011," not in "\n".join(rows)
         assert rows[-1].endswith(f",partial1=False,partial2={left_out}")
+
+
+THREE_CLASSES = {"bounds": {"c0": 4, "c1": 0.1}, "classes": [
+    {"name": "unit", "support": [-1, 1], "probs": [0.5, 0.5]},
+    {"name": "claim", "support": [-3, 0, 1], "probs": [0.1, 0.3, 0.6], "center": True},
+    {"name": "spread", "support": [-2, -1, 0, 1, 2], "probs": [0.1, 0.2, 0.4, 0.2, 0.1]}]}
+
+
+WEIGHTED = {"weighted": {"weights": [0.2, 0.3, 0.5]}}
+BLOCKS = {"assigned": {"blocks": {"a0": 1, "growth": 3, "order": [0, 1, 2, 1]}}}
+
+
+@pytest.mark.parametrize("sub, regime", [
+    ("rate", WEIGHTED), ("bound", WEIGHTED), ("cgf", WEIGHTED), ("bound", BLOCKS),
+    ("cgf", BLOCKS)], ids=["rate", "bound", "cgf", "bound on blocks", "cgf on blocks"])
+def test_grid_charge_covers_the_peak(tmp_path, monkeypatch, sub, regime):
+    """The doubles a grid of 4000 points is charged for against the
+    memory budget hold tracemalloc's peak while the subcommand builds it
+    and runs the kernel and the solve on it, on three classes of 2, 3
+    and 5 points, after a first run that warms numpy's caches; the CSV
+    text is not built.  ``bound`` on the blocks solves on four rows."""
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({**THREE_CLASSES, "regime": regime}))
+    charged = []
+    monkeypatch.setattr("lossdev.cli.check_budget", lambda n, what: charged.append(n))
+    monkeypatch.setattr("lossdev.cli.emit_curve", lambda *args: None)
+    argv = [sub, "--model", str(path), "--points", "4000"]
+    if sub != "cgf":  # every x inside the range, and above 0 for the bound
+        argv += ["--x-min", "-2.1" if sub == "rate" else "0.01", "--x-max", "0.69"]
+    assert dispatch(argv) == 0
+    tracemalloc.start()
+    try:
+        assert dispatch(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 2 and peak <= 8 * charged[-1], (peak / 8, charged)
 
 
 def test_c0_just_under_the_cap_runs_clean(tmp_path, capsys):

@@ -29,7 +29,7 @@ from lossdev import (
 from lossdev.cgf import mixture_cgf, point_tilt
 import lossdev.exact as exact_module
 from lossdev.exact import (WINDOW_EPS, band_spectrum, fft_length, latticize, lattice_steps,
-                           spectrum_band, window_radius, window_sum)
+                           spectrum_band, spectrum_terms, window_radius, window_sum)
 from lossdev.legendre import transform_from_weights
 from lossdev.model import Refused, loads_model, reaches
 
@@ -1127,8 +1127,8 @@ class TestShortTransform:
 def _terms(model, n, fraction, about_mean=False):
     """The terms the tail helper takes at lattice point ``fraction`` of
     the way up the sum's lattice: per live class its count, its shifts
-    and its tilted law; ``about_mean`` reorders each class about its point
-    nearest its tilted mean, shifts below it negative, as ``mc._sum_law``
+    and its tilted law; ``about_mean`` takes each class about its point
+    nearest its tilted mean, shifts below it negative, as ``sum_law``
     takes them."""
     live = [(c, int(nu)) for c, nu in zip(model.classes, model.counts(n)) if nu > 0]
     _, steps = lattice_steps([c for c, _ in live])
@@ -1136,13 +1136,10 @@ def _terms(model, n, fraction, about_mean=False):
     k = max(1, min(size - 2, round(fraction * (size - 1))))
     _, laws, _, _, _ = point_tilt([(c.probs, s.tolist(), nu) for (c, nu), s in zip(live, steps)],
                                   k, size - 1 - k)
-    terms = []
-    for (_, nu), s, law in zip(live, steps, laws):
-        if about_mean:
-            ref = int(np.argmin(np.abs(s - np.dot(law, s))))
-            order = [ref, *range(ref), *range(ref + 1, s.size)]
-            s, law = s[order] - s[ref], [law[j] for j in order]
-        terms.append((nu, s, law))
+    terms = [(nu, s, law) for (_, nu), s, law in zip(live, steps, laws)]
+    if about_mean:
+        terms, _ = spectrum_terms(terms, [int(np.argmin(np.abs(s - np.dot(law, s))))
+                                          for _, s, law in terms])
     return terms
 
 

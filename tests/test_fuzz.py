@@ -170,13 +170,23 @@ def test_centered_class_is_exact(support, masses, beside_unit, n, picks, nudge):
 
 
 EDGE_SIZE = st.sampled_from([0, -1, 2**53, 2**53 + 1, 10**20])
+ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 QUERY_OPTIONS = {
     "n": st.integers(1, 200) | EDGE_SIZE,
-    "x": st.floats(-2.5, 2.5) | st.floats(allow_nan=False, allow_infinity=False),
+    "x": st.floats(-2.5, 2.5) | ANY_FINITE,
     "samples": st.integers(1, 5000) | st.just(10**5) | EDGE_SIZE,
     "seed": st.integers(0, 2**70) | EDGE_SIZE,
+    "c": st.floats(0.1, 10.0) | ANY_FINITE,
+    "alpha": st.floats(0.01, 0.49) | ANY_FINITE,
+    "points": st.integers(1, 200) | EDGE_SIZE,
+    "x-min": st.floats(-2.5, 2.5) | ANY_FINITE,
+    "x-max": st.floats(-2.5, 2.5) | ANY_FINITE,
+    "lambda-min": st.floats(-10.0, 10.0) | ANY_FINITE,
+    "lambda-max": st.floats(-10.0, 10.0) | ANY_FINITE,
 }
-TAKES = {"exact": ("n", "x"), "mc": ("n", "x", "samples", "seed"), "mdp": ("n",)}
+TAKES = {"exact": ("n", "x"), "mc": ("n", "x", "samples", "seed"), "mdp": ("n", "c", "alpha"),
+         "rate": ("x-min", "x-max", "points"), "bound": ("x-min", "x-max", "points"),
+         "cgf": ("n", "lambda-min", "lambda-max", "points")}
 
 
 @pytest.fixture(scope="module")
@@ -186,8 +196,8 @@ def mix_path(tmp_path_factory):
     return str(path)
 
 
-@settings(max_examples=100, deadline=None)
-@given(sub=st.sampled_from(["exact", "mc", "mdp"]), tilted=st.booleans(),
+@settings(max_examples=200, deadline=None)
+@given(sub=st.sampled_from(list(TAKES)), tilted=st.booleans(),
        values=st.fixed_dictionaries(QUERY_OPTIONS))
 @example(sub="exact", tilted=False, values={"n": 10**20, "x": 0.5})
 @example(sub="mc", tilted=False, values={"n": 10**20, "x": 0.5})
@@ -195,10 +205,14 @@ def mix_path(tmp_path_factory):
 @example(sub="mc", tilted=False, values={"n": 10, "x": 0.5, "samples": 2**53})
 @example(sub="mc", tilted=False, values={"n": 10, "x": 0.5, "seed": -1})
 @example(sub="mc", tilted=True, values={"n": 4, "x": -1.2, "samples": 1000, "seed": 4})  # < mean
+@example(sub="mdp", tilted=False, values={"n": 1000, "c": 2e154})
+@example(sub="rate", tilted=False, values={"points": 2**53})
+@example(sub="bound", tilted=False, values={"x-min": -1e308, "x-max": 1e308, "points": 3})
 def test_query_options(mix_path, sub, tilted, values):
-    """Extreme sizes, thresholds, sample counts and seeds on the unit/double
-    mix end in 0, 2 (bad option) or 3 (refused), never 1; a budget of
-    1 MiB refuses huge lattices and sample arrays before they are built."""
+    """Extreme sizes, thresholds, sample counts, seeds, scales, exponents
+    and grids on the unit/double mix end in 0, 2 (bad option) or 3
+    (refused), never 1; a budget of 1 MiB refuses huge lattices, sample
+    arrays and grids before they are built."""
     argv = [sub, "--model", mix_path, *(f"--{k}={v}" for k, v in values.items()
                                         if k in TAKES[sub])]
     with pytest.MonkeyPatch.context() as mp:

@@ -496,14 +496,14 @@ def _random_lattice_class(rng, step=None):
 
 
 def _law_distance(model, n):
-    """The total variation between ``_sum_law`` of the model's live
+    """The total variation between ``sum_law`` of the model's live
     classes as one group, on a window of any size, and the direct
     convolution of ``tests/oracle.py``, the mass the window leaves out,
     and whether the window is narrower than the lattice."""
     live = [(c, int(nu), np.asarray(c.probs)) for c, nu in zip(model.classes, model.counts(n))
             if nu > 0]
     offset, g, logp = direct_log_pmf(model, n)
-    values, q = mc._sum_law(live, 10**9)
+    values, q = mc.sum_law(live, 10**9)
     # the window's values are offset + g (first + i), rounded once
     first = round((values[0] - offset) / g)
     assert values.tolist() == [math.fsum([offset, g * t])
@@ -592,14 +592,14 @@ def test_multinomial_beside_the_sum_law(other, n, n_samples, x, oracle, monkeypa
     takes its sum's law; the estimate is within 4 standard errors."""
     model = PortfolioModel((UNIT, other), weights=(0.5, 0.5))
     taken = []
-    real = mc._sum_law
+    real = mc.sum_law
 
     def recording(live, *args):
         law = real(live, *args)
         taken.append(([cls.name for cls, _, _ in live], law is not None))
         return law
 
-    monkeypatch.setattr(mc, "_sum_law", recording)
+    monkeypatch.setattr(mc, "sum_law", recording)
     est = sample_tilted(model, n, x, n_samples, seed=8)
     assert sorted(taken) == [([other.name], False), (["unit"], True)]
     got = oracle(model, n, x)

@@ -16,6 +16,7 @@ from lossdev import (
     md_threshold,
     variance_sum,
 )
+from lossdev.model import Refused
 
 from conftest import random_general_model
 
@@ -82,6 +83,16 @@ class TestPrediction:
         pred = md_log_prob_prediction(MdQuery(1.0, 0.3, 10**4))
         assert pred.correction_scale / pred.leading == pytest.approx(
             2 * 10**-0.8, rel=1e-12)  # n^(3a-1/2) / (c^2 n^(2a) / 2)
+
+    @pytest.mark.parametrize("c", [2e154, 1e154])
+    def test_overflow_refused(self, c):
+        """c^2 overflows at 2e154, and (1/2) c^2 n^(2 alpha) at 1e154."""
+        with pytest.raises(Refused, match="overflows"):
+            md_log_prob_prediction(MdQuery(c, 0.3, 1000))
+
+    def test_largest_finite_prediction(self):
+        pred = md_log_prob_prediction(MdQuery(1e150, 0.3, 1000))
+        assert pred.leading == 0.5 * 1e150**2 * 1000**0.6
 
     def test_clt_regime_rejected(self):
         with pytest.raises(CltRegimeError):
